@@ -117,6 +117,10 @@ ProcessorConfig::validate() const
     // BIT's notion of the maximum length must agree with selection's
     // (forModel keeps them synced; hand-built configs can drift).
     requirePositive("selection.maxTraceLen", selection.maxTraceLen);
+    if (selection.maxTraceLen > maxTraceSlots)
+        badKnob("selection.maxTraceLen",
+                "must be <= " + std::to_string(maxTraceSlots) + " (got " +
+                    std::to_string(selection.maxTraceLen) + ")");
     requirePositive("bit.maxTraceLen", bit.maxTraceLen);
     if (bit.maxTraceLen != selection.maxTraceLen)
         badKnob("bit.maxTraceLen",

@@ -1,6 +1,7 @@
 #include "core/processor.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 
@@ -73,6 +74,15 @@ validated(const ProcessorConfig &cfg)
 {
     cfg.validate();
     return cfg;
+}
+
+/** True while a local producer of d is incomplete: d cannot issue, and
+ *  that producer's completion wakes it (completeSlot). */
+bool
+waitsOnLocalProducer(const InFlightTrace &t, const DynSlot &d)
+{
+    return (d.dep1 >= 0 && !t.slots[d.dep1].completed) ||
+        (d.dep2 >= 0 && !t.slots[d.dep2].completed);
 }
 
 } // anonymous namespace
@@ -386,8 +396,8 @@ Processor::operandReady(const InFlightTrace &t, const DynSlot &d) const
         }
         return prf.ready(src, curCycle);
     };
-    return one_ready(d.dep1, d.src1, readsRs1(d.inst)) &&
-        one_ready(d.dep2, d.src2, readsRs2(d.inst));
+    return one_ready(d.dep1, d.src1, d.readsRs1) &&
+        one_ready(d.dep2, d.src2, d.readsRs2);
 }
 
 int64_t
@@ -403,11 +413,11 @@ Processor::issueSlot(InFlightTrace &t, int slot)
 {
     DynSlot &d = t.slots[slot];
     d.issued = true;
-    --t.slotsNotIssued;
-    ++t.slotsIssuedNotDone;
+    t.pending &= ~slotBit(slot);
+    t.wake &= ~slotBit(slot);
     ++d.issueCount;
-    d.srcVal1 = readsRs1(d.inst) ? operandValue(t, d.dep1, d.src1) : 0;
-    d.srcVal2 = readsRs2(d.inst) ? operandValue(t, d.dep2, d.src2) : 0;
+    d.srcVal1 = d.readsRs1 ? operandValue(t, d.dep1, d.src1) : 0;
+    d.srcVal2 = d.readsRs2 ? operandValue(t, d.dep2, d.src2) : 0;
 
     const Instruction &inst = d.inst;
     switch (inst.op) {
@@ -447,6 +457,7 @@ Processor::issueSlot(InFlightTrace &t, int slot)
         d.execDoneAt = curCycle + execLatency(inst.op);
         break;
     }
+    t.markInFlight(slot, d.execDoneAt);
 }
 
 void
@@ -458,20 +469,22 @@ Processor::runOnPool(size_t n, const std::function<void(size_t)> &fn)
 void
 Processor::issueTrace(InFlightTrace &t)
 {
-    // Readiness precheck: a trace with no un-issued slot cannot issue
-    // anything — skip the slot walk entirely (most of the window is in
-    // this state most cycles).
-    if (t.slotsNotIssued == 0)
-        return;
+    // Visit the wake set in ascending slot order. Every pending slot
+    // outside it waits on an incomplete local producer and could not
+    // issue anyway, so this issues exactly what a walk over all slots
+    // would.
     int issued_this_cycle = 0;
-    for (size_t i = 0;
-         i < t.slots.size() && issued_this_cycle < cfg.issuePerPe; ++i) {
-        DynSlot &d = t.slots[i];
-        if (d.issued || d.completed || curCycle < d.earliestIssue)
+    for (SlotSet todo = t.wake;
+         todo && issued_this_cycle < cfg.issuePerPe;) {
+        const int i = popLowestSlot(todo);
+        const DynSlot &d = t.slots[i];
+        if (waitsOnLocalProducer(t, d)) {
+            t.wake &= ~slotBit(i);  // until that producer completes
             continue;
-        if (!operandReady(t, d))
+        }
+        if (curCycle < d.earliestIssue || !operandReady(t, d))
             continue;
-        issueSlot(t, static_cast<int>(i));
+        issueSlot(t, i);
         ++issued_this_cycle;
     }
 }
@@ -497,26 +510,28 @@ void
 Processor::scanCompletions(size_t wpos)
 {
     // Collect, don't complete: completion side effects (events, bus
-    // requests) belong to the commit phase. Strictly PE-local reads,
-    // safe to run concurrently with the other PEs' scans.
+    // requests) belong to the commit phase. Reads and writes stay in
+    // this PE's trace, safe to run concurrently with the other PEs'
+    // scans.
     CompletionScan &out = scanScratch[wpos];
     out.uid = window[wpos];
     out.slots.clear();
-    const InFlightTrace &t = entryAt(wpos);
-    // Readiness precheck: no issued-but-incomplete slot means nothing
-    // can possibly complete — skip the slot walk.
-    if (t.slotsIssuedNotDone == 0)
-        return;
-    for (size_t i = 0; i < t.slots.size(); ++i) {
-        const DynSlot &d = t.slots[i];
-        // waitingBus gates memory ops between address generation and
-        // their cache-bus grant (the grant schedules the real
-        // completion time).
-        if (d.issued && !d.completed && !d.waitingBus &&
-            d.execDoneAt <= curCycle) {
-            out.slots.push_back(static_cast<int>(i));
-        }
+    InFlightTrace &t = entryAt(wpos);
+    if (t.nextDoneAt > curCycle)
+        return;     // nothing in flight is due yet
+    // Walk the in-flight set (memory ops waiting for a cache bus join it
+    // at the grant, which schedules their real completion time) and
+    // tighten the bound over the slots that are not due.
+    Cycle next = neverDone;
+    for (SlotSet todo = t.inFlight; todo;) {
+        const int i = popLowestSlot(todo);
+        const Cycle done = t.slots[i].execDoneAt;
+        if (done <= curCycle)
+            out.slots.push_back(i);
+        else
+            next = std::min(next, done);
     }
+    t.nextDoneAt = next;
 }
 
 void
@@ -559,6 +574,7 @@ void
 Processor::completeSlot(InFlightTrace &t, int slot)
 {
     DynSlot &d = t.slots[slot];
+    t.inFlight &= ~slotBit(slot);
 
     // Memory operations: address generation finished; go request a cache
     // bus (they "complete" later, once the access returns).
@@ -571,7 +587,6 @@ Processor::completeSlot(InFlightTrace &t, int slot)
     }
 
     d.completed = true;
-    --t.slotsIssuedNotDone;
     d.readyAt = curCycle;
 
     // Value-change filter: a recompletion that reproduces the previous
@@ -584,21 +599,24 @@ Processor::completeSlot(InFlightTrace &t, int slot)
     // Selective reissue of dependence chains (Section 2.2.3): any local
     // consumer that already issued consumed a stale value.
     if (value_changed) {
-        for (size_t i = 0; i < t.slots.size(); ++i) {
-            DynSlot &c = t.slots[i];
-            if ((c.dep1 == slot || c.dep2 == slot) &&
-                (c.issued || c.completed) && static_cast<int>(i) != slot) {
+        for (SlotSet todo = d.consumers; todo;) {
+            const int i = popLowestSlot(todo);
+            const DynSlot &c = t.slots[i];
+            if (c.issued || c.completed) {
                 ++stats.reissueLocal;
-                reissueSlot(t, static_cast<int>(i), curCycle + 1);
+                reissueSlot(t, i, curCycle + 1);
             }
         }
     }
+    // Wake the pending consumers: this slot may be the local producer
+    // they sleep on.
+    t.wake |= d.consumers & t.pending;
 
     // Publish live-out values on a global result bus. The register's
     // current content decides whether a broadcast is needed (a previous
     // broadcast may have been dropped by repair-time validation, and
     // repair can hand a completed slot a fresh register).
-    if (d.dest != invalidPhysReg && writesReg(d.inst) &&
+    if (d.dest != invalidPhysReg && d.writesReg &&
         (!prf.hasValue(d.dest) || prf.value(d.dest) != d.value)) {
         busQueue.push_back({t.uid, slot, d.dest, d.value});
     }
@@ -629,6 +647,9 @@ void
 Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
 {
     DynSlot &d = t.slots[slot];
+    // Every reissue wakes the slot, including a not-yet-issued one whose
+    // gate only moves.
+    t.wake |= slotBit(slot);
     if (!d.issued && !d.completed) {
         d.earliestIssue = std::max(d.earliestIssue, earliest);
         return;
@@ -637,11 +658,8 @@ Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
         arb.loadRemove(t.uid, slot);
     if (d.isStore() && d.performed)
         arb.storeUndo(t.uid, slot);
-    // Back to the not-issued pool (completed implies issued, so the
-    // issued-not-done counter only drops for still-pending slots).
-    if (!d.completed)
-        --t.slotsIssuedNotDone;
-    ++t.slotsNotIssued;
+    t.inFlight &= ~slotBit(slot);
+    t.pending |= slotBit(slot);
     d.resetDynamic();
     d.earliestIssue = std::max(d.earliestIssue, earliest);
     ++stats.reissuedSlots;
@@ -665,10 +683,8 @@ Processor::reissueConsumersOf(PhysReg reg)
         InFlightTrace &t = entryAt(w);
         for (size_t i = 0; i < t.slots.size(); ++i) {
             DynSlot &d = t.slots[i];
-            bool consumes = (d.dep1 < 0 && readsRs1(d.inst) &&
-                             d.src1 == reg) ||
-                            (d.dep2 < 0 && readsRs2(d.inst) &&
-                             d.src2 == reg);
+            bool consumes = (d.dep1 < 0 && d.readsRs1 && d.src1 == reg) ||
+                            (d.dep2 < 0 && d.readsRs2 && d.src2 == reg);
             if (consumes && (d.issued || d.completed)) {
                 ++stats.reissueGlobal;
                 reissueSlot(t, static_cast<int>(i), curCycle + 1);
@@ -722,6 +738,7 @@ Processor::phaseCacheBuses()
             d.value = d.srcVal2;
             d.execDoneAt = curCycle + 1;
         }
+        t->markInFlight(req.slot, d.execDoneAt);
     }
 
     // Unprocessed / deferred requests retry next cycle, in order.
@@ -1310,7 +1327,7 @@ Processor::verifyRetiredSlot(const InFlightTrace &t, const DynSlot &d)
         mismatch("instruction");
     if (d.isCondBr && g.taken != d.resolvedTaken)
         mismatch("branch outcome");
-    if (writesReg(d.inst) && g.destValue != d.value)
+    if (d.writesReg && g.destValue != d.value)
         mismatch("dest value");
     if ((d.isLoad() || d.isStore())) {
         if (g.memAddr != d.effAddr)
@@ -1453,18 +1470,39 @@ Processor::checkInvariants() const
         panic_if(t.uid != window[i], "pool uid out of sync");
         panic_if(t.logicalPos != static_cast<int64_t>(i),
                  "stale logical position");
-        int not_issued = 0, in_flight = 0;
-        for (const auto &d : t.slots) {
-            if (d.completed)
-                continue;
-            if (d.issued)
-                ++in_flight;
-            else
-                ++not_issued;
+        // Scheduling sets, recomputed from the slot flags.
+        SlotSet pending = 0, in_flight = 0;
+        std::array<SlotSet, maxTraceSlots> consumers{};
+        for (size_t s = 0; s < t.slots.size(); ++s) {
+            const DynSlot &d = t.slots[s];
+            if (d.dep1 >= 0)
+                consumers[d.dep1] |= slotBit(s);
+            if (d.dep2 >= 0)
+                consumers[d.dep2] |= slotBit(s);
+            if (!d.issued && !d.completed) {
+                pending |= slotBit(s);
+                panic_if(!(t.wake & slotBit(s)) &&
+                             !waitsOnLocalProducer(t, d),
+                         "missed wakeup: slot %zu (pos %zu) sleeps with "
+                         "every local producer complete", s, i);
+            } else if (!d.completed && !d.waitingBus) {
+                in_flight |= slotBit(s);
+                panic_if(d.execDoneAt < t.nextDoneAt,
+                         "completion bound above slot %zu's execDoneAt "
+                         "(pos %zu)", s, i);
+            }
         }
-        panic_if(not_issued != t.slotsNotIssued ||
-                 in_flight != t.slotsIssuedNotDone,
-                 "pending-slot counters out of sync (pos %zu)", i);
+        panic_if(t.pending != pending, "pending set out of sync (pos %zu)",
+                 i);
+        panic_if(t.inFlight != in_flight,
+                 "in-flight set out of sync (pos %zu)", i);
+        panic_if((t.wake & ~pending) != 0,
+                 "wake set holds a slot that is not pending (pos %zu)", i);
+        for (size_t s = 0; s < t.slots.size(); ++s) {
+            panic_if(t.slots[s].consumers != consumers[s],
+                     "consumer set of slot %zu out of sync (pos %zu)", s,
+                     i);
+        }
     }
 }
 

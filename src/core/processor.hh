@@ -23,6 +23,20 @@
  * (ARB, rename, buses, events, frontend) commits serially in window
  * order. Serial and threaded scheduling are therefore bit-identical by
  * construction, and tests/test_pe_parallel.cc enforces it.
+ *
+ * Issue and completion are wake-driven, not polled. Each resident trace
+ * keeps slot sets (InFlightTrace, "Scheduling sets") that change only at
+ * the transitions that move a slot: issueTrace visits only the wake set,
+ * scanCompletions skips a trace until its earliest in-flight slot is due
+ * and then walks only the in-flight set, and a completing slot reaches
+ * its local consumers through its consumer set. The wakeup invariant: a
+ * slot enters the wake set at dispatch, at repair, at every reissue
+ * (including the not-yet-issued path that only moves earliestIssue), and
+ * when a local producer completes; it leaves it without issuing only
+ * while one of its local producers is incomplete. checkInvariants()
+ * recomputes every set from the slot flags; the tests
+ * WorkloadModel.VerifiedSlice and SmallMachineStillCorrect call it
+ * every cycle.
  */
 
 #ifndef TPROC_CORE_PROCESSOR_HH
@@ -298,10 +312,10 @@ class Processor
     }
     void runOnPool(size_t n, const std::function<void(size_t)> &fn);
     /** Compute: collect window[wpos]'s completion-ready slots into
-     *  scanScratch[wpos] (strictly PE-local reads). */
+     *  scanScratch[wpos] (reads and writes only that PE's trace). */
     void scanCompletions(size_t wpos);
-    /** Compute: one PE's local issue/execute pass (writes only its own
-     *  slots; reads the frozen register file). */
+    /** Compute: one PE's local issue/execute pass over its wake set
+     *  (writes only its own trace; reads the frozen register file). */
     void issueTrace(InFlightTrace &t);
     /// @}
 

@@ -21,16 +21,25 @@ setStatic(DynSlot &d, const TraceSlot &s)
     d.inRegion = s.inRegion;
     d.regionStart = s.regionStart;
     d.reconvPc = s.reconvPc;
+    d.readsRs1 = readsRs1(s.inst);
+    d.readsRs2 = readsRs2(s.inst);
+    d.writesReg = writesReg(s.inst);
 }
 
 /**
- * Compute intra-trace dependences and live-in sources for all slots.
- * Does not touch destinations. @return last writer slot per arch reg
- * (-1 = none).
+ * Compute intra-trace dependences, consumer sets and live-in sources for
+ * all slots. Does not touch destinations. @return last writer slot per
+ * arch reg (-1 = none).
  */
 std::array<int, numArchRegs>
 computeDeps(InFlightTrace &t, const RenameMap &map)
 {
+    // Selection never builds a trace longer than validate() admits, and
+    // the slot sets are one word wide.
+    panic_if(t.slots.size() > static_cast<size_t>(maxTraceSlots),
+             "trace of %zu instructions exceeds the %d-slot cap",
+             t.slots.size(), maxTraceSlots);
+
     std::array<int, numArchRegs> last_writer;
     last_writer.fill(-1);
 
@@ -38,27 +47,47 @@ computeDeps(InFlightTrace &t, const RenameMap &map)
         DynSlot &d = t.slots[i];
         d.dep1 = d.dep2 = -1;
         d.src1 = d.src2 = invalidPhysReg;
-        if (readsRs1(d.inst)) {
+        d.consumers = 0;
+        if (d.readsRs1) {
             int w = last_writer[d.inst.rs1];
-            if (w >= 0)
+            if (w >= 0) {
                 d.dep1 = w;
-            else
+                t.slots[w].consumers |= slotBit(i);
+            } else {
                 d.src1 = map[d.inst.rs1];
+            }
         }
-        if (readsRs2(d.inst)) {
+        if (d.readsRs2) {
             int w = last_writer[d.inst.rs2];
-            if (w >= 0)
+            if (w >= 0) {
                 d.dep2 = w;
-            else
+                t.slots[w].consumers |= slotBit(i);
+            } else {
                 d.src2 = map[d.inst.rs2];
+            }
         }
-        if (writesReg(d.inst))
+        if (d.writesReg)
             last_writer[d.inst.rd] = static_cast<int>(i);
     }
     return last_writer;
 }
 
 } // anonymous namespace
+
+void
+InFlightTrace::resetSchedule()
+{
+    pending = inFlight = 0;
+    nextDoneAt = neverDone;
+    for (size_t i = 0; i < slots.size(); ++i) {
+        const DynSlot &d = slots[i];
+        if (!d.issued && !d.completed)
+            pending |= slotBit(i);
+        else if (!d.completed && !d.waitingBus)
+            markInFlight(i, d.execDoneAt);
+    }
+    wake = pending;
+}
 
 void
 initInFlightTrace(InFlightTrace &t, TraceUid uid,
@@ -95,8 +124,7 @@ initInFlightTrace(InFlightTrace &t, TraceUid uid,
         map[a] = p;
     }
 
-    t.slotsNotIssued = static_cast<int>(t.slots.size());
-    t.slotsIssuedNotDone = 0;
+    t.resetSchedule();
 }
 
 std::unique_ptr<InFlightTrace>
@@ -192,9 +220,8 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
             deferred_free.push_back(old_phys[a]);
     }
 
-    // The slot array was rebuilt wholesale; re-derive the scheduling
-    // summaries from the surviving prefix + fresh suffix flags.
-    t.recountPending();
+    // The slot array and the deps were rebuilt wholesale.
+    t.resetSchedule();
 }
 
 std::vector<int>
@@ -206,14 +233,14 @@ redispatchInFlightTrace(InFlightTrace &t, RenameMap &map)
     for (size_t i = 0; i < t.slots.size(); ++i) {
         DynSlot &d = t.slots[i];
         bool dirty = false;
-        if (d.dep1 < 0 && readsRs1(d.inst)) {
+        if (d.dep1 < 0 && d.readsRs1) {
             PhysReg p = map[d.inst.rs1];
             if (p != d.src1) {
                 d.src1 = p;
                 dirty = true;
             }
         }
-        if (d.dep2 < 0 && readsRs2(d.inst)) {
+        if (d.dep2 < 0 && d.readsRs2) {
             PhysReg p = map[d.inst.rs2];
             if (p != d.src2) {
                 d.src2 = p;

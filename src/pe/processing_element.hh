@@ -13,6 +13,9 @@
 #ifndef TPROC_PE_PROCESSING_ELEMENT_HH
 #define TPROC_PE_PROCESSING_ELEMENT_HH
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -24,10 +27,36 @@ namespace tproc
 {
 
 /**
+ * A set of slots of one trace: bit i stands for slot i. One word holds
+ * a whole trace because no trace is longer than maxTraceSlots.
+ */
+using SlotSet = uint32_t;
+static_assert(sizeof(SlotSet) * 8 >= maxTraceSlots,
+              "a SlotSet must hold every slot of the longest trace");
+
+inline SlotSet
+slotBit(size_t slot)
+{
+    return SlotSet(1) << slot;
+}
+
+/** Remove the lowest slot from a nonempty set and return it. */
+inline int
+popLowestSlot(SlotSet &set)
+{
+    const int slot = __builtin_ctz(set);
+    set &= set - 1;
+    return slot;
+}
+
+/** InFlightTrace::nextDoneAt while nothing is in flight. */
+constexpr Cycle neverDone = std::numeric_limits<Cycle>::max();
+
+/**
  * Dynamic state of one instruction slot in a PE.
  *
  * Field order is load-bearing for the hot path: the issue/completion
- * scans touch the flags, gate cycles, and renaming fields every cycle,
+ * phases touch the flags, gate cycles, and renaming fields every cycle,
  * so those lead the struct (first cache lines); the flags are packed
  * together instead of interleaved with wider members.
  */
@@ -49,12 +78,19 @@ struct DynSlot
     bool everCompleted = false;
     bool inRegion = false;
     bool regionStart = false;
+    /** The ISA's readsRs1/readsRs2/writesReg of inst, cached by
+     *  setStatic: every readiness check reads them. */
+    bool readsRs1 = false;
+    bool readsRs2 = false;
+    bool writesReg = false;
     /// @}
 
     /** @name Renaming (read by every readiness check). */
     /// @{
     int dep1 = -1;      //!< producer slot index for rs1, or -1
     int dep2 = -1;
+    /** Slots whose dep1 or dep2 is this slot (built with the deps). */
+    SlotSet consumers = 0;
     PhysReg src1 = invalidPhysReg;  //!< live-in phys reg for rs1
     PhysReg src2 = invalidPhysReg;
     PhysReg dest = invalidPhysReg;  //!< live-out phys reg (last writers)
@@ -141,34 +177,46 @@ struct InFlightTrace
      *  trace (retirement gate). */
     int pendingMisp = 0;
 
-    /** @name Scheduling summaries (operand-readiness prechecks).
-     * Derived counts over the slots' (issued, completed) flags,
-     * maintained by the processor's issue/complete/reissue transitions
-     * and recounted wholesale after structural repair. They let the
-     * per-cycle issue and completion scans skip traces with no eligible
-     * slot without walking the slot array — pure scheduling metadata,
-     * so they cannot change simulation results. */
+    /** @name Scheduling sets (wake-driven issue and completion).
+     * The sets change only at the transitions that move a slot, so the
+     * per-cycle issue and completion phases visit the slots that can
+     * act instead of polling the whole trace:
+     *  - pending: not issued and not completed.
+     *  - inFlight: issued, not completed, not waiting for a cache bus.
+     *  - wake: the pending slots issueTrace visits. A slot enters it at
+     *    dispatch, at repair, at every reissue (including the
+     *    not-yet-issued path that only moves earliestIssue), and when
+     *    one of its local producers completes. It may leave it without
+     *    issuing only while a local producer is incomplete; that
+     *    producer's completion puts it back.
+     *  - nextDoneAt: a lower bound on execDoneAt over inFlight;
+     *    scanCompletions skips the trace while it lies in the future.
+     * They decide which slots a phase visits, never what it does with
+     * them, so they cannot change simulation results.
+     * Processor::checkInvariants() recomputes each one from the slot
+     * flags; WorkloadModel.VerifiedSlice and SmallMachineStillCorrect
+     * (tests/test_processor_properties.cc) call it every cycle. */
     /// @{
-    int slotsNotIssued = 0;     //!< slots with !issued && !completed
-    int slotsIssuedNotDone = 0; //!< slots with issued && !completed
+    SlotSet pending = 0;
+    SlotSet inFlight = 0;
+    SlotSet wake = 0;
+    Cycle nextDoneAt = neverDone;
     /// @}
 
     size_t size() const { return slots.size(); }
 
-    /** Recompute the scheduling summaries from the slot flags. */
+    /** Slot s started executing (issue, or its cache-bus grant) and
+     *  finishes at done. */
     void
-    recountPending()
+    markInFlight(size_t s, Cycle done)
     {
-        slotsNotIssued = slotsIssuedNotDone = 0;
-        for (const DynSlot &d : slots) {
-            if (!d.completed) {
-                if (d.issued)
-                    ++slotsIssuedNotDone;
-                else
-                    ++slotsNotIssued;
-            }
-        }
+        inFlight |= slotBit(s);
+        nextDoneAt = std::min(nextDoneAt, done);
     }
+
+    /** Rebuild the scheduling sets from the slot flags and wake every
+     *  pending slot (dispatch and repair). */
+    void resetSchedule();
 };
 
 /**

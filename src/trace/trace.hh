@@ -19,6 +19,14 @@
 namespace tproc
 {
 
+/**
+ * Longest trace the simulator can run, in instructions. TraceId holds
+ * one outcome bit per conditional branch in a 32-bit word, and a PE's
+ * scheduling sets hold one bit per slot in a 32-bit word.
+ * ProcessorConfig::validate() rejects a longer selection.maxTraceLen.
+ */
+constexpr int maxTraceSlots = 32;
+
 /** Identity of a trace: start pc + embedded conditional branch outcomes. */
 struct TraceId
 {

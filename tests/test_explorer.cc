@@ -361,6 +361,13 @@ TEST(ConfigValidate, RejectsDegenerateShapesNamingTheKnob)
         c.bit.maxTraceLen = c.selection.maxTraceLen + 1;
         expectBadKnob(c, "bit.maxTraceLen");
     }
+    {
+        // Longer than any trace can be: TraceId and the PE slot sets
+        // hold one bit per branch / slot in a 32-bit word.
+        ProcessorConfig c;
+        c.selection.maxTraceLen = c.bit.maxTraceLen = maxTraceSlots + 1;
+        expectBadKnob(c, "selection.maxTraceLen");
+    }
 }
 
 TEST(ConfigValidate, RunsBeforeSimulationStarts)
