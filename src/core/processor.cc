@@ -413,7 +413,6 @@ Processor::issueSlot(InFlightTrace &t, int slot)
 {
     DynSlot &d = t.slots[slot];
     d.issued = true;
-    t.pending &= ~slotBit(slot);
     t.wake &= ~slotBit(slot);
     ++d.issueCount;
     d.srcVal1 = d.readsRs1 ? operandValue(t, d.dep1, d.src1) : 0;
@@ -596,21 +595,19 @@ Processor::completeSlot(InFlightTrace &t, int slot)
     d.everCompleted = true;
     d.lastValue = d.value;
 
-    // Selective reissue of dependence chains (Section 2.2.3): any local
-    // consumer that already issued consumed a stale value.
-    if (value_changed) {
-        for (SlotSet todo = d.consumers; todo;) {
-            const int i = popLowestSlot(todo);
-            const DynSlot &c = t.slots[i];
-            if (c.issued || c.completed) {
-                ++stats.reissueLocal;
-                reissueSlot(t, i, curCycle + 1);
-            }
+    // Wake the pending local consumers (this slot may be the producer
+    // they sleep on). Selective reissue of dependence chains (Section
+    // 2.2.3): a consumer that already issued consumed a stale value.
+    for (SlotSet todo = d.consumers; todo;) {
+        const int i = popLowestSlot(todo);
+        const DynSlot &c = t.slots[i];
+        if (!c.issued && !c.completed) {
+            t.wake |= slotBit(i);
+        } else if (value_changed) {
+            ++stats.reissueLocal;
+            reissueSlot(t, i, curCycle + 1);
         }
     }
-    // Wake the pending consumers: this slot may be the local producer
-    // they sleep on.
-    t.wake |= d.consumers & t.pending;
 
     // Publish live-out values on a global result bus. The register's
     // current content decides whether a broadcast is needed (a previous
@@ -659,7 +656,6 @@ Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
     if (d.isStore() && d.performed)
         arb.storeUndo(t.uid, slot);
     t.inFlight &= ~slotBit(slot);
-    t.pending |= slotBit(slot);
     d.resetDynamic();
     d.earliestIssue = std::max(d.earliestIssue, earliest);
     ++stats.reissuedSlots;
@@ -1492,8 +1488,6 @@ Processor::checkInvariants() const
                          "(pos %zu)", s, i);
             }
         }
-        panic_if(t.pending != pending, "pending set out of sync (pos %zu)",
-                 i);
         panic_if(t.inFlight != in_flight,
                  "in-flight set out of sync (pos %zu)", i);
         panic_if((t.wake & ~pending) != 0,

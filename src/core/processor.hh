@@ -34,7 +34,7 @@
  * (including the not-yet-issued path that only moves earliestIssue), and
  * when a local producer completes; it leaves it without issuing only
  * while one of its local producers is incomplete. checkInvariants()
- * recomputes every set from the slot flags; the tests
+ * checks every set against the slot flags; the tests
  * WorkloadModel.VerifiedSlice and SmallMachineStillCorrect call it
  * every cycle.
  */

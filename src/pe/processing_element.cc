@@ -77,16 +77,15 @@ computeDeps(InFlightTrace &t, const RenameMap &map)
 void
 InFlightTrace::resetSchedule()
 {
-    pending = inFlight = 0;
+    wake = inFlight = 0;
     nextDoneAt = neverDone;
     for (size_t i = 0; i < slots.size(); ++i) {
         const DynSlot &d = slots[i];
         if (!d.issued && !d.completed)
-            pending |= slotBit(i);
+            wake |= slotBit(i);
         else if (!d.completed && !d.waitingBus)
             markInFlight(i, d.execDoneAt);
     }
-    wake = pending;
 }
 
 void

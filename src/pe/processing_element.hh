@@ -180,8 +180,8 @@ struct InFlightTrace
     /** @name Scheduling sets (wake-driven issue and completion).
      * The sets change only at the transitions that move a slot, so the
      * per-cycle issue and completion phases visit the slots that can
-     * act instead of polling the whole trace:
-     *  - pending: not issued and not completed.
+     * act instead of polling the whole trace. A slot is pending while
+     * it is neither issued nor completed.
      *  - inFlight: issued, not completed, not waiting for a cache bus.
      *  - wake: the pending slots issueTrace visits. A slot enters it at
      *    dispatch, at repair, at every reissue (including the
@@ -193,11 +193,10 @@ struct InFlightTrace
      *    scanCompletions skips the trace while it lies in the future.
      * They decide which slots a phase visits, never what it does with
      * them, so they cannot change simulation results.
-     * Processor::checkInvariants() recomputes each one from the slot
+     * Processor::checkInvariants() checks each one against the slot
      * flags; WorkloadModel.VerifiedSlice and SmallMachineStillCorrect
      * (tests/test_processor_properties.cc) call it every cycle. */
     /// @{
-    SlotSet pending = 0;
     SlotSet inFlight = 0;
     SlotSet wake = 0;
     Cycle nextDoneAt = neverDone;
