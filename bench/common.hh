@@ -61,11 +61,6 @@ struct BenchOptions
      *  behaviour bit for bit. */
     unsigned threads = 0;
 
-    /** Intra-simulation PE-compute threads for the single-point pass
-     *  of bench_sweep_scaling (--pe-threads, TPROC_BENCH_PE_THREADS;
-     *  ProcessorConfig::peThreads). */
-    unsigned peThreads = 4;
-
     /** Clean re-runs granted to a failed point before its failure
      *  stands, microreboot-style (--retries, TPROC_SWEEP_RETRIES). */
     unsigned retries = 0;
@@ -111,7 +106,6 @@ struct BenchOptions
                              "TPROC_BENCH_VERIFY\n";
         }
         u32("TPROC_BENCH_THREADS", o.threads);
-        u32("TPROC_BENCH_PE_THREADS", o.peThreads);
         u32("TPROC_SWEEP_RETRIES", o.retries);
         u32("TPROC_BENCH_REPEAT", o.repeat);
         if (const char *e = std::getenv("TPROC_SWEEP_JSON"))
@@ -161,8 +155,6 @@ applyBenchArg(BenchOptions &opts, const char *arg,
         return parseUnsigned(v, opts.seed);
     if (const char *v = value("--threads"))
         return parseUnsigned(v, opts.threads);
-    if (const char *v = value("--pe-threads"))
-        return parseUnsigned(v, opts.peThreads);
     if (const char *v = value("--retries"))
         return parseUnsigned(v, opts.retries);
     if (const char *v = value("--repeat"))
@@ -224,7 +216,6 @@ printBenchUsage(const char *argv0, std::ostream &os)
        << "  --verify=0|1    golden-model retirement verification (1)\n"
        << "  --no-verify     shorthand for --verify=0\n"
        << "  --threads=N     sweep worker threads, 0 = hw concurrency\n"
-       << "  --pe-threads=N  PE-compute threads, scaling passes (4)\n"
        << "  --retries=N     clean re-runs for a failed point (0)\n"
        << "  --repeat=N      batch tiling factor, scaling bench (1)\n"
        << "  --json=FILE     write per-point sweep results JSON\n"

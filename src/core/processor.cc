@@ -7,7 +7,6 @@
 
 #include "common/hires_timer.hh"
 #include "common/logging.hh"
-#include "harness/cycle_pool.hh"
 #include "isa/disasm.hh"
 
 namespace tproc
@@ -40,9 +39,9 @@ traceRecovery()
  * recorder. The "last*" members remember each source counter at the
  * previous interval boundary so every sample reports a clean delta;
  * the sums average per-cycle facts (occupancy, bus backlog) over the
- * interval; the wall-second accumulators feed the cycle_compute /
- * cycle_commit phase attribution. Strictly observer state: nothing in
- * here is ever read by the simulation itself.
+ * interval; the wall-second accumulator feeds the cycle_loop phase.
+ * Strictly observer state: nothing in here is ever read by the
+ * simulation itself.
  */
 struct Processor::MetricsState
 {
@@ -59,7 +58,6 @@ struct Processor::MetricsState
     double occupancySum = 0.0;
     double busBacklogSum = 0.0;
 
-    double computeSeconds = 0.0;
     double cycleSeconds = 0.0;
 };
 
@@ -109,9 +107,6 @@ Processor::Processor(const Program &prog_, const ProcessorConfig &cfg_,
     windowPe.reserve(cfg.numPEs);
     for (int i = cfg.numPEs - 1; i >= 0; --i)
         freePes.push_back(i);
-    if (cfg.peThreads > 0)
-        peThreadPool = std::make_unique<harness::CyclePool>(
-            static_cast<unsigned>(cfg.peThreads));
     if (cfg.metricsInterval > 0) {
         metrics = std::make_unique<MetricsState>();
         metrics->series = IntervalSeries(
@@ -313,12 +308,6 @@ Processor::metricsSeries() const
 }
 
 double
-Processor::metricsComputeSeconds() const
-{
-    return metrics ? metrics->computeSeconds : 0.0;
-}
-
-double
 Processor::metricsCycleSeconds() const
 {
     return metrics ? metrics->cycleSeconds : 0.0;
@@ -460,12 +449,6 @@ Processor::issueSlot(InFlightTrace &t, int slot)
 }
 
 void
-Processor::runOnPool(size_t n, const std::function<void(size_t)> &fn)
-{
-    peThreadPool->run(n, fn);
-}
-
-void
 Processor::issueTrace(InFlightTrace &t)
 {
     // Visit the wake set in ascending slot order. Every pending slot
@@ -491,80 +474,43 @@ Processor::issueTrace(InFlightTrace &t)
 void
 Processor::phaseIssue()
 {
-    // Pure compute phase: each PE issues against its own slots and the
-    // frozen register file (nothing writes prf during issue), so there
-    // is no commit half and no cross-PE ordering to preserve.
-    if (metrics) {
-        HiresTimer t;
-        forEachWindowEntry(window.size(),
-                           [this](size_t i) { issueTrace(entryAt(i)); });
-        metrics->computeSeconds += t.seconds();
-        return;
-    }
-    forEachWindowEntry(window.size(),
-                       [this](size_t i) { issueTrace(entryAt(i)); });
-}
-
-void
-Processor::scanCompletions(size_t wpos)
-{
-    // Collect, don't complete: completion side effects (events, bus
-    // requests) belong to the commit phase. Reads and writes stay in
-    // this PE's trace, safe to run concurrently with the other PEs'
-    // scans.
-    CompletionScan &out = scanScratch[wpos];
-    out.uid = window[wpos];
-    out.slots.clear();
-    InFlightTrace &t = entryAt(wpos);
-    if (t.nextDoneAt > curCycle)
-        return;     // nothing in flight is due yet
-    // Walk the in-flight set (memory ops waiting for a cache bus join it
-    // at the grant, which schedules their real completion time) and
-    // tighten the bound over the slots that are not due.
-    Cycle next = neverDone;
-    for (SlotSet todo = t.inFlight; todo;) {
-        const int i = popLowestSlot(todo);
-        const Cycle done = t.slots[i].execDoneAt;
-        if (done <= curCycle)
-            out.slots.push_back(i);
-        else
-            next = std::min(next, done);
-    }
-    t.nextDoneAt = next;
+    for (size_t w = 0; w < window.size(); ++w)
+        issueTrace(entryAt(w));
 }
 
 void
 Processor::phaseCompletions()
 {
-    // Compute: every PE scans its own trace for completion-ready
-    // slots. The per-entry lists concatenated in window order are
-    // exactly the serial scheduler's done-list.
-    const size_t n = window.size();
-    if (scanScratch.size() < n)
-        scanScratch.resize(n);
-    if (metrics) {
-        HiresTimer t;
-        forEachWindowEntry(n, [this](size_t i) { scanCompletions(i); });
-        metrics->computeSeconds += t.seconds();
-    } else {
-        forEachWindowEntry(n, [this](size_t i) { scanCompletions(i); });
-    }
-
-    // Commit: apply completion side effects serially in window order,
-    // revalidating each snapshotted (uid, slot) pair — an earlier
-    // completion's side effects may have squashed or reissued it.
-    for (size_t w = 0; w < n; ++w) {
-        const TraceUid uid = scanScratch[w].uid;
-        for (int slot : scanScratch[w].slots) {
-            InFlightTrace *t = find(uid);
-            if (!t)
-                continue;
-            DynSlot &d = t->slots[slot];
-            if (!d.issued || d.completed || d.waitingBus ||
-                d.execDoneAt > curCycle) {
-                continue;
+    // One window-order pass. completeSlot writes only its own trace, the
+    // global queues and the ARB (it never squashes), so completing one
+    // trace's slots cannot change what is due in another.
+    for (size_t w = 0; w < window.size(); ++w) {
+        InFlightTrace &t = entryAt(w);
+        if (t.nextDoneAt > curCycle)
+            continue;   // nothing in flight is due yet
+        // Walk the in-flight set (memory ops waiting for a cache bus join
+        // it at the grant, which schedules their real completion time),
+        // collect the due slots and tighten the bound over the rest.
+        SlotSet due = 0;
+        Cycle next = neverDone;
+        for (SlotSet todo = t.inFlight; todo;) {
+            const int i = popLowestSlot(todo);
+            const Cycle done = t.slots[i].execDoneAt;
+            if (done <= curCycle)
+                due |= slotBit(i);
+            else
+                next = std::min(next, done);
+        }
+        t.nextDoneAt = next;
+        // Revalidate each due slot: completing an earlier one may have
+        // reissued it (a local consumer whose input value changed).
+        while (due) {
+            const int i = popLowestSlot(due);
+            const DynSlot &d = t.slots[i];
+            if (d.issued && !d.completed && !d.waitingBus &&
+                d.execDoneAt <= curCycle) {
+                completeSlot(t, i);
             }
-            completeSlot(*t, slot);
         }
     }
 }

@@ -15,35 +15,30 @@
  * entire control-independence machinery end to end: every control and
  * data repair must converge to the architectural execution.
  *
- * The completion and issue phases are structured as two-phase
- * compute/commit: the compute half is per-PE work (scan a PE's own
- * slots, issue/execute against the frozen register file) that can run
- * across a barrier-stepped worker pool (cfg.peThreads — the paper's
- * PEs really are independent elements), while every global side effect
- * (ARB, rename, buses, events, frontend) commits serially in window
- * order. Serial and threaded scheduling are therefore bit-identical by
- * construction, and tests/test_pe_parallel.cc enforces it.
+ * Every phase runs serially on the simulation thread, visiting the
+ * window in logical (program) order; that order is what makes a run
+ * deterministic.
  *
  * Issue and completion are wake-driven, not polled. Each resident trace
  * keeps slot sets (InFlightTrace, "Scheduling sets") that change only at
  * the transitions that move a slot: issueTrace visits only the wake set,
- * scanCompletions skips a trace until its earliest in-flight slot is due
- * and then walks only the in-flight set, and a completing slot reaches
- * its local consumers through its consumer set. The wakeup invariant: a
- * slot enters the wake set at dispatch, at repair, at every reissue
- * (including the not-yet-issued path that only moves earliestIssue), and
- * when a local producer completes; it leaves it without issuing only
- * while one of its local producers is incomplete. checkInvariants()
- * checks every set against the slot flags; the tests
- * WorkloadModel.VerifiedSlice and SmallMachineStillCorrect call it
- * every cycle.
+ * phaseCompletions skips a trace until its earliest in-flight slot is
+ * due and then walks only the in-flight set, and a completing slot
+ * reaches its local consumers through its consumer set. The wakeup
+ * invariant: a slot enters the wake set at dispatch, at repair, at
+ * every reissue (including the not-yet-issued path that only moves
+ * earliestIssue), and when a local producer completes; it leaves it
+ * without issuing only while one of its local producers is
+ * incomplete. checkInvariants() checks every set against the slot
+ * flags; the tests WorkloadModel.VerifiedSlice,
+ * SmallMachineStillCorrect and RandomConfigsComplete call it every
+ * cycle.
  */
 
 #ifndef TPROC_CORE_PROCESSOR_HH
 #define TPROC_CORE_PROCESSOR_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -59,11 +54,6 @@
 
 namespace tproc
 {
-
-namespace harness
-{
-class CyclePool;
-} // namespace harness
 
 /**
  * What the retirement watchdog raises when no trace has retired for
@@ -206,11 +196,8 @@ class Processor
     static const std::vector<std::string> &metricsChannels();
     /** Interval series recorded so far; null when sampling is off. */
     const IntervalSeries *metricsSeries() const;
-    /** Wall seconds spent in the per-PE compute halves
-     *  (completion-scan + issue) so far; 0 when sampling is off. */
-    double metricsComputeSeconds() const;
-    /** Wall seconds spent in the whole cycle loop so far; 0 when
-     *  sampling is off. The serial-commit share is the difference. */
+    /** Wall seconds spent in the cycle loop so far; 0 when sampling
+     *  is off. */
     double metricsCycleSeconds() const;
     /// @}
 
@@ -284,38 +271,7 @@ class Processor
     void completeSlot(InFlightTrace &t, int slot);
     void reissueSlot(InFlightTrace &t, int slot, Cycle earliest);
     void reissueConsumersOf(PhysReg reg);
-    /// @}
-
-    /** @name Two-phase compute/commit machinery (cfg.peThreads).
-     * The compute half of a phase is per-PE work that only reads
-     * global state and writes PE-local state; it runs across the
-     * CyclePool when one is attached (cfg.peThreads > 0) and inline
-     * otherwise. All global side effects stay in serial commit code
-     * ordered by window position, which is exactly the legacy serial
-     * scheduler's order — so stats are bit-identical by construction
-     * for every peThreads value. */
-    /// @{
-    /** Run fn(0..n-1) on the pool, or inline when none is attached.
-     *  Templated so the serial path keeps direct, inlinable calls —
-     *  the type-erased std::function exists only on the pooled path
-     *  (which already pays a barrier per phase). */
-    template <typename Fn>
-    void
-    forEachWindowEntry(size_t n, Fn &&fn)
-    {
-        if (peThreadPool) {
-            runOnPool(n, std::function<void(size_t)>(fn));
-            return;
-        }
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-    }
-    void runOnPool(size_t n, const std::function<void(size_t)> &fn);
-    /** Compute: collect window[wpos]'s completion-ready slots into
-     *  scanScratch[wpos] (reads and writes only that PE's trace). */
-    void scanCompletions(size_t wpos);
-    /** Compute: one PE's local issue/execute pass over its wake set
-     *  (writes only its own trace; reads the frozen register file). */
+    /** One PE's local issue/execute pass over its wake set. */
     void issueTrace(InFlightTrace &t);
     /// @}
 
@@ -390,23 +346,6 @@ class Processor
     std::vector<CacheRequest> cacheKept;
     std::vector<BusRequest> busKept;
     /// @}
-
-    /** One window entry's completion-scan output. (uid, slot) pairs
-     *  are snapshotted like the serial scheduler's done-list so the
-     *  commit phase revalidates against side effects the same way.
-     *  Cache-line aligned: adjacent entries are written by different
-     *  executors in the parallel scan. */
-    struct alignas(64) CompletionScan
-    {
-        TraceUid uid = invalidTraceUid;
-        std::vector<int> slots;
-    };
-
-    /** Worker pool for the compute phases; null when cfg.peThreads is
-     *  0 (the legacy inline serial scheduler). */
-    std::unique_ptr<harness::CyclePool> peThreadPool;
-    /** Per-window-entry scan output, reused across cycles. */
-    std::vector<CompletionScan> scanScratch;
 
     /** Telemetry recorder state; null when cfg.metricsInterval is 0. */
     struct MetricsState;

@@ -26,17 +26,12 @@ runConfig(const Program &prog, const ProcessorConfig &cfg,
     Processor p(prog, cfg, std::move(golden));
     ProcessorStats stats = p.run(max_insts);
     if (const IntervalSeries *series = p.metricsSeries()) {
-        // The per-cycle split accumulates lock-free inside the
+        // The cycle-loop time accumulates lock-free inside the
         // processor; fold it into the global registry once per run.
-        const double compute = p.metricsComputeSeconds();
         const double cycle = p.metricsCycleSeconds();
-        PhaseTimers::global().add("cycle_compute", compute);
-        PhaseTimers::global().add("cycle_commit",
-                                  cycle > compute ? cycle - compute
-                                                  : 0.0);
+        PhaseTimers::global().add("cycle_loop", cycle);
         if (metrics_out) {
             metrics_out->series = *series;
-            metrics_out->computeSeconds = compute;
             metrics_out->cycleSeconds = cycle;
         }
     }

@@ -28,15 +28,13 @@ ProcessorStats runModel(const Program &prog, std::string_view model,
 /**
  * Telemetry carried out of one runConfig call when the configuration
  * enables windowed sampling (cfg.metricsInterval > 0): the interval
- * series plus the wall time the cycle loop spent in the parallelizable
- * per-PE compute phases versus everything else. Pure observation —
+ * series plus the wall time of the cycle loop. Pure observation —
  * requesting it never changes ProcessorStats (docs/metrics.md).
  */
 struct RunMetrics
 {
     IntervalSeries series;
-    double computeSeconds = 0.0; //!< per-PE compute phases (PR-4 split)
-    double cycleSeconds = 0.0;   //!< whole cycle loop, compute included
+    double cycleSeconds = 0.0;   //!< wall time of the cycle loop
 };
 
 /**
@@ -45,9 +43,9 @@ struct RunMetrics
  * replaces the live Emulator on the retirement-verification port.
  *
  * The run is timed under the "simulate" phase of PhaseTimers::global();
- * when cfg.metricsInterval > 0 the cycle-loop split is folded into the
- * "cycle_compute" / "cycle_commit" phases and, if metrics_out is
- * non-null, the sampled series is copied there.
+ * when cfg.metricsInterval > 0 the cycle-loop wall time is folded into
+ * the "cycle_loop" phase and, if metrics_out is non-null, the sampled
+ * series is copied there.
  */
 ProcessorStats runConfig(const Program &prog, const ProcessorConfig &cfg,
                          uint64_t max_insts = UINT64_MAX,

@@ -179,24 +179,26 @@ diffValues(const JsonValue &a, const JsonValue &b, const std::string &path,
         return;
       }
       case JsonValue::Kind::Object: {
-        const auto &ao = a.asObject();
-        const auto &bo = b.asObject();
-        size_t n = std::min(ao.size(), bo.size());
-        for (size_t i = 0; i < n; ++i) {
-            if (ao[i].first != bo[i].first) {
-                out.push_back(path + ": key #" + std::to_string(i) +
-                              " \"" + ao[i].first + "\" vs \"" +
-                              bo[i].first + "\"");
-                return;
+        // Keys match by name: a key on one side only is reported at its
+        // own path, and every shared key is still compared.
+        std::vector<std::string> a_shared, b_shared;
+        for (const auto &[key, member] : a.asObject()) {
+            if (const JsonValue *other = b.find(key)) {
+                a_shared.push_back(key);
+                diffValues(member, *other, path + "." + key, out);
+            } else {
+                out.push_back(path + "." + key + ": present vs missing");
             }
-            diffValues(ao[i].second, bo[i].second,
-                       path + "." + ao[i].first, out);
         }
-        if (ao.size() != bo.size()) {
-            out.push_back(path + ": object size " +
-                          std::to_string(ao.size()) + " vs " +
-                          std::to_string(bo.size()));
+        for (const auto &entry : b.asObject()) {
+            const std::string &key = entry.first;
+            if (a.find(key))
+                b_shared.push_back(key);
+            else
+                out.push_back(path + "." + key + ": missing vs present");
         }
+        if (a_shared != b_shared)
+            out.push_back(path + ": key order differs");
         return;
       }
     }
@@ -243,7 +245,6 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
     JsonValue workloads = JsonValue::makeArray();
     std::vector<Timed> live(names.size());
     std::vector<SweepResult> live_results;
-    size_t slowest = 0;
     double live_total_s = 0.0;
     bool stats_stable = true;
     for (size_t i = 0; i < names.size(); ++i) {
@@ -264,11 +265,6 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
         aggCycles += static_cast<double>(s.cycles);
         aggInsts += static_cast<double>(s.retiredInsts);
         live_total_s += live[i].wall;
-        // "Slowest" by simulated cycles, not wall clock: the choice
-        // lands in the non-timing view (pe_scaling.workload), so it
-        // must be reproducible on any host.
-        if (s.cycles > live[slowest].stats.cycles)
-            slowest = i;
         JsonValue w = JsonValue::makeObject();
         w.set("name", JsonValue::makeString(names[i]));
         w.set("cycles", num(static_cast<double>(s.cycles)));
@@ -323,36 +319,6 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
     replay.set("speedup", num(rate(live_total_s, warm_total_s)));
     replay.set("identical", JsonValue::makeBool(replay_identical));
 
-    // PE-thread scaling on the slowest workload, replay-warm (traces on
-    // disk, parse cached) so the measurement isolates the timing model
-    // the PE threads parallelize.
-    JsonValue pe_scaling = JsonValue::makeObject();
-    pe_scaling.set("workload", JsonValue::makeString(names[slowest]));
-    JsonValue pe_points = JsonValue::makeArray();
-    bool pe_identical = true;
-    double pe_serial_s = 0.0;
-    for (int threads : opts.peThreadList) {
-        say("  pe-threads " + std::to_string(threads) + " on " +
-            names[slowest] + "...");
-        SweepPoint p = replayPoint(names[slowest]);
-        p.peThreads = threads;
-        Timed t = bestOf(p, opts.reps);
-        bool identical =
-            sameStats(t.stats, live[slowest].stats) && t.stable;
-        pe_identical = pe_identical && identical;
-        if (threads == 0)
-            pe_serial_s = t.wall;
-        JsonValue pt = JsonValue::makeObject();
-        pt.set("pe_threads", num(threads));
-        pt.set("wall_seconds", num(t.wall));
-        pt.set("cycles_per_sec",
-               num(rate(static_cast<double>(t.stats.cycles), t.wall)));
-        pt.set("speedup", num(rate(pe_serial_s, t.wall)));
-        pt.set("identical", JsonValue::makeBool(identical));
-        pe_points.push(std::move(pt));
-    }
-    pe_scaling.set("points", std::move(pe_points));
-
     // Trace-container accounting: the (compressed, v2) files the replay
     // passes ran off, against freshly captured uncompressed v1 twins.
     // Byte sizes are deterministic — capture is — so they live in the
@@ -401,10 +367,6 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
     config.set("insts", num(static_cast<double>(opts.insts)));
     config.set("seed", num(static_cast<double>(opts.seed)));
     config.set("model", JsonValue::makeString(opts.model));
-    JsonValue pe_list = JsonValue::makeArray();
-    for (int t : opts.peThreadList)
-        pe_list.push(num(t));
-    config.set("pe_thread_list", std::move(pe_list));
     config.set("reps", num(opts.reps));
     config.set("verify", JsonValue::makeBool(opts.verify));
     report.set("config", std::move(config));
@@ -415,7 +377,6 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
     report.set("host", std::move(host));
 
     report.set("workloads", std::move(workloads));
-    report.set("pe_scaling", std::move(pe_scaling));
     report.set("replay", std::move(replay));
     report.set("trace_compression", std::move(compression));
 
@@ -435,8 +396,6 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
                  JsonValue::makeBool(stats_stable));
     identity.set("replay_identical",
                  JsonValue::makeBool(replay_identical));
-    identity.set("pe_parallel_identical",
-                 JsonValue::makeBool(pe_identical));
     report.set("identity", std::move(identity));
 
     // Where this run's wall clock went. "phases" is on the timing
@@ -484,9 +443,6 @@ optionsFromReport(const JsonValue &report)
     opts.insts = static_cast<uint64_t>(config.at("insts").asNumber());
     opts.seed = static_cast<uint64_t>(config.at("seed").asNumber());
     opts.model = config.at("model").asString();
-    opts.peThreadList.clear();
-    for (const auto &t : config.at("pe_thread_list").asArray())
-        opts.peThreadList.push_back(static_cast<int>(t.asNumber()));
     opts.reps = static_cast<int>(config.at("reps").asNumber());
     opts.verify = config.at("verify").asBool();
     opts.benchIndex =

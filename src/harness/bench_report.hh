@@ -4,16 +4,16 @@
  *
  * Every optimisation PR checks one BENCH_<n>.json into the repo root:
  * a single JSON document holding simulation throughput (cycles/sec and
- * insts/sec) per golden workload, PE-thread scaling on the slowest
- * workload, the capture-once/replay-many speedup, and trace-container
- * compression ratios — plus a `baseline` block carrying the same
- * summary numbers measured on the tree *before* that PR's hot-path
- * work, so the file itself documents the win it claims.
+ * insts/sec) per golden workload, the capture-once/replay-many
+ * speedup, and trace-container compression ratios — plus a `baseline`
+ * block carrying the same summary numbers measured on the tree
+ * *before* that PR's hot-path work, so the file itself documents the
+ * win it claims.
  *
  * The report splits into timing fields (wall seconds, rates, speedups
  * — machine-dependent, never gated) and non-timing fields (cycle
  * counts, retired instructions, identity booleans, trace byte sizes —
- * bit-deterministic by the repo's replay/PE-parallel contracts). CI
+ * bit-deterministic by the repo's live == replay contract). CI
  * re-runs the bench and diffs only the non-timing view against the
  * checked-in file, making the report a golden artifact without pinning
  * wall clocks.
@@ -44,9 +44,6 @@ struct BenchReportOptions
 
     /** Named model (ProcessorConfig::forModel) all runs use. */
     std::string model = "base";
-
-    /** PE-thread counts for the scaling pass (0 = serial scheduler). */
-    std::vector<int> peThreadList = {0, 2, 4};
 
     /** Wall-time repetitions; each pass reports the best rep to damp
      *  scheduler noise. Stats must be identical across reps. */
@@ -100,9 +97,11 @@ JsonValue benchNonTimingView(const JsonValue &report);
 
 /**
  * Compare the non-timing views of two reports. @return one
- * human-readable line per mismatch (empty = identical). Key order
- * matters: these artifacts are written by writeJson, so an ordering
- * change is a real schema change.
+ * human-readable line per mismatch (empty = identical). Object keys
+ * match by name, so a key present in one report only is one line at
+ * its own path and the rest is still compared. Key order matters too:
+ * these artifacts are written by writeJson, so an ordering change is
+ * a real schema change.
  */
 std::vector<std::string> diffBenchReports(const JsonValue &a,
                                           const JsonValue &b);
@@ -110,7 +109,8 @@ std::vector<std::string> diffBenchReports(const JsonValue &a,
 /**
  * Rebuild the options a report was generated with from its "config"
  * block, so a checker re-runs at exactly the checked-in identity.
- * Throws std::runtime_error on a malformed block.
+ * Keys it does not read (the pe_thread_list of BENCH_1/BENCH_2) are
+ * ignored. Throws std::runtime_error on a malformed block.
  */
 BenchReportOptions optionsFromReport(const JsonValue &report);
 

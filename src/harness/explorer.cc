@@ -249,13 +249,13 @@ runExplore(const ExploreOptions &opts_)
         indices.push_back(i);
     }
 
-    // Three oracle runs per shape, one flat batch through the engine.
+    // Two oracle runs per shape, one flat batch through the engine.
     // Results come back in input order whatever the worker count, so
     // the report is scheduler-independent by construction.
     std::vector<SampledShape> shapes;
     std::vector<SweepPoint> batch;
     shapes.reserve(indices.size());
-    batch.reserve(indices.size() * 3);
+    batch.reserve(indices.size() * 2);
     for (uint64_t idx : indices) {
         SampledShape shape = sampleShape(opts.space, opts.seed, idx);
         const std::string name = generatedName(opts.mix, idx);
@@ -268,14 +268,9 @@ runExplore(const ExploreOptions &opts_)
         base.maxInsts = opts.insts;
         base.index = idx;
 
-        SweepPoint serial = base;
-        serial.config.metricsInterval = opts.metricsInterval;
-        serial.labelOverride = name + "/shape-" + std::to_string(idx);
-
-        SweepPoint threaded = base;
-        threaded.config.peThreads = opts.peThreads;
-        threaded.labelOverride =
-            name + "/shape-" + std::to_string(idx) + "(pe-threads)";
+        SweepPoint live = base;
+        live.config.metricsInterval = opts.metricsInterval;
+        live.labelOverride = name + "/shape-" + std::to_string(idx);
 
         SweepPoint replayed = base;
         replayed.traceDir = opts.scratchDir;
@@ -283,8 +278,7 @@ runExplore(const ExploreOptions &opts_)
             name + "/shape-" + std::to_string(idx) + "(replay)";
 
         shapes.push_back(std::move(shape));
-        batch.push_back(std::move(serial));
-        batch.push_back(std::move(threaded));
+        batch.push_back(std::move(live));
         batch.push_back(std::move(replayed));
     }
 
@@ -303,9 +297,8 @@ runExplore(const ExploreOptions &opts_)
     for (size_t k = 0; k < indices.size(); ++k) {
         const uint64_t idx = indices[k];
         const SampledShape &shape = shapes[k];
-        const SweepResult &serial = results[k * 3];
-        const SweepResult &threaded = results[k * 3 + 1];
-        const SweepResult &replayed = results[k * 3 + 2];
+        const SweepResult &live = results[k * 2];
+        const SweepResult &replayed = results[k * 2 + 1];
 
         ExplorePoint p;
         p.index = idx;
@@ -315,24 +308,16 @@ runExplore(const ExploreOptions &opts_)
 
         // The soak harness's oracle ladder, verbatim: first failure
         // wins, divergences compare the full StatDict bit for bit.
-        if (!serial.ok) {
+        if (!live.ok) {
             p.kind = "panic";
-            p.message = serial.error;
-        } else if (!threaded.ok) {
-            p.kind = "panic(threaded)";
-            p.message = threaded.error;
+            p.message = live.error;
         } else if (!replayed.ok) {
             p.kind = "panic(replay)";
             p.message = replayed.error;
-        } else if (statsToDict(serial.stats) !=
-                   statsToDict(threaded.stats)) {
-            p.kind = "thread-divergence";
-            p.message = diffSummary(statsToDict(serial.stats),
-                                    statsToDict(threaded.stats));
-        } else if (statsToDict(serial.stats) !=
+        } else if (statsToDict(live.stats) !=
                    statsToDict(replayed.stats)) {
             p.kind = "replay-divergence";
-            p.message = diffSummary(statsToDict(serial.stats),
+            p.message = diffSummary(statsToDict(live.stats),
                                     statsToDict(replayed.stats));
         } else if (opts.injectDivergenceAt >= 0 &&
                    static_cast<uint64_t>(opts.injectDivergenceAt) ==
@@ -343,17 +328,15 @@ runExplore(const ExploreOptions &opts_)
 
         if (p.kind.empty()) {
             p.ok = true;
-            p.stats = statsToDict(serial.stats);
-            p.cliff = computeCliff(serial.stats, serial.series, shape);
+            p.stats = statsToDict(live.stats);
+            p.cliff = computeCliff(live.stats, live.series, shape);
             report.points.push_back(std::move(p));
             continue;
         }
 
         ++report.failures;
-        if (p.kind == "thread-divergence" ||
-            p.kind == "replay-divergence" || p.kind == "injected") {
+        if (p.kind == "replay-divergence" || p.kind == "injected")
             ++report.divergences;
-        }
 
         // Capture-on-failure (the soak contract): land the offending
         // workload as a replay artifact named by the trace-store
@@ -376,7 +359,6 @@ runExplore(const ExploreOptions &opts_)
             os << "tproc-explore --shapes=" << opts.shapes
                << " --seed=" << opts.seed << " --mix='" << opts.mix
                << "' --insts=" << opts.insts
-               << " --pe-threads=" << opts.peThreads
                << " --point=" << idx
                << " --failure-dir=" << opts.failureDir;
             p.repro = os.str();
@@ -430,7 +412,6 @@ writeExploreReport(std::ostream &os, const ExploreReport &report,
                               static_cast<double>(report.pointsRun)));
     doc.set("insts", JsonValue::makeNumber(
                          static_cast<double>(opts.insts)));
-    doc.set("pe_threads", JsonValue::makeNumber(opts.peThreads));
     doc.set("metrics_interval",
             JsonValue::makeNumber(
                 static_cast<double>(opts.metricsInterval)));

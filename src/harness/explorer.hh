@@ -11,10 +11,9 @@
  * campaign: a ShapeSpace declares knob ranges the way a
  * WorkloadPattern declares workload knobs, sampleShape() draws shape
  * index i deterministically from (space, seed, i), and runExplore()
- * pairs every shape with a generated workload and runs it three ways
- * through the SweepEngine — live serial (golden-verified, telemetry
- * on), live with PE compute threads, and replayed from a captured
- * trace. All three must agree bit for bit.
+ * pairs every shape with a generated workload and runs it two ways
+ * through the SweepEngine — live (golden-verified, telemetry on) and
+ * replayed from a captured trace. The two must agree bit for bit.
  *
  * Any panic, watchdog bark, or oracle divergence is captured with the
  * soak harness's contract: a verify-clean v2 `.tpt` lands in the
@@ -145,9 +144,6 @@ struct ExploreOptions
      *  many, so the default is short). */
     uint64_t insts = 20000;
 
-    /** PE compute threads for the threaded oracle. */
-    int peThreads = 4;
-
     /** SweepEngine worker threads (0 = hardware concurrency). The
      *  report is bit-identical for every value. */
     unsigned threads = 0;
@@ -160,7 +156,7 @@ struct ExploreOptions
     /** Run exactly one index (the --point=I repro path); -1 = all. */
     int64_t onlyPoint = -1;
 
-    /** Telemetry sampling interval for the serial oracle run (feeds
+    /** Telemetry sampling interval for the live oracle run (feeds
      *  the cliff detector); 0 disables interval-based detection. */
     uint64_t metricsInterval = 1024;
 
@@ -206,14 +202,14 @@ struct ExplorePoint
     std::string model;          //!< shape's model family
     StatDict knobs;             //!< sampled shape knobs
     bool ok = false;
-    /** Failure kind ("" when ok): "panic", "panic(threaded)",
-     *  "panic(replay)", "thread-divergence", "replay-divergence", or
-     *  "injected" — the soak harness vocabulary. */
+    /** Failure kind ("" when ok): "panic", "panic(replay)",
+     *  "replay-divergence", or "injected" — the soak harness
+     *  vocabulary. */
     std::string kind;
     std::string message;
     std::string tracePath;      //!< captured .tpt ("" unless failed)
     std::string repro;          //!< one-line tproc-explore command
-    StatDict stats;             //!< serial-oracle stats (when ok)
+    StatDict stats;             //!< live-oracle stats (when ok)
     CliffSignals cliff;         //!< zeroed unless ok
 };
 

@@ -76,19 +76,11 @@ runSoak(const SoakOptions &opts_)
         base.verify = true;
         base.index = i;
 
-        // Oracle 1: live serial, golden-verified (panics and watchdog
-        // barks surface as result errors via fault capture).
-        SweepPoint serialPoint = base;
-        const SweepResult serial = SweepEngine::runPoint(serialPoint);
+        // Oracle 1: live, golden-verified (panics and watchdog barks
+        // surface as result errors via fault capture).
+        const SweepResult live = SweepEngine::runPoint(base);
 
-        // Oracle 2: the same point with PE compute threads — must be
-        // bit-identical to serial by the PR-4 contract.
-        SweepPoint threadedPoint = base;
-        threadedPoint.peThreads = opts.peThreads;
-        const SweepResult threaded =
-            SweepEngine::runPoint(threadedPoint);
-
-        // Oracle 3: capture-once/replay: the run off the recorded
+        // Oracle 2: capture-once/replay: the run off the recorded
         // trace must be bit-identical to the live run.
         SweepPoint replayPoint = base;
         replayPoint.traceDir = opts.scratchDir;
@@ -97,24 +89,16 @@ runSoak(const SoakOptions &opts_)
         ++report.points;
 
         std::string kind, message;
-        if (!serial.ok) {
+        if (!live.ok) {
             kind = "panic";
-            message = serial.error;
-        } else if (!threaded.ok) {
-            kind = "panic(threaded)";
-            message = threaded.error;
+            message = live.error;
         } else if (!replayed.ok) {
             kind = "panic(replay)";
             message = replayed.error;
-        } else if (statsToDict(serial.stats) !=
-                   statsToDict(threaded.stats)) {
-            kind = "thread-divergence";
-            message = diffSummary(statsToDict(serial.stats),
-                                  statsToDict(threaded.stats));
-        } else if (statsToDict(serial.stats) !=
+        } else if (statsToDict(live.stats) !=
                    statsToDict(replayed.stats)) {
             kind = "replay-divergence";
-            message = diffSummary(statsToDict(serial.stats),
+            message = diffSummary(statsToDict(live.stats),
                                   statsToDict(replayed.stats));
         } else if (opts.injectFailureAt >= 0 &&
                    static_cast<uint64_t>(opts.injectFailureAt) == i) {
@@ -126,9 +110,8 @@ runSoak(const SoakOptions &opts_)
             if (opts.log) {
                 *opts.log << "soak [" << i << "] " << name << "/"
                           << model << ": ok ipc="
-                          << (serial.stats.cycles
-                                  ? serial.stats.ipc()
-                                  : 0.0)
+                          << (live.stats.cycles ? live.stats.ipc()
+                                                : 0.0)
                           << "\n";
             }
             continue;
@@ -161,8 +144,8 @@ runSoak(const SoakOptions &opts_)
             std::ostringstream os;
             os << "tproc-sweep --workloads='" << name << "' --models='"
                << model << "' --seed=" << opts.seed
-               << " --insts=" << opts.insts << " --pe-threads="
-               << opts.peThreads << " --trace-dir=" << opts.failureDir;
+               << " --insts=" << opts.insts
+               << " --trace-dir=" << opts.failureDir;
             f.repro = os.str();
         }
         if (opts.log) {

@@ -190,12 +190,13 @@ struct InFlightTrace
      *    issuing only while a local producer is incomplete; that
      *    producer's completion puts it back.
      *  - nextDoneAt: a lower bound on execDoneAt over inFlight;
-     *    scanCompletions skips the trace while it lies in the future.
+     *    phaseCompletions skips the trace while it lies in the future.
      * They decide which slots a phase visits, never what it does with
      * them, so they cannot change simulation results.
      * Processor::checkInvariants() checks each one against the slot
-     * flags; WorkloadModel.VerifiedSlice and SmallMachineStillCorrect
-     * (tests/test_processor_properties.cc) call it every cycle. */
+     * flags; WorkloadModel.VerifiedSlice, SmallMachineStillCorrect and
+     * RandomConfigsComplete (tests/test_processor_properties.cc) call
+     * it every cycle. */
     /// @{
     SlotSet inFlight = 0;
     SlotSet wake = 0;

@@ -30,7 +30,6 @@ tinyOptions()
     opts.insts = 1500;          // enough to retire traces everywhere
     opts.seed = 1;
     opts.model = "base";
-    opts.peThreadList = {0};    // serial only: cheap and deterministic
     opts.reps = 1;
     opts.benchIndex = 99;
     opts.verify = true;
@@ -54,8 +53,8 @@ TEST(BenchReport, SchemaFieldsPresent)
     ASSERT_TRUE(r.find("schema"));
     EXPECT_EQ(r.at("schema").asString(), "tproc-bench-report-v1");
     for (const char *key :
-         {"bench_index", "config", "host", "workloads", "pe_scaling",
-          "replay", "trace_compression", "summary", "identity"}) {
+         {"bench_index", "config", "host", "workloads", "replay",
+          "trace_compression", "summary", "identity"}) {
         EXPECT_TRUE(r.find(key)) << "missing top-level key: " << key;
     }
 
@@ -76,8 +75,7 @@ TEST(BenchReport, SchemaFieldsPresent)
     EXPECT_EQ(r.at("summary").at("total_cycles").asNumber(), cycle_sum);
 
     const JsonValue &identity = r.at("identity");
-    for (const char *key : {"stats_stable_across_reps", "replay_identical",
-                            "pe_parallel_identical"}) {
+    for (const char *key : {"stats_stable_across_reps", "replay_identical"}) {
         ASSERT_TRUE(identity.find(key));
         EXPECT_TRUE(identity.at(key).asBool())
             << "identity gate not green: " << key;
@@ -123,8 +121,18 @@ TEST(BenchReport, OptionsRecoverableFromReport)
     EXPECT_EQ(opts.model, "base");
     EXPECT_EQ(opts.reps, 1);
     EXPECT_EQ(opts.benchIndex, 99u);
-    ASSERT_EQ(opts.peThreadList.size(), 1u);
-    EXPECT_EQ(opts.peThreadList[0], 0);
+
+    // BENCH_1 and BENCH_2 still carry config.pe_thread_list; the
+    // checker reads them all the same.
+    const JsonValue old = parseJson(
+        R"({"bench_index": 2, "config": {"insts": 100000, "seed": 1,
+            "model": "base", "pe_thread_list": [0, 2, 4], "reps": 3,
+            "verify": true}})");
+    const harness::BenchReportOptions old_opts =
+        harness::optionsFromReport(old);
+    EXPECT_EQ(old_opts.insts, 100000u);
+    EXPECT_EQ(old_opts.reps, 3);
+    EXPECT_EQ(old_opts.benchIndex, 2u);
 }
 
 TEST(BenchReport, AttachBaselineComputesSpeedup)
@@ -141,11 +149,35 @@ TEST(BenchReport, AttachBaselineComputesSpeedup)
     EXPECT_FALSE(harness::benchNonTimingView(report).find("baseline"));
 }
 
+TEST(BenchReport, DiffNamesEachOneSidedKeyAndComparesTheRest)
+{
+    // A key on one side only is one line at its own path; the keys
+    // after it are still compared.
+    const JsonValue a = parseJson(
+        R"({"config": {"insts": 1, "old": [0]}, "gone": {}, "n": 1})");
+    const JsonValue b =
+        parseJson(R"({"config": {"insts": 1}, "n": 2, "new": true})");
+    const std::vector<std::string> diffs = harness::diffBenchReports(a, b);
+    const std::vector<std::string> want = {
+        "$.config.old: present vs missing",
+        "$.gone: present vs missing",
+        "$.n: 1 vs 2",
+        "$.new: missing vs present",
+    };
+    EXPECT_EQ(diffs, want);
+
+    // Same keys, different order: a schema change.
+    const JsonValue c = parseJson(R"({"n": 1, "m": 2})");
+    const JsonValue d = parseJson(R"({"m": 2, "n": 1})");
+    EXPECT_EQ(harness::diffBenchReports(c, d),
+              std::vector<std::string>{"$: key order differs"});
+}
+
 TEST(BenchOptions, FlagsOverrideDefaults)
 {
     bench::BenchOptions opts;
     std::vector<std::string> raw = {"prog",        "--insts=1234",
-                                    "--seed=7",    "--pe-threads=3",
+                                    "--seed=7",    "--threads=3",
                                     "--no-verify", "--json=out.json"};
     std::vector<char *> argv;
     for (std::string &s : raw)
@@ -155,7 +187,7 @@ TEST(BenchOptions, FlagsOverrideDefaults)
     ASSERT_FALSE(err.has_value()) << *err;
     EXPECT_EQ(opts.insts, 1234u);
     EXPECT_EQ(opts.seed, 7u);
-    EXPECT_EQ(opts.peThreads, 3u);
+    EXPECT_EQ(opts.threads, 3u);
     EXPECT_FALSE(opts.verify);
     EXPECT_EQ(opts.json, "out.json");
 }

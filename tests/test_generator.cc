@@ -219,18 +219,8 @@ TEST(Generator, GeneratedPointsPassStandingOracles)
         base.maxInsts = 20000;
         base.verify = true;
 
-        harness::SweepPoint serial = base;
-        const auto live = harness::SweepEngine::runPoint(serial);
+        const auto live = harness::SweepEngine::runPoint(base);
         ASSERT_TRUE(live.ok) << name << ": " << live.error;
-
-        // Oracle: serial == PE-parallel, bit for bit.
-        harness::SweepPoint par = base;
-        par.peThreads = 4;
-        const auto threaded = harness::SweepEngine::runPoint(par);
-        ASSERT_TRUE(threaded.ok) << name << ": " << threaded.error;
-        EXPECT_EQ(harness::statsToDict(live.stats),
-                  harness::statsToDict(threaded.stats))
-            << name;
 
         // Oracle: live == replay-from-capture, bit for bit (the first
         // run records into the store, the second replays the file).
@@ -258,7 +248,6 @@ TEST(Generator, SoakCapturesInjectedFailureWithWorkingRepro)
     opts.seed = 11;
     opts.maxPoints = 2;
     opts.insts = 15000;
-    opts.peThreads = 2;
     opts.failureDir = fail.path();
     opts.scratchDir = scratch.path();
     opts.injectFailureAt = 1;
@@ -316,7 +305,6 @@ TEST(Generator, SoakCleanRunTouchesNoFailureDir)
     opts.seed = 3;
     opts.maxPoints = 1;
     opts.insts = 8000;
-    opts.peThreads = 2;
     opts.failureDir = failDir;
     opts.scratchDir = root.path() + "/store";
 

@@ -58,7 +58,7 @@ hasRule(const FileLint &fl, const std::string &id)
 TEST(LintLexer, StringContentsAreNotIdentifiers)
 {
     LexedFile f = lexFile("x.cc",
-                          "const char *s = \"panic(threaded)\";\n");
+                          "const char *s = \"panic(replay)\";\n");
     for (const Token &t : f.tokens) {
         if (t.kind == TokKind::Identifier) {
             EXPECT_NE(t.text, "panic");

@@ -15,8 +15,6 @@
 #include "common/random.hh"
 #include "core/processor.hh"
 #include "core/runner.hh"
-#include "harness/golden.hh"
-#include "harness/sweep.hh"
 #include "workloads/workloads.hh"
 
 namespace tproc
@@ -131,46 +129,43 @@ TEST(ProcessorProperties, SmallMachineStillCorrect)
 namespace
 {
 
-/** One verdict of a run under fault capture. Since the starved-bus
- *  retirement fix (retirement waits for the head trace's queued
- *  result-bus broadcasts instead of dropping them), every shape the
- *  random property samples completes; the error field is kept so a
- *  regression reports the diagnostic instead of aborting the binary. */
-struct RunOutcome
+/**
+ * Run prog on cfg for max_insts under fault capture, stepping by hand
+ * and checking the invariants after every cycle. Since the starved-bus
+ * retirement fix (retirement waits for the head trace's queued
+ * result-bus broadcasts instead of dropping them), every shape the
+ * random property samples completes; a regression returns its
+ * diagnostic instead of aborting the binary. @return "" on success,
+ * otherwise the error message.
+ */
+std::string
+runCheckingEveryCycle(const Program &prog, const ProcessorConfig &cfg,
+                      uint64_t max_insts)
 {
-    bool ok = false;
-    StatDict stats;
-    std::string error;
-};
-
-RunOutcome
-tryRunConfig(const Program &prog, const ProcessorConfig &cfg,
-             uint64_t max_insts)
-{
-    RunOutcome out;
     try {
         ScopedErrorCapture capture;
-        out.stats = harness::statsToDict(runConfig(prog, cfg, max_insts));
-        out.ok = true;
+        Processor p(prog, cfg);
+        while (!p.done() && p.statsSoFar().retiredInsts < max_insts) {
+            p.step();
+            p.checkInvariants();
+        }
+        return "";
     } catch (const std::exception &e) {
-        out.error = e.what();
+        return e.what();
     }
-    return out;
 }
 
 } // namespace
 
-TEST(ProcessorProperties, RandomConfigsSerialVsThreadedIdentical)
+TEST(ProcessorProperties, RandomConfigsComplete)
 {
-    // Randomized differential property for the per-PE parallel cycle
-    // loop: the golden workloads pin the two reference configurations,
-    // this pins the corners — random machine shapes on random
-    // workload/seed pairs must complete (starved buses + short traces
-    // used to deadlock into the watchdog; retirement now drains the
-    // head trace's queued broadcasts first) and behave identically
-    // between the serial scheduler (peThreads=0) and the threaded
-    // compute phases (peThreads=4): bit-identical StatDicts, serial
-    // and threaded alike. Seeded, so a failure reproduces exactly.
+    // Randomized property over machine shapes: the golden workloads pin
+    // the two reference configurations, this pins the corners. Random
+    // shapes on random workload/seed pairs must complete (starved buses
+    // + short traces used to deadlock into the watchdog; retirement now
+    // drains the head trace's queued broadcasts first) with every
+    // invariant, the wakeup invariant among them, holding after every
+    // cycle. Seeded, so a failure reproduces exactly.
     const char *wls[] = {"compress", "gcc", "go", "jpeg", "li",
                          "m88ksim", "perl", "vortex"};
     const char *models[] = {"base", "base(ntb)", "base(fg)",
@@ -200,32 +195,16 @@ TEST(ProcessorProperties, RandomConfigsSerialVsThreadedIdentical)
         cfg.watchdogCycles = 20000;
 
         Workload w = makeWorkload(wl, seed, 0.01);
-        constexpr uint64_t insts = 8000;
-        cfg.peThreads = 0;
-        const RunOutcome serial = tryRunConfig(w.program, cfg, insts);
-        cfg.peThreads = 4;
-        const RunOutcome threaded = tryRunConfig(w.program, cfg, insts);
+        const std::string error =
+            runCheckingEveryCycle(w.program, cfg, 8000);
 
         std::ostringstream id;
         id << "round " << round << " (" << wl << "/" << model
            << " seed " << seed << ", " << cfg.numPEs << " PEs, issue "
            << cfg.issuePerPe << ", buses " << cfg.globalBuses << "/"
            << cfg.cacheBuses << ", len " << len << ")";
-
-        ASSERT_TRUE(serial.ok)
-            << id.str() << ": serial failed: " << serial.error;
-        ASSERT_TRUE(threaded.ok)
-            << id.str() << ": threaded failed: " << threaded.error;
+        ASSERT_TRUE(error.empty()) << id.str() << ": " << error;
         ++succeeded;
-        if (serial.stats == threaded.stats)
-            continue;
-        std::ostringstream os;
-        os << id.str() << ":";
-        for (const auto &d :
-             harness::diffStatDicts(serial.stats, threaded.stats))
-            os << " " << d.key << "=" << d.expected << " vs "
-               << d.actual;
-        ADD_FAILURE() << os.str();
     }
     EXPECT_EQ(succeeded, 20);
 }

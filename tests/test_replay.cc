@@ -324,30 +324,36 @@ TEST(TraceRoundTrip, CaptureCapSaturates)
 
 TEST(ReplayDifferential, AllWorkloadsBitIdenticalToLive)
 {
+    // base and FG+MLB-RET, so the FGCI/CGCI recovery paths run under
+    // replay too.
     TempDir dir("replay_diff");
     for (const auto &name : workloadNames()) {
-        harness::SweepPoint p;
-        p.workload = name;
-        p.model = "base";
-        p.seed = 1;
-        p.scale = 0.25;
-        p.maxInsts = 8000;
-        p.verify = true;    // retirement checked against the stream
+        for (const char *model : {"base", "FG+MLB-RET"}) {
+            harness::SweepPoint p;
+            p.workload = name;
+            p.model = model;
+            p.seed = 1;
+            p.scale = 0.25;
+            p.maxInsts = 8000;
+            p.verify = true;    // retirement checked against the stream
 
-        auto live = harness::SweepEngine::runPoint(p);
-        ASSERT_TRUE(live.ok) << name << ": " << live.error;
+            auto live = harness::SweepEngine::runPoint(p);
+            ASSERT_TRUE(live.ok) << p.label() << ": " << live.error;
 
-        p.traceDir = dir.path();
-        auto replayed = harness::SweepEngine::runPoint(p);
-        ASSERT_TRUE(replayed.ok) << name << ": " << replayed.error;
+            p.traceDir = dir.path();
+            auto replayed = harness::SweepEngine::runPoint(p);
+            ASSERT_TRUE(replayed.ok)
+                << p.label() << ": " << replayed.error;
 
-        // Full flattened counter dict, bit for bit. Replay mode also
-        // re-verified every retired instruction against the recorded
-        // stream (p.verify), so the retired-instruction streams are
-        // identical by construction or the run would have failed.
-        EXPECT_EQ(harness::statsToDict(live.stats),
-                  harness::statsToDict(replayed.stats))
-            << name;
+            // Full flattened counter dict, bit for bit. Replay mode also
+            // re-verified every retired instruction against the
+            // recorded stream (p.verify), so the retired-instruction
+            // streams are identical by construction or the run would
+            // have failed.
+            EXPECT_EQ(harness::statsToDict(live.stats),
+                      harness::statsToDict(replayed.stats))
+                << p.label();
+        }
     }
 }
 

@@ -6,7 +6,7 @@
  *
  * Sweep usage:
  *   tproc-sweep [--workloads=a,b,...] [--models=a,b,...] [--insts=N]
- *               [--seed=S] [--threads=T] [--pe-threads=P] [--shard=I/N]
+ *               [--seed=S] [--threads=T] [--shard=I/N]
  *               [--resume=FILE] [--retries=R] [--json=FILE]
  *               [--merged-json=FILE] [--trace-dir=DIR] [--golden=DIR]
  *               [--write-golden=DIR] [--metrics-json=FILE]
@@ -15,7 +15,7 @@
  *
  * Soak usage:
  *   tproc-sweep --soak[=SECONDSs|POINTS] [--gen-seed=S]
- *               [--pattern-mix=SPEC] [--insts=N] [--pe-threads=P]
+ *               [--pattern-mix=SPEC] [--insts=N]
  *               [--failure-dir=DIR] [--models=a,b,...] [--quiet]
  *
  * Merge usage:
@@ -26,28 +26,25 @@
  * comes from --pattern-mix (default "all"), the data seed from
  * --gen-seed (default --seed). Generated points are ordinary
  * SweepPoints — identity is the name plus seed — so they compose with
- * --shard/--resume/--trace-dir/--golden/--pe-threads/--metrics-json
- * unchanged, and two runs with the same flags are bit-identical.
+ * --shard/--resume/--trace-dir/--golden/--metrics-json unchanged, and
+ * two runs with the same flags are bit-identical.
  *
  * --soak runs an endless seeded stream of generated workloads through
- * the standing oracles (live==replay, serial==PE-parallel, golden
- * verification) until the bound is hit: "--soak=45s" is a wall-time
- * bound, "--soak=200" a point count, bare "--soak" 30 seconds. Any
- * panic, watchdog bark, or divergence is captured as a v2 .tpt into
- * --failure-dir (default soak-failures/, left untouched while points
- * pass) together with a printed one-line repro command; exit status is
- * the number of failing points. docs/workloads.md documents the
- * capture-on-failure contract.
+ * the standing oracles (live==replay, golden verification) until the
+ * bound is hit: "--soak=45s" is a wall-time bound, "--soak=200" a
+ * point count, bare "--soak" 30 seconds. Any panic, watchdog bark, or
+ * divergence is captured as a v2 .tpt into --failure-dir (default
+ * soak-failures/, left untouched while points pass) together with a
+ * printed one-line repro command; exit status is the number of
+ * failing points. docs/workloads.md documents the capture-on-failure
+ * contract.
  *
  * An unknown workload name, generator pattern, or pattern-mix spec is
  * reported with the valid names and exits 2 (the usage convention
  * shared with tproc-bench).
  *
- * --threads fans points across engine workers; --pe-threads=P
- * additionally parallelizes INSIDE each simulation (P executors for
- * the per-PE compute phases, ProcessorConfig::peThreads). Stats are
- * bit-identical for every P by contract, so it composes with every
- * other flag; the default 0 keeps the legacy serial cycle loop.
+ * --threads fans points across engine workers; each simulation runs
+ * on one of them, and stats are bit-identical for every worker count.
  *
  * --trace-dir=DIR runs every point in capture-once/replay-many mode:
  * the first point to touch a workload records its architectural trace
@@ -117,9 +114,8 @@ usage(std::ostream &os)
 {
     os << "usage: tproc-sweep [--workloads=a,b,...] [--models=a,b,...]\n"
           "                   [--insts=N] [--seed=S] [--threads=T]\n"
-          "                   [--pe-threads=P] [--shard=I/N] "
-          "[--resume=FILE]\n"
-          "                   [--retries=R]\n"
+          "                   [--shard=I/N] [--resume=FILE] "
+          "[--retries=R]\n"
           "                   [--json=FILE] [--merged-json=FILE]\n"
           "                   [--trace-dir=DIR] [--golden=DIR]\n"
           "                   [--write-golden=DIR] "
@@ -129,8 +125,7 @@ usage(std::ostream &os)
           "                   [--generate=N] [--gen-seed=S] "
           "[--pattern-mix=SPEC]\n"
           "       tproc-sweep --soak[=SECONDSs|POINTS] [--gen-seed=S]\n"
-          "                   [--pattern-mix=SPEC] [--insts=N] "
-          "[--pe-threads=P]\n"
+          "                   [--pattern-mix=SPEC] [--insts=N]\n"
           "                   [--failure-dir=DIR] [--models=a,b,...] "
           "[--quiet]\n"
           "       tproc-sweep merge [--out=FILE] a.json b.json ...\n";
@@ -263,7 +258,6 @@ main(int argc, char **argv)
     uint64_t insts = 400000;
     uint64_t seed = 1;
     unsigned threads = 0;
-    unsigned pe_threads = 0;
     unsigned retries = 1;
     unsigned shard = 0;
     unsigned shard_count = 0;
@@ -310,9 +304,6 @@ main(int argc, char **argv)
         } else if (parseArg(argv[i], "--threads", v)) {
             if (!cli::parseU32(v, threads))
                 return badNumber("--threads", v);
-        } else if (parseArg(argv[i], "--pe-threads", v)) {
-            if (!cli::parseU32(v, pe_threads))
-                return badNumber("--pe-threads", v);
         } else if (parseArg(argv[i], "--retries", v)) {
             if (!cli::parseU32(v, retries))
                 return badNumber("--retries", v);
@@ -452,7 +443,6 @@ main(int argc, char **argv)
         sopts.maxSeconds = soak_seconds;
         sopts.insts = insts_set ? insts : 60000;
         sopts.models = models;
-        sopts.peThreads = pe_threads ? static_cast<int>(pe_threads) : 4;
         sopts.failureDir = failure_dir;
         sopts.log = quiet ? nullptr : &std::cerr;
         const harness::SoakReport rep = harness::runSoak(sopts);
@@ -500,16 +490,12 @@ main(int argc, char **argv)
 
     auto grid =
         harness::crossPoints(workloads, models, seed, insts, verify);
-    // Replay mode and intra-PE parallelism are per-point execution
-    // details: indices, seeds, and stats are identical to a live
-    // serial run, so both compose with sharding and resume untouched.
+    // Replay mode is a per-point execution detail: indices, seeds, and
+    // stats are identical to a live run, so it composes with sharding
+    // and resume untouched.
     if (!trace_dir.empty()) {
         for (auto &p : grid)
             p.traceDir = trace_dir;
-    }
-    if (pe_threads) {
-        for (auto &p : grid)
-            p.peThreads = static_cast<int>(pe_threads);
     }
     if (metrics_interval) {
         for (auto &p : grid)
@@ -590,10 +576,7 @@ main(int argc, char **argv)
         }
         std::cerr << ", " << engine.effectiveThreads(points.size())
                   << " threads, " << insts << " insts/point, seed "
-                  << seed << (verify ? ", verified" : "");
-        if (pe_threads)
-            std::cerr << ", " << pe_threads << " PE threads/point";
-        std::cerr << "\n";
+                  << seed << (verify ? ", verified" : "") << "\n";
     }
 
     auto results = engine.run(points);
