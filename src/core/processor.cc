@@ -74,15 +74,6 @@ validated(const ProcessorConfig &cfg)
     return cfg;
 }
 
-/** True while a local producer of d is incomplete: d cannot issue, and
- *  that producer's completion wakes it (completeSlot). */
-bool
-waitsOnLocalProducer(const InFlightTrace &t, const DynSlot &d)
-{
-    return (d.dep1 >= 0 && !t.slots[d.dep1].completed) ||
-        (d.dep2 >= 0 && !t.slots[d.dep2].completed);
-}
-
 } // anonymous namespace
 
 Processor::Processor(const Program &prog_, const ProcessorConfig &cfg_,
@@ -199,7 +190,7 @@ Processor::stepPhases()
         InFlightTrace *t = find(lastDispatchedUid);
         if (t && !t->slots.empty()) {
             const DynSlot &last = t->slots.back();
-            if (isIndirect(last.inst.op) && last.completed)
+            if (t->trace->endsInIndirect() && last.completed)
                 frontend.indirectResolved(last.brTarget);
         }
     }
@@ -374,19 +365,10 @@ Processor::sampleMetrics(uint64_t elapsed)
 // ---------------------------------------------------------------------
 
 bool
-Processor::operandReady(const InFlightTrace &t, const DynSlot &d) const
+Processor::liveInsReady(const TraceSlot &c, const DynSlot &d) const
 {
-    auto one_ready = [&](int dep, PhysReg src, bool reads) {
-        if (!reads)
-            return true;
-        if (dep >= 0) {
-            const DynSlot &p = t.slots[dep];
-            return p.completed && curCycle >= p.readyAt;
-        }
-        return prf.ready(src, curCycle);
-    };
-    return one_ready(d.dep1, d.src1, d.readsRs1) &&
-        one_ready(d.dep2, d.src2, d.readsRs2);
+    return (!c.liveIn1() || prf.ready(d.src1, curCycle)) &&
+        (!c.liveIn2() || prf.ready(d.src2, curCycle));
 }
 
 int64_t
@@ -401,13 +383,14 @@ void
 Processor::issueSlot(InFlightTrace &t, int slot)
 {
     DynSlot &d = t.slots[slot];
+    const TraceSlot &c = t.code[slot];
     d.issued = true;
     t.wake &= ~slotBit(slot);
     ++d.issueCount;
-    d.srcVal1 = d.readsRs1 ? operandValue(t, d.dep1, d.src1) : 0;
-    d.srcVal2 = d.readsRs2 ? operandValue(t, d.dep2, d.src2) : 0;
+    d.srcVal1 = c.readsRs1 ? operandValue(t, c.dep1, d.src1) : 0;
+    d.srcVal2 = c.readsRs2 ? operandValue(t, c.dep2, d.src2) : 0;
 
-    const Instruction &inst = d.inst;
+    const Instruction &inst = c.inst;
     switch (inst.op) {
       case Opcode::LD:
       case Opcode::ST:
@@ -425,7 +408,7 @@ Processor::issueSlot(InFlightTrace &t, int slot)
         break;
       case Opcode::CALL:
       case Opcode::CALLR:
-        d.value = static_cast<int64_t>(d.pc + 1);
+        d.value = static_cast<int64_t>(c.pc + 1);
         d.brTarget = inst.op == Opcode::CALL ?
             static_cast<Addr>(inst.imm) : static_cast<Addr>(d.srcVal1);
         d.execDoneAt = curCycle + 1;
@@ -454,17 +437,18 @@ Processor::issueTrace(InFlightTrace &t)
     // Visit the wake set in ascending slot order. Every pending slot
     // outside it waits on an incomplete local producer and could not
     // issue anyway, so this issues exactly what a walk over all slots
-    // would.
+    // would. A slot whose local producers are complete reads their
+    // values by bypass; only its live-ins can still be outstanding.
     int issued_this_cycle = 0;
     for (SlotSet todo = t.wake;
          todo && issued_this_cycle < cfg.issuePerPe;) {
         const int i = popLowestSlot(todo);
-        const DynSlot &d = t.slots[i];
-        if (waitsOnLocalProducer(t, d)) {
+        if (t.waitsOnLocalProducer(i)) {
             t.wake &= ~slotBit(i);  // until that producer completes
             continue;
         }
-        if (curCycle < d.earliestIssue || !operandReady(t, d))
+        const DynSlot &d = t.slots[i];
+        if (curCycle < d.earliestIssue || !liveInsReady(t.code[i], d))
             continue;
         issueSlot(t, i);
         ++issued_this_cycle;
@@ -519,20 +503,21 @@ void
 Processor::completeSlot(InFlightTrace &t, int slot)
 {
     DynSlot &d = t.slots[slot];
+    const TraceSlot &c = t.code[slot];
     t.inFlight &= ~slotBit(slot);
 
     // Memory operations: address generation finished; go request a cache
     // bus (they "complete" later, once the access returns).
-    if ((d.isLoad() || d.isStore()) && !d.agenDone) {
+    if ((c.isLoad() || c.isStore()) && !d.agenDone) {
         d.agenDone = true;
-        d.effAddr = static_cast<Addr>(d.srcVal1 + d.inst.imm);
+        d.effAddr = static_cast<Addr>(d.srcVal1 + c.inst.imm);
         d.waitingBus = true;
         cacheQueue.push_back({t.uid, slot});
         return;
     }
 
     d.completed = true;
-    d.readyAt = curCycle;
+    t.completed |= slotBit(slot);
 
     // Value-change filter: a recompletion that reproduces the previous
     // value cannot change any downstream result, so dependents keep
@@ -541,14 +526,15 @@ Processor::completeSlot(InFlightTrace &t, int slot)
     d.everCompleted = true;
     d.lastValue = d.value;
 
-    // Wake the pending local consumers (this slot may be the producer
-    // they sleep on). Selective reissue of dependence chains (Section
+    // Wake the pending local consumers this slot was the last incomplete
+    // producer of. Selective reissue of dependence chains (Section
     // 2.2.3): a consumer that already issued consumed a stale value.
-    for (SlotSet todo = d.consumers; todo;) {
+    for (SlotSet todo = c.consumers; todo;) {
         const int i = popLowestSlot(todo);
-        const DynSlot &c = t.slots[i];
-        if (!c.issued && !c.completed) {
-            t.wake |= slotBit(i);
+        const DynSlot &consumer = t.slots[i];
+        if (!consumer.issued && !consumer.completed) {
+            if (!t.waitsOnLocalProducer(i))
+                t.wake |= slotBit(i);
         } else if (value_changed) {
             ++stats.reissueLocal;
             reissueSlot(t, i, curCycle + 1);
@@ -559,17 +545,17 @@ Processor::completeSlot(InFlightTrace &t, int slot)
     // current content decides whether a broadcast is needed (a previous
     // broadcast may have been dropped by repair-time validation, and
     // repair can hand a completed slot a fresh register).
-    if (d.dest != invalidPhysReg && d.writesReg &&
+    if (d.dest != invalidPhysReg && c.writesReg &&
         (!prf.hasValue(d.dest) || prf.value(d.dest) != d.value)) {
         busQueue.push_back({t.uid, slot, d.dest, d.value});
     }
 
     // Conditional branch resolution: flag a misprediction event.
-    if (d.isCondBr && d.resolvedTaken != d.predTaken)
+    if (c.isCondBr && d.resolvedTaken != c.taken)
         events.push_back({t.uid, slot, false});
 
     // Indirect resolution: validate the successor trace's start pc.
-    if (isIndirect(d.inst.op)) {
+    if (isIndirect(c.inst.op)) {
         if (t.uid == lastDispatchedUid &&
             static_cast<size_t>(slot) + 1 == t.slots.size()) {
             dispatchExpectedPc = d.brTarget;
@@ -577,9 +563,9 @@ Processor::completeSlot(InFlightTrace &t, int slot)
             // cycle, after which the end-of-cycle poll cannot find it.
             frontend.indirectResolved(d.brTarget);
         }
-        int idx = windowIndex(t.uid);
-        if (idx >= 0 && idx + 1 < static_cast<int>(window.size())) {
-            const InFlightTrace &succ = entryAt(idx + 1);
+        const size_t next = static_cast<size_t>(t.logicalPos) + 1;
+        if (next < window.size()) {
+            const InFlightTrace &succ = entryAt(next);
             if (succ.trace->id.startPc != d.brTarget)
                 events.push_back({t.uid, slot, true});
         }
@@ -597,11 +583,13 @@ Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
         d.earliestIssue = std::max(d.earliestIssue, earliest);
         return;
     }
-    if (d.isLoad())
+    const TraceSlot &c = t.code[slot];
+    if (c.isLoad())
         arb.loadRemove(t.uid, slot);
-    if (d.isStore() && d.performed)
+    if (c.isStore() && d.performed)
         arb.storeUndo(t.uid, slot);
     t.inFlight &= ~slotBit(slot);
+    t.completed &= ~slotBit(slot);
     d.resetDynamic();
     d.earliestIssue = std::max(d.earliestIssue, earliest);
     ++stats.reissuedSlots;
@@ -612,8 +600,8 @@ Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
                 "dep=(%d,%d) src=(%u,%u) lastVal=%lld\n",
                 static_cast<unsigned long long>(t.uid),
                 static_cast<long long>(t.logicalPos), slot,
-                disassemble(d.pc, d.inst).c_str(), d.issueCount, d.dep1,
-                d.dep2, d.src1, d.src2,
+                disassemble(c.pc, c.inst).c_str(), d.issueCount, c.dep1,
+                c.dep2, d.src1, d.src2,
                 static_cast<long long>(d.lastValue));
     }
 }
@@ -621,15 +609,18 @@ Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
 void
 Processor::reissueConsumersOf(PhysReg reg)
 {
+    // Only a slot that reads a live-in can name a global register.
     for (size_t w = 0; w < window.size(); ++w) {
         InFlightTrace &t = entryAt(w);
-        for (size_t i = 0; i < t.slots.size(); ++i) {
-            DynSlot &d = t.slots[i];
-            bool consumes = (d.dep1 < 0 && d.readsRs1 && d.src1 == reg) ||
-                            (d.dep2 < 0 && d.readsRs2 && d.src2 == reg);
+        for (SlotSet todo = t.trace->liveInReaders; todo;) {
+            const int i = popLowestSlot(todo);
+            const DynSlot &d = t.slots[i];
+            const TraceSlot &c = t.code[i];
+            const bool consumes = (c.liveIn1() && d.src1 == reg) ||
+                (c.liveIn2() && d.src2 == reg);
             if (consumes && (d.issued || d.completed)) {
                 ++stats.reissueGlobal;
-                reissueSlot(t, static_cast<int>(i), curCycle + 1);
+                reissueSlot(t, i, curCycle + 1);
             }
         }
     }
@@ -666,7 +657,7 @@ Processor::phaseCacheBuses()
         ++total;
         d.waitingBus = false;
 
-        if (d.isLoad()) {
+        if (t->code[req.slot].isLoad()) {
             Arb::LoadResult r = arb.loadAccess(t->uid, req.slot, d.effAddr,
                                                mem);
             d.value = r.value;
@@ -736,8 +727,7 @@ Processor::phaseViolations()
         InFlightTrace *t = find(tag.uid);
         if (!t || tag.slot >= static_cast<int>(t->slots.size()))
             continue;
-        DynSlot &d = t->slots[tag.slot];
-        if (!d.isLoad())
+        if (!t->code[tag.slot].isLoad())
             continue;
         ++stats.loadViolations;
         ++stats.reissueViol;
@@ -772,34 +762,33 @@ Processor::phaseEvents()
     // processable one.
     int best = -1;
     int64_t best_key = 0;
-    std::vector<MispEvent> still;
-    still.reserve(events.size());
+    eventsKept.clear();
     for (const MispEvent &ev : events) {
         InFlightTrace *t = find(ev.uid);
         if (!t || ev.slot >= static_cast<int>(t->slots.size()))
             continue;
         const DynSlot &d = t->slots[ev.slot];
-        int idx = windowIndex(ev.uid);
+        const TraceSlot &c = t->code[ev.slot];
+        const int idx = static_cast<int>(t->logicalPos);
         bool valid;
         if (ev.indirect) {
-            valid = isIndirect(d.inst.op) && d.completed && idx >= 0 &&
+            valid = isIndirect(c.inst.op) && d.completed &&
                 idx + 1 < static_cast<int>(window.size()) &&
                 entryAt(idx + 1).trace->id.startPc != d.brTarget;
         } else {
-            valid = d.isCondBr && d.completed &&
-                d.resolvedTaken != d.predTaken;
+            valid = c.isCondBr && d.completed && d.resolvedTaken != c.taken;
         }
         if (!valid)
             continue;
         bool deferred = ci_idx >= 0 && idx >= ci_idx;
         int64_t key = idx * 64 + ev.slot;
         if (!deferred && (best < 0 || key < best_key)) {
-            best = static_cast<int>(still.size());
+            best = static_cast<int>(eventsKept.size());
             best_key = key;
         }
-        still.push_back(ev);
+        eventsKept.push_back(ev);
     }
-    events = std::move(still);
+    events.swap(eventsKept);
     if (best < 0)
         return;
 
@@ -843,8 +832,7 @@ Processor::historyUpTo(int idx) const
 void
 Processor::redirectAfterTrace(InFlightTrace &t, Cycle resume_at)
 {
-    int idx = windowIndex(t.uid);
-    PathHistory h = historyUpTo(idx);
+    PathHistory h = historyUpTo(static_cast<int>(t.logicalPos));
     const Trace &tr = *t.trace;
     RLOG("redirectAfter uid=%llu end=%s fallthrough=%lld",
          static_cast<unsigned long long>(t.uid), traceEndName(tr.end),
@@ -870,7 +858,8 @@ Processor::redirectAfterTrace(InFlightTrace &t, Cycle resume_at)
         frontend.redirect(h, last.brTarget, invalidAddr, resume_at);
         dispatchExpectedPc = last.brTarget;
     } else {
-        frontend.redirect(h, invalidAddr, last.pc, resume_at);
+        frontend.redirect(h, invalidAddr, t.code[t.slots.size() - 1].pc,
+                          resume_at);
         dispatchExpectedPc = invalidAddr;
     }
 }
@@ -883,10 +872,9 @@ Processor::redispatchFrom(int start_idx, Cycle first_cycle)
          ++i) {
         InFlightTrace &t = entryAt(i);
         t.histBefore = historyUpTo(static_cast<int>(i) - 1);
-        auto changed = redispatchInFlightTrace(t, map);
-        for (int s : changed) {
+        for (SlotSet changed = redispatchInFlightTrace(t, map); changed;) {
             ++stats.reissueRedisp;
-            reissueSlot(t, s, cyc);
+            reissueSlot(t, popLowestSlot(changed), cyc);
         }
         ++stats.redispatchedTraces;
         ++cyc;
@@ -895,7 +883,7 @@ Processor::redispatchFrom(int start_idx, Cycle first_cycle)
 }
 
 int
-Processor::findCgciTarget(int t_idx, const DynSlot &branch)
+Processor::findCgciTarget(int t_idx, const TraceSlot &branch)
 {
     if (cfg.cgci == CgciHeuristic::NONE)
         return -1;
@@ -931,8 +919,8 @@ Processor::findCgciTarget(int t_idx, const DynSlot &branch)
 void
 Processor::recoverCond(InFlightTrace &t, int slot)
 {
-    DynSlot &branch = t.slots[slot];
-    bool corrected = branch.resolvedTaken;
+    const TraceSlot &branch = t.code[slot];
+    bool corrected = t.slots[slot].resolvedTaken;
     bool covered = cfg.fgci && branch.inRegion;
 
     // Only one unspliced CGCI gap can be outstanding: a new coarse
@@ -942,7 +930,7 @@ Processor::recoverCond(InFlightTrace &t, int slot)
     if (!covered && insertMode.active)
         exitInsertModeAbandon();
 
-    int t_idx = windowIndex(t.uid);
+    const int t_idx = static_cast<int>(t.logicalPos);
     RLOG("recoverCond uid=%llu idx=%d slot=%d pc=%llu corr=%d cov=%d",
          static_cast<unsigned long long>(t.uid), t_idx, slot,
          static_cast<unsigned long long>(branch.pc), corrected ? 1 : 0,
@@ -966,10 +954,9 @@ Processor::recoverCond(InFlightTrace &t, int slot)
 
     // ARB cleanup for the suffix being replaced.
     for (size_t i = rep.prefixLen; i < t.slots.size(); ++i) {
-        DynSlot &d = t.slots[i];
-        if (d.isLoad())
+        if (t.code[i].isLoad())
             arb.loadRemove(t.uid, static_cast<int>(i));
-        if (d.isStore() && d.performed)
+        if (t.code[i].isStore() && t.slots[i].performed)
             arb.storeUndo(t.uid, static_cast<int>(i));
     }
 
@@ -1026,7 +1013,7 @@ Processor::recoverIndirect(InFlightTrace &t, int slot)
     // The trace itself is intact (indirects terminate traces); only the
     // trace-level sequencing after it was wrong. Squash and refetch from
     // the resolved target.
-    int t_idx = windowIndex(t.uid);
+    const int t_idx = static_cast<int>(t.logicalPos);
     ++stats.recoveriesFull;
     squashAllAfter(t_idx);
     releaseDeferredFrees();
@@ -1042,10 +1029,9 @@ Processor::squashTrace(TraceUid uid)
     panic_if(!t, "squashTrace: unknown trace");
 
     for (size_t i = 0; i < t->slots.size(); ++i) {
-        DynSlot &d = t->slots[i];
-        if (d.isLoad())
+        if (t->code[i].isLoad())
             arb.loadRemove(uid, static_cast<int>(i));
-        if (d.isStore() && d.performed)
+        if (t->code[i].isStore() && t->slots[i].performed)
             arb.storeUndo(uid, static_cast<int>(i));
     }
     for (const auto &lo : t->liveOuts)
@@ -1059,6 +1045,7 @@ Processor::squashTrace(TraceUid uid)
     freePes.push_back(pe);
     peUid[pe] = invalidTraceUid;
     t->trace.reset();
+    t->code = nullptr;
     t->uid = invalidTraceUid;
     window.erase(window.begin() + idx);
     windowPe.erase(windowPe.begin() + idx);
@@ -1132,8 +1119,7 @@ Processor::phaseDispatch()
             frontend.pop();
             ++stats.cgciReconverged;
             insertMode.active = false;
-            int ci_idx = windowIndex(ci->uid);
-            redispatchFrom(ci_idx, curCycle + 1);
+            redispatchFrom(static_cast<int>(ci->logicalPos), curCycle + 1);
             InFlightTrace &tail = entryAt(window.size() - 1);
             redirectAfterTrace(tail, curCycle + 1);
             releaseDeferredFrees();
@@ -1204,8 +1190,6 @@ Processor::phaseDispatch()
     initInFlightTrace(t, nextUid++, pt.trace, map, prf);
     t.peId = pe;
     t.histBefore = pt.histBefore;
-    t.fromPredictor = pt.fromPredictor;
-    t.dispatchedAt = curCycle;
     for (auto &d : t.slots)
         d.earliestIssue = curCycle + 1;
 
@@ -1236,8 +1220,10 @@ Processor::phaseDispatch()
 // ---------------------------------------------------------------------
 
 void
-Processor::verifyRetiredSlot(const InFlightTrace &t, const DynSlot &d)
+Processor::verifyRetiredSlot(const InFlightTrace &t, int slot)
 {
+    const DynSlot &d = t.slots[slot];
+    const TraceSlot &c = t.code[slot];
     StepResult g = golden->step();
     auto mismatch = [&](const char *what) {
         fprintf(stderr, "--- trace %llu (pe %d, pos %lld) ---\n",
@@ -1245,11 +1231,12 @@ Processor::verifyRetiredSlot(const InFlightTrace &t, const DynSlot &d)
                 static_cast<long long>(t.logicalPos));
         for (size_t i = 0; i < t.slots.size(); ++i) {
             const DynSlot &s = t.slots[i];
+            const TraceSlot &sc = t.code[i];
             fprintf(stderr,
                     "  [%2zu] %-28s dep=(%d,%d) src=(%u,%u) dest=%u "
                     "val=%lld addr=%llu ic=%u%s%s\n",
-                    i, disassemble(s.pc, s.inst).c_str(), s.dep1, s.dep2,
-                    s.src1, s.src2, s.dest,
+                    i, disassemble(sc.pc, sc.inst).c_str(), sc.dep1,
+                    sc.dep2, s.src1, s.src2, s.dest,
                     static_cast<long long>(s.value),
                     static_cast<unsigned long long>(s.effAddr),
                     s.issueCount, s.completed ? " C" : "",
@@ -1257,7 +1244,7 @@ Processor::verifyRetiredSlot(const InFlightTrace &t, const DynSlot &d)
         }
         panic("retire verify: %s mismatch at %s (uid %llu, golden pc "
               "%llu, golden val %lld, got %lld, golden addr %llu)",
-              what, disassemble(d.pc, d.inst).c_str(),
+              what, disassemble(c.pc, c.inst).c_str(),
               static_cast<unsigned long long>(t.uid),
               static_cast<unsigned long long>(g.pc),
               static_cast<long long>(g.destValue),
@@ -1265,19 +1252,19 @@ Processor::verifyRetiredSlot(const InFlightTrace &t, const DynSlot &d)
               static_cast<unsigned long long>(g.memAddr));
     };
 
-    if (g.pc != d.pc || !(g.inst == d.inst))
+    if (g.pc != c.pc || !(g.inst == c.inst))
         mismatch("instruction");
-    if (d.isCondBr && g.taken != d.resolvedTaken)
+    if (c.isCondBr && g.taken != d.resolvedTaken)
         mismatch("branch outcome");
-    if (d.writesReg && g.destValue != d.value)
+    if (c.writesReg && g.destValue != d.value)
         mismatch("dest value");
-    if ((d.isLoad() || d.isStore())) {
+    if ((c.isLoad() || c.isStore())) {
         if (g.memAddr != d.effAddr)
             mismatch("memory address");
         if (g.memValue != d.value)
             mismatch("memory value");
     }
-    if (isIndirect(d.inst.op) && g.nextPc != d.brTarget)
+    if (isIndirect(c.inst.op) && g.nextPc != d.brTarget)
         mismatch("indirect target");
 }
 
@@ -1294,10 +1281,11 @@ Processor::phaseRetire()
     if (insertMode.active && t.uid == insertMode.targetUid)
         return;
 
-    for (const auto &d : t.slots) {
-        if (!d.completed)
-            return;
-        if (d.isCondBr && d.resolvedTaken != d.predTaken)
+    if (t.completed != firstSlots(t.slots.size()))
+        return;
+    for (SlotSet branches = t.trace->condBranches; branches;) {
+        const int i = popLowestSlot(branches);
+        if (t.slots[i].resolvedTaken != t.code[i].taken)
             return;     // a misprediction event is pending
     }
     // The head trace may not retire while any of its live-out broadcasts
@@ -1349,21 +1337,22 @@ Processor::phaseRetire()
     bool halted = false;
     for (size_t i = 0; i < t.slots.size(); ++i) {
         const DynSlot &d = t.slots[i];
+        const TraceSlot &c = t.code[i];
         if (golden)
-            verifyRetiredSlot(t, d);
-        if (d.isStore()) {
+            verifyRetiredSlot(t, static_cast<int>(i));
+        if (c.isStore()) {
             arb.commitStore(t.uid, static_cast<int>(i), mem);
             dcache.storeCommit(d.effAddr);
         }
-        if (d.isLoad())
+        if (c.isLoad())
             arb.loadRemove(t.uid, static_cast<int>(i));
-        if (d.isCondBr) {
+        if (c.isCondBr) {
             ++stats.retiredCondBranches;
-            frontend.branchPredictor().update(d.pc, d.resolvedTaken);
+            frontend.branchPredictor().update(c.pc, d.resolvedTaken);
         }
-        if (isIndirect(d.inst.op))
-            frontend.branchPredictor().updateTarget(d.pc, d.brTarget);
-        if (d.inst.op == Opcode::HALT)
+        if (isIndirect(c.inst.op))
+            frontend.branchPredictor().updateTarget(c.pc, d.brTarget);
+        if (c.inst.op == Opcode::HALT)
             halted = true;
         ++stats.retiredInsts;
     }
@@ -1388,6 +1377,7 @@ Processor::phaseRetire()
         lastDispatchedUid = invalidTraceUid;
     peUid[t.peId] = invalidTraceUid;
     t.trace.reset();
+    t.code = nullptr;
     t.uid = invalidTraceUid;
     window.erase(window.begin());
     windowPe.erase(windowPe.begin());
@@ -1412,36 +1402,43 @@ Processor::checkInvariants() const
         panic_if(t.uid != window[i], "pool uid out of sync");
         panic_if(t.logicalPos != static_cast<int64_t>(i),
                  "stale logical position");
+        panic_if(t.code != t.trace->slots.data() ||
+                     t.slots.size() != t.trace->slots.size(),
+                 "slot state does not match the resident trace (pos %zu)",
+                 i);
         // Scheduling sets, recomputed from the slot flags.
-        SlotSet pending = 0, in_flight = 0;
+        SlotSet pending = 0, in_flight = 0, completed = 0;
         std::array<SlotSet, maxTraceSlots> consumers{};
         for (size_t s = 0; s < t.slots.size(); ++s) {
             const DynSlot &d = t.slots[s];
-            if (d.dep1 >= 0)
-                consumers[d.dep1] |= slotBit(s);
-            if (d.dep2 >= 0)
-                consumers[d.dep2] |= slotBit(s);
-            if (!d.issued && !d.completed) {
+            for (SlotSet p = t.code[s].producers; p;)
+                consumers[popLowestSlot(p)] |= slotBit(s);
+            if (d.completed) {
+                completed |= slotBit(s);
+            } else if (!d.issued) {
                 pending |= slotBit(s);
                 panic_if(!(t.wake & slotBit(s)) &&
-                             !waitsOnLocalProducer(t, d),
+                             !t.waitsOnLocalProducer(s),
                          "missed wakeup: slot %zu (pos %zu) sleeps with "
                          "every local producer complete", s, i);
-            } else if (!d.completed && !d.waitingBus) {
+            } else if (!d.waitingBus) {
                 in_flight |= slotBit(s);
                 panic_if(d.execDoneAt < t.nextDoneAt,
                          "completion bound above slot %zu's execDoneAt "
                          "(pos %zu)", s, i);
             }
         }
+        panic_if(t.completed != completed,
+                 "completed set out of sync (pos %zu)", i);
         panic_if(t.inFlight != in_flight,
                  "in-flight set out of sync (pos %zu)", i);
         panic_if((t.wake & ~pending) != 0,
                  "wake set holds a slot that is not pending (pos %zu)", i);
+        // The template's producer and consumer sets mirror each other.
         for (size_t s = 0; s < t.slots.size(); ++s) {
-            panic_if(t.slots[s].consumers != consumers[s],
-                     "consumer set of slot %zu out of sync (pos %zu)", s,
-                     i);
+            panic_if(t.code[s].consumers != consumers[s],
+                     "consumer set of slot %zu does not mirror the "
+                     "producer sets (pos %zu)", s, i);
         }
     }
 }

@@ -19,20 +19,26 @@
  * window in logical (program) order; that order is what makes a run
  * deterministic.
  *
- * Issue and completion are wake-driven, not polled. Each resident trace
- * keeps slot sets (InFlightTrace, "Scheduling sets") that change only at
- * the transitions that move a slot: issueTrace visits only the wake set,
- * phaseCompletions skips a trace until its earliest in-flight slot is
- * due and then walks only the in-flight set, and a completing slot
- * reaches its local consumers through its consumer set. The wakeup
- * invariant: a slot enters the wake set at dispatch, at repair, at
- * every reissue (including the not-yet-issued path that only moves
- * earliestIssue), and when a local producer completes; it leaves it
- * without issuing only while one of its local producers is
- * incomplete. checkInvariants() checks every set against the slot
- * flags; the tests WorkloadModel.VerifiedSlice,
- * SmallMachineStillCorrect and RandomConfigsComplete call it every
- * cycle.
+ * Traces arrive pre-decoded: selection resolved each trace's
+ * intra-trace dependences, consumer sets, live-out list and slot masks
+ * once (predecode()), so dispatch only renames live-ins and live-outs,
+ * and each PE's slots (DynSlot) hold dynamic state only.
+ *
+ * Issue, completion and retirement are wake-driven, not polled. Each
+ * resident trace keeps slot sets (InFlightTrace, "Scheduling sets")
+ * that change only at the transitions that move a slot: issueTrace
+ * visits only the wake set, phaseCompletions skips a trace until its
+ * earliest in-flight slot is due and then walks only the in-flight set,
+ * a completing slot reaches its local consumers through its consumer
+ * set, and retirement tests the completed set and the branch mask. The
+ * wakeup invariant: a slot enters the wake set at dispatch if it has no
+ * local producer, at repair, at every reissue (including the
+ * not-yet-issued path that only moves earliestIssue), and when its last
+ * incomplete local producer completes; it leaves it without issuing
+ * only while one of its local producers is incomplete.
+ * checkInvariants() checks every set against the slot flags; the tests
+ * WorkloadModel.VerifiedSlice, SmallMachineStillCorrect and
+ * RandomConfigsComplete call it every cycle.
  */
 
 #ifndef TPROC_CORE_PROCESSOR_HH
@@ -265,7 +271,9 @@ class Processor
 
     /** @name Execution. */
     /// @{
-    bool operandReady(const InFlightTrace &t, const DynSlot &d) const;
+    /** The slot's live-in operands are readable this cycle (its local
+     *  operands bypass once their producers complete). */
+    bool liveInsReady(const TraceSlot &c, const DynSlot &d) const;
     int64_t operandValue(const InFlightTrace &t, int dep, PhysReg src) const;
     void issueSlot(InFlightTrace &t, int slot);
     void completeSlot(InFlightTrace &t, int slot);
@@ -294,12 +302,12 @@ class Processor
     void redispatchFrom(int start_idx, Cycle first_cycle);
     /** Locate the first control independent trace per the CGCI
      *  heuristics; -1 if none. @param t the mispredicted trace's index */
-    int findCgciTarget(int t_idx, const DynSlot &branch);
+    int findCgciTarget(int t_idx, const TraceSlot &branch);
     void exitInsertModeAbandon();
     void releaseDeferredFrees();
     /// @}
 
-    void verifyRetiredSlot(const InFlightTrace &t, const DynSlot &d);
+    void verifyRetiredSlot(const InFlightTrace &t, int slot);
 
     const Program &prog;
     ProcessorConfig cfg;
@@ -345,6 +353,7 @@ class Processor
     std::vector<int> busPerPe;
     std::vector<CacheRequest> cacheKept;
     std::vector<BusRequest> busKept;
+    std::vector<MispEvent> eventsKept;
     /// @}
 
     /** Telemetry recorder state; null when cfg.metricsInterval is 0. */

@@ -10,66 +10,28 @@ namespace tproc
 namespace
 {
 
-/** Copy the static portion of a trace slot into a DynSlot. */
-void
-setStatic(DynSlot &d, const TraceSlot &s)
-{
-    d.pc = s.pc;
-    d.inst = s.inst;
-    d.isCondBr = s.isCondBr;
-    d.predTaken = s.taken;
-    d.inRegion = s.inRegion;
-    d.regionStart = s.regionStart;
-    d.reconvPc = s.reconvPc;
-    d.readsRs1 = readsRs1(s.inst);
-    d.readsRs2 = readsRs2(s.inst);
-    d.writesReg = writesReg(s.inst);
-}
-
 /**
- * Compute intra-trace dependences, consumer sets and live-in sources for
- * all slots. Does not touch destinations. @return last writer slot per
- * arch reg (-1 = none).
+ * Point every live-in source of t at its mapping in map. Other sources
+ * stay invalidPhysReg. @return the slots whose source names changed.
  */
-std::array<int, numArchRegs>
-computeDeps(InFlightTrace &t, const RenameMap &map)
+SlotSet
+renameLiveIns(InFlightTrace &t, const RenameMap &map)
 {
-    // Selection never builds a trace longer than validate() admits, and
-    // the slot sets are one word wide.
-    panic_if(t.slots.size() > static_cast<size_t>(maxTraceSlots),
-             "trace of %zu instructions exceeds the %d-slot cap",
-             t.slots.size(), maxTraceSlots);
-
-    std::array<int, numArchRegs> last_writer;
-    last_writer.fill(-1);
-
-    for (size_t i = 0; i < t.slots.size(); ++i) {
+    SlotSet changed = 0;
+    for (SlotSet todo = t.trace->liveInReaders; todo;) {
+        const int i = popLowestSlot(todo);
         DynSlot &d = t.slots[i];
-        d.dep1 = d.dep2 = -1;
-        d.src1 = d.src2 = invalidPhysReg;
-        d.consumers = 0;
-        if (d.readsRs1) {
-            int w = last_writer[d.inst.rs1];
-            if (w >= 0) {
-                d.dep1 = w;
-                t.slots[w].consumers |= slotBit(i);
-            } else {
-                d.src1 = map[d.inst.rs1];
-            }
+        const TraceSlot &c = t.code[i];
+        if (c.liveIn1() && map[c.inst.rs1] != d.src1) {
+            d.src1 = map[c.inst.rs1];
+            changed |= slotBit(i);
         }
-        if (d.readsRs2) {
-            int w = last_writer[d.inst.rs2];
-            if (w >= 0) {
-                d.dep2 = w;
-                t.slots[w].consumers |= slotBit(i);
-            } else {
-                d.src2 = map[d.inst.rs2];
-            }
+        if (c.liveIn2() && map[c.inst.rs2] != d.src2) {
+            d.src2 = map[c.inst.rs2];
+            changed |= slotBit(i);
         }
-        if (d.writesReg)
-            last_writer[d.inst.rd] = static_cast<int>(i);
     }
-    return last_writer;
+    return changed;
 }
 
 } // anonymous namespace
@@ -77,13 +39,15 @@ computeDeps(InFlightTrace &t, const RenameMap &map)
 void
 InFlightTrace::resetSchedule()
 {
-    wake = inFlight = 0;
+    completed = inFlight = wake = 0;
     nextDoneAt = neverDone;
     for (size_t i = 0; i < slots.size(); ++i) {
         const DynSlot &d = slots[i];
-        if (!d.issued && !d.completed)
+        if (d.completed)
+            completed |= slotBit(i);
+        else if (!d.issued)
             wake |= slotBit(i);
-        else if (!d.completed && !d.waitingBus)
+        else if (!d.waitingBus)
             markInFlight(i, d.execDoneAt);
     }
 }
@@ -96,34 +60,29 @@ initInFlightTrace(InFlightTrace &t, TraceUid uid,
     t.uid = uid;
     t.mapBefore = map;
     t.peId = -1;
-    t.fromPredictor = false;
     t.logicalPos = -1;
-    t.dispatchedAt = 0;
-    t.pendingMisp = 0;
 
     // assign() (not resize) so slots recycled from the previous occupant
     // of this pool entry start from default dynamic state; the vector
     // keeps its capacity.
     t.slots.assign(trace->slots.size(), DynSlot{});
-    for (size_t i = 0; i < trace->slots.size(); ++i)
-        setStatic(t.slots[i], trace->slots[i]);
     t.trace = std::move(trace);
-
-    auto last_writer = computeDeps(t, map);
+    t.code = t.trace->slots.data();
+    renameLiveIns(t, map);
 
     // Allocate global physical registers for live-outs and install them.
     t.liveOuts.clear();
-    for (int a = 0; a < numArchRegs; ++a) {
-        int w = last_writer[a];
-        if (w < 0)
-            continue;
-        PhysReg p = prf.alloc();
-        t.slots[w].dest = p;
-        t.liveOuts.push_back({static_cast<ArchReg>(a), p, w});
-        map[a] = p;
+    for (const TraceLiveOut &lo : t.trace->liveOuts) {
+        const PhysReg p = prf.alloc();
+        t.slots[lo.slot].dest = p;
+        t.liveOuts.push_back({lo.arch, p, lo.slot});
+        map[lo.arch] = p;
     }
 
-    t.resetSchedule();
+    // Nothing has issued: only the slots without a local producer can.
+    t.completed = t.inFlight = 0;
+    t.wake = t.trace->roots;
+    t.nextDoneAt = neverDone;
 }
 
 std::unique_ptr<InFlightTrace>
@@ -154,28 +113,21 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
         old_slot[lo.arch] = lo.slot;
     }
 
-    // Rebuild the slot array: prefix keeps dynamic state, suffix is new.
-    std::vector<DynSlot> slots(new_trace->slots.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
-        if (i < prefix_len)
-            slots[i] = t.slots[i];      // keep dynamic state
-        setStatic(slots[i], new_trace->slots[i]);
-        if (i < prefix_len) {
-            // Verify selection determinism: the repaired trace must share
-            // the instruction prefix (outcome flags may differ only on
-            // the repaired branch, which is the last prefix slot).
-            panic_if(slots[i].pc != t.slots[i].pc ||
-                     !(slots[i].inst == t.slots[i].inst),
-                     "repair: prefix mismatch at slot %zu", i);
-        } else {
-            slots[i].resetDynamic();
-            slots[i].dest = invalidPhysReg;
-        }
+    // Verify selection determinism: the repaired trace must share the
+    // instruction prefix (outcome flags may differ only on the repaired
+    // branch, which is the last prefix slot).
+    for (size_t i = 0; i < prefix_len; ++i) {
+        panic_if(new_trace->slots[i].pc != t.code[i].pc ||
+                 !(new_trace->slots[i].inst == t.code[i].inst),
+                 "repair: prefix mismatch at slot %zu", i);
     }
-    t.slots = std::move(slots);
-    t.trace = std::move(new_trace);
 
-    auto last_writer = computeDeps(t, map);
+    // The prefix keeps its dynamic state; the suffix starts fresh.
+    t.slots.resize(new_trace->slots.size());
+    std::fill(t.slots.begin() + prefix_len, t.slots.end(), DynSlot{});
+    t.trace = std::move(new_trace);
+    t.code = t.trace->slots.data();
+    renameLiveIns(t, map);
 
     // Destinations are reassigned from scratch below; prefix slots that
     // lost their live-out status must not keep publishing to stale regs.
@@ -188,10 +140,9 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
     t.liveOuts.clear();
     std::array<bool, numArchRegs> reused;
     reused.fill(false);
-    for (int a = 0; a < numArchRegs; ++a) {
-        int w = last_writer[a];
-        if (w < 0)
-            continue;
+    for (const TraceLiveOut &lo : t.trace->liveOuts) {
+        const int a = lo.arch;
+        const int w = lo.slot;
         PhysReg p;
         if (w == old_slot[a] &&
             static_cast<size_t>(w) < prefix_len) {
@@ -223,32 +174,11 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
     t.resetSchedule();
 }
 
-std::vector<int>
+SlotSet
 redispatchInFlightTrace(InFlightTrace &t, RenameMap &map)
 {
-    std::vector<int> changed;
     t.mapBefore = map;
-
-    for (size_t i = 0; i < t.slots.size(); ++i) {
-        DynSlot &d = t.slots[i];
-        bool dirty = false;
-        if (d.dep1 < 0 && d.readsRs1) {
-            PhysReg p = map[d.inst.rs1];
-            if (p != d.src1) {
-                d.src1 = p;
-                dirty = true;
-            }
-        }
-        if (d.dep2 < 0 && d.readsRs2) {
-            PhysReg p = map[d.inst.rs2];
-            if (p != d.src2) {
-                d.src2 = p;
-                dirty = true;
-            }
-        }
-        if (dirty)
-            changed.push_back(static_cast<int>(i));
-    }
+    const SlotSet changed = renameLiveIns(t, map);
 
     // Live-outs keep their mappings (Section 2.2.1).
     for (const auto &lo : t.liveOuts)

@@ -3,11 +3,12 @@
  * Processing-element-resident trace state.
  *
  * Each PE holds one in-flight trace (Figure 2). Intra-trace values are
- * pre-renamed to producer slot indices and bypass locally; live-in and
- * live-out registers are renamed to global physical registers at
- * dispatch. Instructions remain in the PE until retirement, which is
- * what makes selective reissue transparent (Section 2.2.3): whenever an
- * input value arrives again, the consumer simply reissues.
+ * pre-renamed to producer slot indices once, when the trace is selected
+ * (predecode()), and bypass locally; dispatch renames only the live-in
+ * and live-out registers, to global physical registers. Instructions
+ * remain in the PE until retirement, which is what makes selective
+ * reissue transparent (Section 2.2.3): whenever an input value arrives
+ * again, the consumer simply reissues.
  */
 
 #ifndef TPROC_PE_PROCESSING_ELEMENT_HH
@@ -26,71 +27,36 @@
 namespace tproc
 {
 
-/**
- * A set of slots of one trace: bit i stands for slot i. One word holds
- * a whole trace because no trace is longer than maxTraceSlots.
- */
-using SlotSet = uint32_t;
-static_assert(sizeof(SlotSet) * 8 >= maxTraceSlots,
-              "a SlotSet must hold every slot of the longest trace");
-
-inline SlotSet
-slotBit(size_t slot)
-{
-    return SlotSet(1) << slot;
-}
-
-/** Remove the lowest slot from a nonempty set and return it. */
-inline int
-popLowestSlot(SlotSet &set)
-{
-    const int slot = __builtin_ctz(set);
-    set &= set - 1;
-    return slot;
-}
-
 /** InFlightTrace::nextDoneAt while nothing is in flight. */
 constexpr Cycle neverDone = std::numeric_limits<Cycle>::max();
 
 /**
  * Dynamic state of one instruction slot in a PE.
  *
- * Field order is load-bearing for the hot path: the issue/completion
- * phases touch the flags, gate cycles, and renaming fields every cycle,
- * so those lead the struct (first cache lines); the flags are packed
- * together instead of interleaved with wider members.
+ * Only what changes while the trace is resident lives here. The
+ * instruction and its pre-decoded dependences stay in the shared Trace
+ * (InFlightTrace::code): dispatch initializes dynamic state only, and
+ * the phases read static facts from one copy per trace. The flags lead
+ * the struct, packed together, because every scan reads them.
  */
 struct DynSlot
 {
-    /** @name Scheduling flags (hottest: read by every scan). */
+    /** @name Scheduling flags. */
     /// @{
     bool issued = false;
     bool completed = false;
     bool waitingBus = false;    //!< agen done, waiting for a cache bus
     bool agenDone = false;      //!< effective address computed
     bool performed = false;     //!< store version live in the ARB
-    bool isCondBr = false;
-    bool predTaken = false;     //!< outcome the trace was selected with
     bool resolvedTaken = false;     //!< branch outcome of last execution
     /** Value-change filter across reissues: consumers only reissue when
      *  a recompletion actually produced a different value. Deliberately
      *  not cleared by resetDynamic. */
     bool everCompleted = false;
-    bool inRegion = false;
-    bool regionStart = false;
-    /** The ISA's readsRs1/readsRs2/writesReg of inst, cached by
-     *  setStatic: every readiness check reads them. */
-    bool readsRs1 = false;
-    bool readsRs2 = false;
-    bool writesReg = false;
     /// @}
 
-    /** @name Renaming (read by every readiness check). */
+    /** @name Renaming (global registers; intra-trace values bypass). */
     /// @{
-    int dep1 = -1;      //!< producer slot index for rs1, or -1
-    int dep2 = -1;
-    /** Slots whose dep1 or dep2 is this slot (built with the deps). */
-    SlotSet consumers = 0;
     PhysReg src1 = invalidPhysReg;  //!< live-in phys reg for rs1
     PhysReg src2 = invalidPhysReg;
     PhysReg dest = invalidPhysReg;  //!< live-out phys reg (last writers)
@@ -100,19 +66,11 @@ struct DynSlot
     /** @name Execution state. */
     /// @{
     Cycle execDoneAt = 0;   //!< completion time of the in-flight issue
-    Cycle readyAt = 0;      //!< when the local value became consumable
     Cycle earliestIssue = 0;    //!< dispatch / repair / reissue gate
     int64_t value = 0;      //!< result (dest value / store data / br cond)
     int64_t lastValue = 0;
     int64_t srcVal1 = 0;    //!< operand values captured at issue
     int64_t srcVal2 = 0;
-    /// @}
-
-    /** @name Static portion (copied from the selected trace). */
-    /// @{
-    Addr pc = 0;
-    Instruction inst;
-    Addr reconvPc = invalidAddr;
     /// @}
 
     /** @name Memory state. */
@@ -121,16 +79,13 @@ struct DynSlot
     Addr brTarget = invalidAddr;    //!< resolved indirect target
     /// @}
 
-    bool isLoad() const { return inst.op == Opcode::LD; }
-    bool isStore() const { return inst.op == Opcode::ST; }
-
     /** Clear execution state so the slot issues again from scratch.
      *  earliestIssue is preserved; callers adjust it explicitly. */
     void
     resetDynamic()
     {
         issued = completed = false;
-        execDoneAt = readyAt = 0;
+        execDoneAt = 0;
         value = 0;
         resolvedTaken = false;
         brTarget = invalidAddr;
@@ -149,11 +104,21 @@ struct LiveOut
     int slot;
 };
 
-/** A trace resident in a PE, with full recovery metadata. */
+/**
+ * A trace resident in a PE, with full recovery metadata.
+ *
+ * The shared Trace carries everything that depends only on the trace
+ * (instructions, intra-trace dependences, live-out list, slot masks);
+ * this struct carries the renaming and the dynamic state of one
+ * dispatch of it.
+ */
 struct InFlightTrace
 {
     TraceUid uid = invalidTraceUid;
     std::shared_ptr<const Trace> trace;
+    /** trace->slots.data(), cached at dispatch and repair: the static
+     *  half of slot i is code[i]. */
+    const TraceSlot *code = nullptr;
     int peId = -1;
     std::vector<DynSlot> slots;
     std::vector<LiveOut> liveOuts;
@@ -163,32 +128,25 @@ struct InFlightTrace
     RenameMap mapBefore;
     /** Trace predictor path history before this trace was predicted. */
     PathHistory histBefore;
-    /** True if the trace came from the next-trace predictor (vs. being a
-     *  forced fallthrough / fallback construction). */
-    bool fromPredictor = false;
 
     /** Logical position in the window; re-derived from the PE linked
      *  list whenever the window changes (disambiguation support). */
     int64_t logicalPos = -1;
 
-    Cycle dispatchedAt = 0;
-
-    /** Count of executed-and-unhandled branch mispredictions inside this
-     *  trace (retirement gate). */
-    int pendingMisp = 0;
-
     /** @name Scheduling sets (wake-driven issue and completion).
      * The sets change only at the transitions that move a slot, so the
-     * per-cycle issue and completion phases visit the slots that can
-     * act instead of polling the whole trace. A slot is pending while
-     * it is neither issued nor completed.
+     * per-cycle issue, completion and retire phases visit the slots that
+     * can act instead of polling the whole trace. A slot is pending
+     * while it is neither issued nor completed.
+     *  - completed: the slots whose completed flag is set.
      *  - inFlight: issued, not completed, not waiting for a cache bus.
      *  - wake: the pending slots issueTrace visits. A slot enters it at
-     *    dispatch, at repair, at every reissue (including the
-     *    not-yet-issued path that only moves earliestIssue), and when
-     *    one of its local producers completes. It may leave it without
-     *    issuing only while a local producer is incomplete; that
-     *    producer's completion puts it back.
+     *    dispatch if it has no local producer (the trace's roots), at
+     *    repair, at every reissue (including the not-yet-issued path
+     *    that only moves earliestIssue), and when its last incomplete
+     *    local producer completes. It may leave it without issuing only
+     *    while a local producer is incomplete; that producer's
+     *    completion puts it back.
      *  - nextDoneAt: a lower bound on execDoneAt over inFlight;
      *    phaseCompletions skips the trace while it lies in the future.
      * They decide which slots a phase visits, never what it does with
@@ -198,12 +156,21 @@ struct InFlightTrace
      * RandomConfigsComplete (tests/test_processor_properties.cc) call
      * it every cycle. */
     /// @{
+    SlotSet completed = 0;
     SlotSet inFlight = 0;
     SlotSet wake = 0;
     Cycle nextDoneAt = neverDone;
     /// @}
 
     size_t size() const { return slots.size(); }
+
+    /** True while a local producer of slot s is incomplete: s cannot
+     *  issue, and that producer's completion wakes it. */
+    bool
+    waitsOnLocalProducer(size_t s) const
+    {
+        return (code[s].producers & ~completed) != 0;
+    }
 
     /** Slot s started executing (issue, or its cache-bus grant) and
      *  finishes at done. */
@@ -215,19 +182,22 @@ struct InFlightTrace
     }
 
     /** Rebuild the scheduling sets from the slot flags and wake every
-     *  pending slot (dispatch and repair). */
+     *  pending slot (repair). */
     void resetSchedule();
 };
 
 /**
- * Rename a freshly selected trace against the global map, in place.
+ * Dispatch a pre-decoded trace into t: rename it against the global
+ * map, in place.
  *
- * The map is updated in place with the trace's live-outs. Intra-trace
- * dependences become slot indices; live-ins read the pre-update map.
- * t is fully re-initialized for the new trace but keeps its vectors'
- * capacity — the processor's PE slot pool recycles the same
- * InFlightTrace across dispatches, so the steady state allocates
- * nothing.
+ * Intra-trace dependences were resolved to slot indices when the trace
+ * was selected, so this only snapshots the map, reads each live-in's
+ * source from it, allocates a physical register per live-out (in the
+ * trace's ascending register order) and installs them in the map, and
+ * wakes the trace's roots. t is fully re-initialized for the new trace
+ * but keeps its vectors' capacity — the processor's PE slot pool
+ * recycles the same InFlightTrace across dispatches, so the steady
+ * state allocates nothing.
  */
 void initInFlightTrace(InFlightTrace &t, TraceUid uid,
                        std::shared_ptr<const Trace> trace, RenameMap &map,
@@ -260,10 +230,10 @@ void repairInFlightTrace(InFlightTrace &t,
 /**
  * Trace re-dispatch (Section 2.2.1): re-rename live-ins against the
  * updated map; live-outs keep their mappings and are re-installed into
- * the map. @return slot indices whose source register names changed and
+ * the map. @return the slots whose source register names changed and
  * must therefore reissue.
  */
-std::vector<int> redispatchInFlightTrace(InFlightTrace &t, RenameMap &map);
+SlotSet redispatchInFlightTrace(InFlightTrace &t, RenameMap &map);
 
 } // namespace tproc
 

@@ -9,6 +9,16 @@ SelectionResult
 TraceSelector::select(Addr start_pc, const BranchOracle &oracle,
                       ICache *icache, size_t charge_from_slot)
 {
+    SelectionResult res =
+        selectSlots(start_pc, oracle, icache, charge_from_slot);
+    predecode(res.trace);
+    return res;
+}
+
+SelectionResult
+TraceSelector::selectSlots(Addr start_pc, const BranchOracle &oracle,
+                           ICache *icache, size_t charge_from_slot)
+{
     SelectionResult res;
     Trace &tr = res.trace;
     tr.id.startPc = start_pc;

@@ -76,6 +76,7 @@ class TraceSelector
      *        slot index >= charge_from_slot
      * @param charge_from_slot first slot whose fetch is charged (used by
      *        trace repair, which re-fetches only from the branch onward)
+     * @return the trace, pre-decoded (predecode())
      */
     SelectionResult select(Addr start_pc, const BranchOracle &oracle,
                            ICache *icache = nullptr,
@@ -85,6 +86,10 @@ class TraceSelector
     Bit *bitTable() const { return bit; }
 
   private:
+    /** select() up to pre-decoding: choose the slots and charge fetch. */
+    SelectionResult selectSlots(Addr start_pc, const BranchOracle &oracle,
+                                ICache *icache, size_t charge_from_slot);
+
     const Program &prog;
     SelectionParams params;
     Bit *bit;

@@ -1,8 +1,10 @@
 #include "trace/trace.hh"
 
+#include <array>
 #include <cstdio>
 #include <sstream>
 
+#include "common/logging.hh"
 #include "isa/disasm.hh"
 
 namespace tproc
@@ -29,6 +31,49 @@ traceEndName(TraceEnd end)
       case TraceEnd::FG_DEFER: return "fg-defer";
     }
     return "?";
+}
+
+void
+predecode(Trace &tr)
+{
+    // The slot sets are one word wide, and selection never builds a
+    // trace longer than validate() admits.
+    panic_if(tr.slots.size() > static_cast<size_t>(maxTraceSlots),
+             "trace of %zu instructions exceeds the %d-slot cap",
+             tr.slots.size(), maxTraceSlots);
+
+    std::array<int8_t, numArchRegs> last_writer;
+    last_writer.fill(-1);
+    tr.liveInReaders = tr.condBranches = tr.roots = 0;
+    for (size_t i = 0; i < tr.slots.size(); ++i) {
+        TraceSlot &s = tr.slots[i];
+        s.readsRs1 = readsRs1(s.inst);
+        s.readsRs2 = readsRs2(s.inst);
+        s.writesReg = writesReg(s.inst);
+        s.dep1 = s.readsRs1 ? last_writer[s.inst.rs1] : int8_t(-1);
+        s.dep2 = s.readsRs2 ? last_writer[s.inst.rs2] : int8_t(-1);
+        s.producers = s.consumers = 0;
+        for (int dep : {s.dep1, s.dep2}) {
+            if (dep >= 0) {
+                s.producers |= slotBit(dep);
+                tr.slots[dep].consumers |= slotBit(i);
+            }
+        }
+        if (s.liveIn1() || s.liveIn2())
+            tr.liveInReaders |= slotBit(i);
+        if (s.isCondBr)
+            tr.condBranches |= slotBit(i);
+        if (!s.producers)
+            tr.roots |= slotBit(i);
+        if (s.writesReg)
+            last_writer[s.inst.rd] = static_cast<int8_t>(i);
+    }
+
+    tr.liveOuts.clear();
+    for (int a = 0; a < numArchRegs; ++a) {
+        if (last_writer[a] >= 0)
+            tr.liveOuts.push_back({static_cast<ArchReg>(a), last_writer[a]});
+    }
 }
 
 bool

@@ -1,9 +1,9 @@
 /**
  * @file
- * Renaming tests: physical register file, trace renaming (intra-trace
- * dependences vs live-ins/live-outs), repair renaming (prefix register
- * reuse), and the re-dispatch pass (live-ins re-pointed, live-outs
- * stable).
+ * Renaming tests: physical register file, the pre-decoded trace
+ * template (intra-trace dependences vs live-ins/live-outs), dispatch
+ * renaming from it, repair renaming (prefix register reuse), and the
+ * re-dispatch pass (live-ins re-pointed, live-outs stable).
  */
 
 #include <gtest/gtest.h>
@@ -70,14 +70,14 @@ TEST(Rename, IntraTraceDepsAndLiveInOut)
     auto t = makeInFlightTrace(1, tr, map, prf);
 
     // Slot 0: both sources are live-ins (initial map -> zero reg).
-    EXPECT_EQ(t->slots[0].dep1, -1);
+    EXPECT_EQ(tr->slots[0].dep1, -1);
     EXPECT_EQ(t->slots[0].src1, PhysRegFile::zeroReg);
     // Slot 1: rs1 = r3 from slot 0, rs2 = r4 live-in.
-    EXPECT_EQ(t->slots[1].dep1, 0);
-    EXPECT_EQ(t->slots[1].dep2, -1);
+    EXPECT_EQ(tr->slots[1].dep1, 0);
+    EXPECT_EQ(tr->slots[1].dep2, -1);
     // Slot 2: reads r6 from slot 1 twice.
-    EXPECT_EQ(t->slots[2].dep1, 1);
-    EXPECT_EQ(t->slots[2].dep2, 1);
+    EXPECT_EQ(tr->slots[2].dep1, 1);
+    EXPECT_EQ(tr->slots[2].dep2, 1);
 
     // Live-outs: r3 (last writer slot 2) and r6 (slot 1). Slot 0's write
     // of r3 is intra-trace only (no global register).
@@ -87,6 +87,86 @@ TEST(Rename, IntraTraceDepsAndLiveInOut)
     EXPECT_EQ(t->liveOuts.size(), 2u);
     EXPECT_EQ(map[3], t->slots[2].dest);
     EXPECT_EQ(map[6], t->slots[1].dest);
+}
+
+TEST(Rename, TemplateAndDispatchOfABranchyTrace)
+{
+    // A two-producer slot, live-ins, a register written twice and a
+    // conditional branch, selected along its not-taken path.
+    ProgramBuilder b("t");
+    auto join = b.newLabel();
+    b.add(3, 4, 5);         // slot 0: live-ins r4, r5; first write of r3
+    b.addi(6, 4, 7);        // slot 1: live-in r4
+    b.add(7, 3, 6);         // slot 2: producers slots 0 and 1
+    b.bne(7, 4, join);      // slot 3: r7 from slot 2, live-in r4
+    b.addi(3, 7, 1);        // slot 4: second write of r3
+    b.bind(join);
+    b.halt();               // slot 5
+    Program p = b.finish();
+    auto tr = selectFrom(p, 0, false);
+    ASSERT_EQ(tr->size(), 6u);
+
+    const std::vector<std::pair<int, int>> deps = {
+        {-1, -1}, {-1, -1}, {0, 1}, {2, -1}, {2, -1}, {-1, -1}};
+    for (size_t i = 0; i < deps.size(); ++i) {
+        EXPECT_EQ(tr->slots[i].dep1, deps[i].first) << "slot " << i;
+        EXPECT_EQ(tr->slots[i].dep2, deps[i].second) << "slot " << i;
+    }
+    EXPECT_EQ(tr->slots[2].producers, slotBit(0) | slotBit(1));
+    EXPECT_EQ(tr->slots[0].consumers, slotBit(2));
+    EXPECT_EQ(tr->slots[1].consumers, slotBit(2));
+    EXPECT_EQ(tr->slots[2].consumers, slotBit(3) | slotBit(4));
+    EXPECT_EQ(tr->roots, slotBit(0) | slotBit(1) | slotBit(5));
+    EXPECT_EQ(tr->liveInReaders, slotBit(0) | slotBit(1) | slotBit(3));
+    EXPECT_EQ(tr->condBranches, slotBit(3));
+    // Live-outs in ascending register order; slot 0's write of r3 is
+    // overwritten by slot 4 inside the trace.
+    ASSERT_EQ(tr->liveOuts.size(), 3u);
+    EXPECT_EQ(tr->liveOuts[0].arch, 3);
+    EXPECT_EQ(tr->liveOuts[0].slot, 4);
+    EXPECT_EQ(tr->liveOuts[1].arch, 6);
+    EXPECT_EQ(tr->liveOuts[1].slot, 1);
+    EXPECT_EQ(tr->liveOuts[2].arch, 7);
+    EXPECT_EQ(tr->liveOuts[2].slot, 2);
+
+    // Dispatch against a map where the live-ins have their own
+    // registers.
+    PhysRegFile prf(256);
+    RenameMap map = PhysRegFile::initialMap();
+    map[4] = prf.alloc();
+    map[5] = prf.alloc();
+    const RenameMap before = map;
+    auto t = makeInFlightTrace(1, tr, map, prf);
+
+    EXPECT_EQ(t->wake, tr->roots);
+    EXPECT_EQ(t->completed, 0u);
+    EXPECT_EQ(t->inFlight, 0u);
+    EXPECT_EQ(t->code, tr->slots.data());
+    EXPECT_EQ(t->mapBefore, before);
+    // Live-in sources read the pre-dispatch map; local operands have
+    // no global source.
+    for (size_t i = 0; i < tr->size(); ++i) {
+        const TraceSlot &c = tr->slots[i];
+        EXPECT_EQ(t->slots[i].src1,
+                  c.liveIn1() ? before[c.inst.rs1] : invalidPhysReg)
+            << "slot " << i;
+        EXPECT_EQ(t->slots[i].src2,
+                  c.liveIn2() ? before[c.inst.rs2] : invalidPhysReg)
+            << "slot " << i;
+    }
+    EXPECT_EQ(t->slots[0].src1, before[4]);
+    EXPECT_EQ(t->slots[0].src2, before[5]);
+    EXPECT_EQ(t->slots[3].src2, before[4]);
+    // Live-out destinations are the post-dispatch map.
+    ASSERT_EQ(t->liveOuts.size(), 3u);
+    for (const LiveOut &lo : t->liveOuts) {
+        EXPECT_EQ(t->slots[lo.slot].dest, map[lo.arch]);
+        EXPECT_EQ(lo.phys, map[lo.arch]);
+    }
+    EXPECT_EQ(t->slots[4].dest, map[3]);
+    EXPECT_EQ(t->slots[0].dest, invalidPhysReg);
+    EXPECT_EQ(map[4], before[4]);
+    EXPECT_EQ(map[5], before[5]);
 }
 
 TEST(Rename, RepairKeepsPrefixRegistersAndFreesSuffix)
@@ -160,9 +240,8 @@ TEST(Rename, RedispatchRepointsLiveInsKeepsLiveOuts)
     PhysReg new_r4 = prf.alloc();
     map2[4] = new_r4;
 
-    auto changed = redispatchInFlightTrace(*t, map2);
-    ASSERT_EQ(changed.size(), 1u);
-    EXPECT_EQ(changed[0], 0);
+    SlotSet changed = redispatchInFlightTrace(*t, map2);
+    EXPECT_EQ(changed, slotBit(0));
     EXPECT_EQ(t->slots[0].src1, new_r4);
     EXPECT_NE(t->slots[0].src1, old_src);
     // Live-out mapping unchanged and re-installed.
@@ -170,8 +249,7 @@ TEST(Rename, RedispatchRepointsLiveInsKeepsLiveOuts)
     EXPECT_EQ(map2[3], out);
 
     // Re-dispatch with the same map: nothing changes.
-    auto changed2 = redispatchInFlightTrace(*t, map2);
-    EXPECT_TRUE(changed2.empty());
+    EXPECT_EQ(redispatchInFlightTrace(*t, map2), 0u);
 }
 
 } // namespace tproc

@@ -1,12 +1,15 @@
 /**
  * @file
  * Trace selection tests: end conditions (length, indirect, ntb, halt,
- * fg-defer), FGCI padding semantics, determinism, and the trace identity
+ * fg-defer), FGCI padding semantics, determinism, the trace identity
  * round trip (re-selecting with a trace's own outcome bits reproduces
- * the trace exactly — the property repair and the trace cache rely on).
+ * the trace exactly — the property repair and the trace cache rely on),
+ * and the pre-decoded template against a direct recomputation.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "common/random.hh"
 #include "program/builder.hh"
@@ -22,6 +25,88 @@ BranchOracle
 constOracle(bool taken)
 {
     return [taken](int, Addr, const Instruction &, bool) { return taken; };
+}
+
+/**
+ * Reference for predecode(): the per-dispatch dependence walk the
+ * template replaced, recomputed from the instructions alone. Fails on
+ * the first field that differs.
+ */
+::testing::AssertionResult
+templateMatchesWalk(const Trace &tr)
+{
+    const size_t n = tr.slots.size();
+    std::array<int, numArchRegs> last_writer;
+    last_writer.fill(-1);
+    std::vector<int> dep1(n, -1), dep2(n, -1);
+    std::vector<SlotSet> consumers(n, 0);
+    SlotSet live_in_readers = 0, cond_branches = 0, roots = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const Instruction &inst = tr.slots[i].inst;
+        bool live_in = false;
+        if (readsRs1(inst)) {
+            dep1[i] = last_writer[inst.rs1];
+            live_in |= dep1[i] < 0;
+        }
+        if (readsRs2(inst)) {
+            dep2[i] = last_writer[inst.rs2];
+            live_in |= dep2[i] < 0;
+        }
+        for (int dep : {dep1[i], dep2[i]}) {
+            if (dep >= 0)
+                consumers[dep] |= slotBit(i);
+        }
+        if (live_in)
+            live_in_readers |= slotBit(i);
+        if (isCondBranch(inst.op))
+            cond_branches |= slotBit(i);
+        if (dep1[i] < 0 && dep2[i] < 0)
+            roots |= slotBit(i);
+        if (writesReg(inst))
+            last_writer[inst.rd] = static_cast<int>(i);
+    }
+
+    auto fail = [](size_t slot, const char *what) {
+        return ::testing::AssertionFailure()
+            << what << " differs at slot " << slot;
+    };
+    for (size_t i = 0; i < n; ++i) {
+        const TraceSlot &s = tr.slots[i];
+        const Instruction &inst = s.inst;
+        if (s.readsRs1 != readsRs1(inst) || s.readsRs2 != readsRs2(inst) ||
+            s.writesReg != writesReg(inst))
+            return fail(i, "operand-use flags");
+        if (s.dep1 != dep1[i] || s.dep2 != dep2[i])
+            return fail(i, "dep1/dep2");
+        SlotSet producers = 0;
+        for (int dep : {dep1[i], dep2[i]}) {
+            if (dep >= 0)
+                producers |= slotBit(dep);
+        }
+        if (s.producers != producers)
+            return fail(i, "producer set");
+        if (s.consumers != consumers[i])
+            return fail(i, "consumer set");
+    }
+    if (tr.liveInReaders != live_in_readers)
+        return ::testing::AssertionFailure() << "live-in reader mask";
+    if (tr.condBranches != cond_branches)
+        return ::testing::AssertionFailure() << "branch mask";
+    if (tr.roots != roots)
+        return ::testing::AssertionFailure() << "root mask";
+    std::vector<std::pair<int, int>> live_outs;
+    for (int a = 0; a < numArchRegs; ++a) {
+        if (last_writer[a] >= 0)
+            live_outs.emplace_back(a, last_writer[a]);
+    }
+    if (tr.liveOuts.size() != live_outs.size())
+        return ::testing::AssertionFailure() << "live-out count";
+    for (size_t k = 0; k < live_outs.size(); ++k) {
+        if (tr.liveOuts[k].arch != live_outs[k].first ||
+            tr.liveOuts[k].slot != live_outs[k].second)
+            return ::testing::AssertionFailure() << "live-out " << k;
+    }
+    return ::testing::AssertionSuccess();
 }
 
 Program
@@ -179,7 +264,8 @@ TEST(Selection, IdRoundTripOnWorkloads)
 {
     // For every workload: select traces along the actual execution path,
     // then re-select each from its own id bits; the result must be
-    // identical (trace identity is complete).
+    // identical (trace identity is complete). Each trace's pre-decoded
+    // template must equal a direct recomputation.
     for (const auto &name : workloadNames()) {
         Workload w = makeWorkload(name, 3);
         for (int variant = 0; variant < 2; ++variant) {
@@ -198,6 +284,8 @@ TEST(Selection, IdRoundTripOnWorkloads)
             Addr pc = w.program.entry;
             for (int i = 0; i < 40 && pc != invalidAddr; ++i) {
                 auto r = sel.select(pc, random_oracle);
+                ASSERT_TRUE(templateMatchesWalk(r.trace))
+                    << name << " trace " << i << "\n" << r.trace.str();
                 auto replay = sel.select(pc, makeIdOracle(r.trace.id));
                 ASSERT_EQ(replay.trace.id, r.trace.id)
                     << name << " trace " << i;
