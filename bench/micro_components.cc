@@ -108,16 +108,19 @@ BENCHMARK(BM_TracePredictor);
 void
 BM_ArbStoreLoad(benchmark::State &state)
 {
-    Arb arb([](TraceUid uid) { return static_cast<int64_t>(uid); });
+    // One PE at the window head, re-used by a new trace every
+    // iteration (each trace retires before the next dispatches).
+    Arb arb(1);
+    arb.setPosition(0, 0);
     SparseMemory mem;
     TraceUid uid = 0;
     for (auto _ : state) {
         Addr a = uid % 64;
-        arb.storePerform(uid, 1, a, static_cast<int64_t>(uid));
-        auto r = arb.loadAccess(uid, 2, a, mem);
+        arb.storePerform(0, uid, 1, a, static_cast<int64_t>(uid));
+        auto r = arb.loadAccess(0, uid, 2, a, mem);
         benchmark::DoNotOptimize(r.value);
-        arb.loadRemove(uid, 2);
-        arb.commitStore(uid, 1, mem);
+        arb.loadRemove(0, 2);
+        arb.commitStore(0, 1, mem);
         ++uid;
     }
 }

@@ -1,6 +1,5 @@
 #include "arb/arb.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -38,206 +37,249 @@ watchAddr()
 namespace tproc
 {
 
-Arb::Arb(OrderFn order_fn) : order(std::move(order_fn)) {}
+Arb::Arb(int num_pes)
+    : entries(static_cast<size_t>(num_pes) * maxTraceSlots),
+      positions(num_pes, -1)
+{
+    // At least one bucket per entry, a power of two: the chains stay
+    // about one entry long even when every slot holds a memory op.
+    int bits = 0;
+    while ((size_t{1} << bits) < entries.size())
+        ++bits;
+    bucketShift = 64 - bits;
+    loadChains.resize(size_t{1} << bits);
+    storeChains.resize(size_t{1} << bits);
+}
+
+size_t
+Arb::bucketOf(Addr addr) const
+{
+    // Fibonacci hashing: word addresses with any stride spread evenly.
+    return static_cast<size_t>((addr * 0x9E3779B97F4A7C15ull) >>
+                               bucketShift);
+}
+
+Arb::Chain &
+Arb::chain(Kind kind, Addr addr)
+{
+    return (kind == Kind::Load ? loadChains : storeChains)[bucketOf(addr)];
+}
+
+void
+Arb::link(int32_t e, Kind kind, Addr addr)
+{
+    Entry &x = entries[e];
+    Chain &c = chain(kind, addr);
+    x.kind = kind;
+    x.addr = addr;
+    x.prev = c.tail;
+    x.next = -1;
+    if (c.tail >= 0)
+        entries[c.tail].next = e;
+    else
+        c.head = e;
+    c.tail = e;
+}
+
+void
+Arb::unlink(int32_t e)
+{
+    Entry &x = entries[e];
+    Chain &c = chain(x.kind, x.addr);
+    if (x.prev >= 0)
+        entries[x.prev].next = x.next;
+    else
+        c.head = x.next;
+    if (x.next >= 0)
+        entries[x.next].prev = x.prev;
+    else
+        c.tail = x.prev;
+    x.kind = Kind::Free;
+}
 
 int64_t
-Arb::seqOf(TraceUid uid, int slot) const
+Arb::seqOf(int32_t e) const
 {
-    int64_t pos = order(uid);
-    panic_if(pos < 0, "Arb: ordering queried for unknown trace %llu",
-             static_cast<unsigned long long>(uid));
-    return pos * 64 + slot;
+    const int pe = e / maxTraceSlots;
+    const int64_t pos = positions[pe];
+    panic_if(pos < 0, "Arb: ordering queried for free PE %d (trace %llu)",
+             pe, static_cast<unsigned long long>(entries[e].uid));
+    return pos * 64 + e % maxTraceSlots;
 }
 
 void
-Arb::flagViolation(const SeqTag &load)
+Arb::flagViolation(int32_t load)
 {
     ++violations;
-    pendingViolations.push_back(load);
+    pendingViolations.push_back({entries[load].uid, load % maxTraceSlots});
 }
 
 void
-Arb::storePerform(TraceUid uid, int slot, Addr addr, int64_t value)
+Arb::storePerform(int pe, TraceUid uid, int slot, Addr addr, int64_t value)
 {
-    SeqTag tag{uid, slot};
+    const int32_t e = indexOf(pe, slot);
+    Entry &s = entries[e];
+    panic_if(s.kind == Kind::Load, "storePerform: PE %d slot %d is a load",
+             pe, slot);
 
     // Re-execution to a different address shows up as undo + perform.
-    auto idx = storeIndex.find(tag);
-    if (idx != storeIndex.end() && idx->second != addr)
-        storeUndo(uid, slot);
+    if (s.kind == Kind::Store && s.addr != addr)
+        storeUndo(pe, slot);
 
     WATCH(addr, "storePerform uid=%llu slot=%d val=%lld",
           (unsigned long long)uid, slot, (long long)value);
-    auto &vers = stores[addr];
-    auto it = std::find_if(vers.begin(), vers.end(), [&](const auto &v) {
-        return v.uid == uid && v.slot == slot;
-    });
-    if (it != vers.end())
-        it->value = value;
-    else
-        vers.push_back({uid, slot, value});
-    storeIndex[tag] = addr;
+    if (s.kind == Kind::Free) {
+        link(e, Kind::Store, addr);
+        ++stores;
+    }
+    s.uid = uid;
+    s.value = value;
 
     // Snoop: a load must reissue if it is logically after this store and
     // consumed either an older version (or raw memory), or this very
     // version with a now-different value.
-    int64_t store_seq = seqOf(uid, slot);
-    auto lit = loads.find(addr);
-    if (lit == loads.end())
-        return;
-    for (const auto &le : lit->second) {
-        int64_t load_seq = seqOf(le.uid, le.slot);
-        if (load_seq <= store_seq)
+    const int64_t store_seq = seqOf(e);
+    for (int32_t l = chain(Kind::Load, addr).head; l >= 0;
+         l = entries[l].next) {
+        const Entry &le = entries[l];
+        if (le.addr != addr || seqOf(l) <= store_seq)
             continue;
-        if (!le.src.valid()) {
-            flagViolation({le.uid, le.slot});       // consumed memory
+        if (le.src < 0) {
+            flagViolation(l);       // consumed memory
         } else {
-            int64_t src_seq = seqOf(le.src.uid, le.src.slot);
-            if (src_seq < store_seq) {
-                flagViolation({le.uid, le.slot});   // older version
-            } else if (src_seq == store_seq && le.observed != value) {
-                flagViolation({le.uid, le.slot});   // value changed
-            }
+            const int64_t src_seq = seqOf(le.src);
+            if (src_seq < store_seq)
+                flagViolation(l);   // older version
+            else if (src_seq == store_seq && le.value != value)
+                flagViolation(l);   // value changed
         }
     }
 }
 
 void
-Arb::storeUndo(TraceUid uid, int slot)
+Arb::storeUndo(int pe, int slot)
 {
-    SeqTag tag{uid, slot};
-    auto idx = storeIndex.find(tag);
-    if (idx == storeIndex.end())
+    const int32_t e = indexOf(pe, slot);
+    Entry &s = entries[e];
+    if (s.kind != Kind::Store)
         return;     // store never performed (nothing to undo)
-    Addr addr = idx->second;
-    storeIndex.erase(idx);
-    WATCH(addr, "storeUndo uid=%llu slot=%d", (unsigned long long)uid, slot);
-
-    auto &vers = stores[addr];
-    vers.erase(std::remove_if(vers.begin(), vers.end(),
-                              [&](const auto &v) {
-                                  return v.uid == uid && v.slot == slot;
-                              }),
-               vers.end());
-    if (vers.empty())
-        stores.erase(addr);
+    const Addr addr = s.addr;
+    WATCH(addr, "storeUndo uid=%llu slot=%d", (unsigned long long)s.uid,
+          slot);
+    unlink(e);
+    --stores;
 
     // Loads snoop the undo: any load whose data came from this store
     // must reissue (Section 2.2.2). Re-point their source at memory so
-    // later snoops do not dereference a dead sequence number.
-    auto lit = loads.find(addr);
-    if (lit == loads.end())
-        return;
-    for (auto &le : lit->second) {
-        if (le.src == tag) {
-            flagViolation({le.uid, le.slot});
-            le.src = SeqTag{};
+    // later snoops do not order a dead version.
+    for (int32_t l = chain(Kind::Load, addr).head; l >= 0;
+         l = entries[l].next) {
+        if (entries[l].src == e) {
+            flagViolation(l);
+            entries[l].src = -1;
         }
     }
 }
 
 void
-Arb::commitStore(TraceUid uid, int slot, SparseMemory &mem)
+Arb::commitStore(int pe, int slot, SparseMemory &mem)
 {
-    SeqTag tag{uid, slot};
-    auto idx = storeIndex.find(tag);
-    panic_if(idx == storeIndex.end(),
-             "commitStore: store %llu/%d not in ARB",
-             static_cast<unsigned long long>(uid), slot);
-    Addr addr = idx->second;
-    storeIndex.erase(idx);
-
-    auto &vers = stores[addr];
-    auto it = std::find_if(vers.begin(), vers.end(), [&](const auto &v) {
-        return v.uid == uid && v.slot == slot;
-    });
-    panic_if(it == vers.end(), "commitStore: version missing");
+    const int32_t e = indexOf(pe, slot);
+    Entry &s = entries[e];
+    panic_if(s.kind != Kind::Store, "commitStore: PE %d slot %d not in ARB",
+             pe, slot);
+    const Addr addr = s.addr;
     WATCH(addr, "commitStore uid=%llu slot=%d val=%lld",
-          (unsigned long long)uid, slot, (long long)it->value);
-    mem.write(addr, it->value);
-    vers.erase(it);
-    if (vers.empty())
-        stores.erase(addr);
+          (unsigned long long)s.uid, slot, (long long)s.value);
+    mem.write(addr, s.value);
+    unlink(e);
+    --stores;
 
     // Loads that consumed this version now effectively read memory (the
     // value is unchanged); re-point them so ordering stays well-defined.
-    auto lit = loads.find(addr);
-    if (lit != loads.end()) {
-        for (auto &le : lit->second) {
-            if (le.src == tag)
-                le.src = SeqTag{};
-        }
+    for (int32_t l = chain(Kind::Load, addr).head; l >= 0;
+         l = entries[l].next) {
+        if (entries[l].src == e)
+            entries[l].src = -1;
     }
-}
-
-bool
-Arb::storePerformed(TraceUid uid, int slot) const
-{
-    return storeIndex.count({uid, slot}) != 0;
 }
 
 Arb::LoadResult
-Arb::loadAccess(TraceUid uid, int slot, Addr addr, const SparseMemory &mem)
+Arb::loadAccess(int pe, TraceUid uid, int slot, Addr addr,
+                const SparseMemory &mem)
 {
+    const int32_t e = indexOf(pe, slot);
+    panic_if(entries[e].kind == Kind::Store,
+             "loadAccess: PE %d slot %d is a store", pe, slot);
+
     // Drop any previous registration (a reissuing load re-queries).
-    loadRemove(uid, slot);
+    loadRemove(pe, slot);
 
-    LoadResult res;
-    int64_t load_seq = seqOf(uid, slot);
-
-    auto sit = stores.find(addr);
-    if (sit != stores.end()) {
-        int64_t best_seq = -1;
-        const StoreVersion *best = nullptr;
-        for (const auto &v : sit->second) {
-            int64_t s = seqOf(v.uid, v.slot);
-            if (s < load_seq && s > best_seq) {
-                best_seq = s;
-                best = &v;
-            }
-        }
-        if (best) {
-            res.value = best->value;
-            res.fromStore = true;
-            res.src = {best->uid, best->slot};
+    const int64_t load_seq = seqOf(e);
+    int64_t best_seq = -1;
+    int32_t best = -1;
+    for (int32_t s = chain(Kind::Store, addr).head; s >= 0;
+         s = entries[s].next) {
+        if (entries[s].addr != addr)
+            continue;
+        const int64_t seq = seqOf(s);
+        if (seq < load_seq && seq > best_seq) {
+            best_seq = seq;
+            best = s;
         }
     }
-    if (!res.fromStore)
+
+    LoadResult res;
+    if (best >= 0) {
+        res.value = entries[best].value;
+        res.fromStore = true;
+        res.src = {entries[best].uid, best % maxTraceSlots};
+    } else {
         res.value = mem.read(addr);
+    }
 
     WATCH(addr, "loadAccess uid=%llu slot=%d -> val=%lld fromStore=%d "
           "(src %llu/%d)", (unsigned long long)uid, slot,
           (long long)res.value, res.fromStore ? 1 : 0,
           (unsigned long long)res.src.uid, res.src.slot);
-    loads[addr].push_back({uid, slot, res.src, res.value});
-    loadIndex[{uid, slot}] = addr;
+    link(e, Kind::Load, addr);
+    Entry &le = entries[e];
+    le.uid = uid;
+    le.value = res.value;
+    le.src = best;
+    ++loads;
     return res;
 }
 
 void
-Arb::loadRemove(TraceUid uid, int slot)
+Arb::loadRemove(int pe, int slot)
 {
-    SeqTag tag{uid, slot};
-    auto idx = loadIndex.find(tag);
-    if (idx == loadIndex.end())
+    const int32_t e = indexOf(pe, slot);
+    if (entries[e].kind != Kind::Load)
         return;
-    Addr addr = idx->second;
-    loadIndex.erase(idx);
-
-    auto &ls = loads[addr];
-    ls.erase(std::remove_if(ls.begin(), ls.end(),
-                            [&](const auto &le) {
-                                return le.uid == uid && le.slot == slot;
-                            }),
-             ls.end());
-    if (ls.empty())
-        loads.erase(addr);
+    unlink(e);
+    --loads;
 }
 
-std::vector<SeqTag>
-Arb::takeViolations()
+void
+Arb::takeViolations(std::vector<SeqTag> &out)
 {
-    return std::exchange(pendingViolations, {});
+    out.clear();
+    std::swap(out, pendingViolations);
+}
+
+Arb::EntryView
+Arb::entry(int pe, int slot) const
+{
+    const Entry &x = entries[indexOf(pe, slot)];
+    EntryView v;
+    v.isLoad = x.kind == Kind::Load;
+    v.isStore = x.kind == Kind::Store;
+    if (x.kind != Kind::Free) {
+        v.addr = x.addr;
+        v.value = x.value;
+    }
+    return v;
 }
 
 } // namespace tproc

@@ -80,7 +80,7 @@ Processor::Processor(const Program &prog_, const ProcessorConfig &cfg_,
                      std::unique_ptr<ArchSource> golden_source)
     : prog(prog_), cfg(validated(cfg_)), frontend(prog_, cfg),
       dcache(cfg.dcache),
-      arb([this](TraceUid uid) { return orderOf(uid); }),
+      arb(cfg.numPEs),
       prf(cfg.physRegs), map(PhysRegFile::initialMap()),
       retireMap(PhysRegFile::initialMap()),
       dispatchExpectedPc(prog_.entry)
@@ -140,18 +140,15 @@ Processor::windowIndex(TraceUid uid) const
     return t ? static_cast<int>(t->logicalPos) : -1;
 }
 
-int64_t
-Processor::orderOf(TraceUid uid) const
-{
-    const InFlightTrace *t = find(uid);
-    return t ? t->logicalPos : -1;
-}
-
 void
 Processor::refreshLogicalPositions()
 {
-    for (size_t i = 0; i < window.size(); ++i)
+    for (int pe : freePes)
+        arb.setPosition(pe, -1);
+    for (size_t i = 0; i < window.size(); ++i) {
         pePool[windowPe[i]].logicalPos = static_cast<int64_t>(i);
+        arb.setPosition(windowPe[i], static_cast<int64_t>(i));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -585,9 +582,9 @@ Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
     }
     const TraceSlot &c = t.code[slot];
     if (c.isLoad())
-        arb.loadRemove(t.uid, slot);
+        arb.loadRemove(t.peId, slot);
     if (c.isStore() && d.performed)
-        arb.storeUndo(t.uid, slot);
+        arb.storeUndo(t.peId, slot);
     t.inFlight &= ~slotBit(slot);
     t.completed &= ~slotBit(slot);
     d.resetDynamic();
@@ -658,15 +655,16 @@ Processor::phaseCacheBuses()
         d.waitingBus = false;
 
         if (t->code[req.slot].isLoad()) {
-            Arb::LoadResult r = arb.loadAccess(t->uid, req.slot, d.effAddr,
-                                               mem);
+            Arb::LoadResult r = arb.loadAccess(t->peId, t->uid, req.slot,
+                                               d.effAddr, mem);
             d.value = r.value;
             int lat = r.fromStore ? 2 : dcache.loadLatency(d.effAddr);
             if (d.issueCount > 1)
                 lat += cfg.loadReissuePenalty;
             d.execDoneAt = curCycle + lat;
         } else {
-            arb.storePerform(t->uid, req.slot, d.effAddr, d.srcVal2);
+            arb.storePerform(t->peId, t->uid, req.slot, d.effAddr,
+                             d.srcVal2);
             d.performed = true;
             d.value = d.srcVal2;
             d.execDoneAt = curCycle + 1;
@@ -723,7 +721,8 @@ Processor::phaseResultBuses()
 void
 Processor::phaseViolations()
 {
-    for (const SeqTag &tag : arb.takeViolations()) {
+    arb.takeViolations(violationsTaken);
+    for (const SeqTag &tag : violationsTaken) {
         InFlightTrace *t = find(tag.uid);
         if (!t || tag.slot >= static_cast<int>(t->slots.size()))
             continue;
@@ -955,9 +954,9 @@ Processor::recoverCond(InFlightTrace &t, int slot)
     // ARB cleanup for the suffix being replaced.
     for (size_t i = rep.prefixLen; i < t.slots.size(); ++i) {
         if (t.code[i].isLoad())
-            arb.loadRemove(t.uid, static_cast<int>(i));
+            arb.loadRemove(t.peId, static_cast<int>(i));
         if (t.code[i].isStore() && t.slots[i].performed)
-            arb.storeUndo(t.uid, static_cast<int>(i));
+            arb.storeUndo(t.peId, static_cast<int>(i));
     }
 
     // 2. Back the global rename maps up to this trace and re-rename.
@@ -1030,9 +1029,9 @@ Processor::squashTrace(TraceUid uid)
 
     for (size_t i = 0; i < t->slots.size(); ++i) {
         if (t->code[i].isLoad())
-            arb.loadRemove(uid, static_cast<int>(i));
+            arb.loadRemove(t->peId, static_cast<int>(i));
         if (t->code[i].isStore() && t->slots[i].performed)
-            arb.storeUndo(uid, static_cast<int>(i));
+            arb.storeUndo(t->peId, static_cast<int>(i));
     }
     for (const auto &lo : t->liveOuts)
         deferredFree.push_back(lo.phys);
@@ -1341,11 +1340,11 @@ Processor::phaseRetire()
         if (golden)
             verifyRetiredSlot(t, static_cast<int>(i));
         if (c.isStore()) {
-            arb.commitStore(t.uid, static_cast<int>(i), mem);
+            arb.commitStore(t.peId, static_cast<int>(i), mem);
             dcache.storeCommit(d.effAddr);
         }
         if (c.isLoad())
-            arb.loadRemove(t.uid, static_cast<int>(i));
+            arb.loadRemove(t.peId, static_cast<int>(i));
         if (c.isCondBr) {
             ++stats.retiredCondBranches;
             frontend.branchPredictor().update(c.pc, d.resolvedTaken);
@@ -1439,6 +1438,41 @@ Processor::checkInvariants() const
             panic_if(t.code[s].consumers != consumers[s],
                      "consumer set of slot %zu does not mirror the "
                      "producer sets (pos %zu)", s, i);
+        }
+        // The ARB holds exactly this trace's registered loads and
+        // performed stores, at their addresses, in window order.
+        panic_if(arb.position(pe) != static_cast<int64_t>(i),
+                 "ARB position of PE %d out of sync (pos %zu)", pe, i);
+        for (size_t s = 0; s < t.slots.size(); ++s) {
+            const DynSlot &d = t.slots[s];
+            const TraceSlot &c = t.code[s];
+            const Arb::EntryView e = arb.entry(pe, static_cast<int>(s));
+            const bool load = c.isLoad() && d.agenDone && !d.waitingBus;
+            const bool store = c.isStore() && d.performed;
+            panic_if(e.isLoad != load || e.isStore != store,
+                     "ARB entry of slot %zu out of sync (pos %zu)", s, i);
+            panic_if((load || store) && e.addr != d.effAddr,
+                     "ARB entry of slot %zu at the wrong address (pos %zu)",
+                     s, i);
+            panic_if(store && e.value != d.value,
+                     "ARB version of slot %zu holds a stale value "
+                     "(pos %zu)", s, i);
+        }
+        for (int s = static_cast<int>(t.slots.size()); s < maxTraceSlots;
+             ++s) {
+            const Arb::EntryView e = arb.entry(pe, s);
+            panic_if(e.isLoad || e.isStore,
+                     "ARB entry past the end of the trace (pos %zu, slot "
+                     "%d)", i, s);
+        }
+    }
+    for (int pe : freePes) {
+        panic_if(arb.position(pe) != -1,
+                 "ARB orders free PE %d", pe);
+        for (int s = 0; s < maxTraceSlots; ++s) {
+            const Arb::EntryView e = arb.entry(pe, s);
+            panic_if(e.isLoad || e.isStore,
+                     "ARB entry on free PE %d (slot %d)", pe, s);
         }
     }
 }

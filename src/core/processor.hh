@@ -39,6 +39,15 @@
  * checkInvariants() checks every set against the slot flags; the tests
  * WorkloadModel.VerifiedSlice, SmallMachineStillCorrect and
  * RandomConfigsComplete call it every cycle.
+ *
+ * Memory disambiguation goes through the ARB (arb.hh), addressed by
+ * (PE, slot): every window mutation ends in refreshLogicalPositions(),
+ * which keeps the ARB's per-PE position array equal to logicalPos (-1
+ * for a free PE). A violation names the load's trace uid, so
+ * phaseViolations drops one raised against a trace that was squashed,
+ * and its PE re-dispatched, before the phase ran. checkInvariants()
+ * also checks that the ARB holds exactly the registered loads and the
+ * performed stores, at their addresses, and nothing on a free PE.
  */
 
 #ifndef TPROC_CORE_PROCESSOR_HH
@@ -253,7 +262,9 @@ class Processor
         return pePool[windowPe[wpos]];
     }
     int windowIndex(TraceUid uid) const;    //!< -1 if absent
-    int64_t orderOf(TraceUid uid) const;    //!< ARB ordering callback
+    /** Re-derive every resident trace's logicalPos and the ARB's
+     *  per-PE position array (-1 for a free PE) after a window
+     *  mutation. */
     void refreshLogicalPositions();
     /// @}
 
@@ -354,6 +365,7 @@ class Processor
     std::vector<CacheRequest> cacheKept;
     std::vector<BusRequest> busKept;
     std::vector<MispEvent> eventsKept;
+    std::vector<SeqTag> violationsTaken;
     /// @}
 
     /** Telemetry recorder state; null when cfg.metricsInterval is 0. */

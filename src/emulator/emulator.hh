@@ -11,6 +11,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 
 #include "emulator/arch_source.hh"
@@ -19,30 +20,50 @@
 namespace tproc
 {
 
-/** Sparse word-addressed data memory. Unwritten words read as zero. */
+/**
+ * Sparse word-addressed data memory. Unwritten words read as zero.
+ *
+ * Words live in fixed-size, zero-filled pages behind a page-keyed
+ * directory, so loading a program's data image fills a few dozen pages
+ * rather than allocating a node per word. Only write() and load()
+ * create pages: read() changes no state and returns 0 for any unwritten
+ * word, including the garbage addresses wrong-path loads compute.
+ */
 class SparseMemory
 {
   public:
+    static constexpr int pageBits = 9;
+    static constexpr Addr pageWords = Addr{1} << pageBits;
+
     int64_t
     read(Addr addr) const
     {
-        auto it = words.find(addr);
-        return it == words.end() ? 0 : it->second;
+        auto it = pages.find(addr >> pageBits);
+        return it == pages.end() ? 0 : (*it->second)[addr & (pageWords - 1)];
     }
 
-    void write(Addr addr, int64_t value) { words[addr] = value; }
+    void
+    write(Addr addr, int64_t value)
+    {
+        auto &page = pages[addr >> pageBits];
+        if (!page)
+            page = std::make_unique<Page>();
+        (*page)[addr & (pageWords - 1)] = value;
+    }
 
     void
     load(const std::unordered_map<Addr, int64_t> &image)
     {
         for (const auto &[a, v] : image)
-            words[a] = v;
+            write(a, v);
     }
 
-    size_t footprint() const { return words.size(); }
+    /** Pages allocated so far (tests). */
+    size_t pageCount() const { return pages.size(); }
 
   private:
-    std::unordered_map<Addr, int64_t> words;
+    using Page = std::array<int64_t, pageWords>;
+    std::unordered_map<Addr, std::unique_ptr<Page>> pages;
 };
 
 /** Pure ALU evaluation shared between the emulator and the timing

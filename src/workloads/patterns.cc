@@ -6,10 +6,10 @@ namespace tproc
 {
 
 void
-PatternContext::loadIndexed(Addr base, size_t n, ArchReg val_reg)
+PatternContext::loadMasked(Addr base, size_t n, ArchReg val_reg)
 {
     panic_if(n == 0 || (n & (n - 1)) != 0,
-             "loadIndexed: length must be a power of two");
+             "loadMasked: length must be a power of two");
     b.andi(tmp, idx, static_cast<int64_t>(n - 1));
     b.lui(addr, static_cast<int64_t>(base));
     b.add(addr, addr, tmp);
@@ -30,7 +30,7 @@ kHammock(PatternContext &cx, ArchReg out_reg, ArchReg out_reg2,
     ProgramBuilder &b = cx.b;
     Addr flags = cx.biasedFlags(o.flagsLen, o.takenBias);
 
-    cx.loadIndexed(flags, o.flagsLen, PatternContext::val);
+    cx.loadMasked(flags, o.flagsLen, PatternContext::val);
     // Seed the outputs from loop-invariant state: iterations are data
     // independent of each other (the common shape in real loops, and the
     // premise under which control independence preserves useful work).
@@ -70,8 +70,8 @@ kNestedHammock(PatternContext &cx, ArchReg out_reg, double bias1,
     Addr f2 = cx.biasedFlags(4096, bias2);
     ArchReg o2 = PatternContext::tmp2;
 
-    cx.loadIndexed(f1, 4096, PatternContext::val);
-    cx.loadIndexed(f2, 4096, o2);
+    cx.loadMasked(f1, 4096, PatternContext::val);
+    cx.loadMasked(f2, 4096, o2);
     b.addi(out_reg, PatternContext::idx, 5);
 
     auto outer_then = b.newLabel();
@@ -107,7 +107,7 @@ kInnerLoop(PatternContext &cx, ArchReg out_reg, int max_trips,
     });
     ArchReg o2 = PatternContext::tmp2;
 
-    cx.loadIndexed(trips, trips_array_len, PatternContext::lcnt);
+    cx.loadMasked(trips, trips_array_len, PatternContext::lcnt);
     b.addi(out_reg, PatternContext::idx, 7);
     b.addi(o2, PatternContext::idx, 11);
     auto top = b.newLabel();
@@ -219,7 +219,7 @@ kSwitch(PatternContext &cx, ArchReg out_reg, int num_cases, int case_len,
     while (stride < case_len + 1)
         stride <<= 1;
 
-    cx.loadIndexed(sel, 4096, PatternContext::val);
+    cx.loadMasked(sel, 4096, PatternContext::val);
     auto join = b.newLabel();
 
     b.addi(out_reg, PatternContext::idx, 43);
@@ -254,7 +254,7 @@ kGuardedCall(PatternContext &cx, double bias, ProgramBuilder::Label f)
 {
     ProgramBuilder &b = cx.b;
     Addr flags = cx.biasedFlags(4096, bias);
-    cx.loadIndexed(flags, 4096, PatternContext::val);
+    cx.loadMasked(flags, 4096, PatternContext::val);
     auto skip = b.newLabel();
     b.beq(PatternContext::val, regZero, skip);
     b.call(f);
@@ -266,7 +266,7 @@ kLongIf(PatternContext &cx, ArchReg out_reg, double bias, int body_len)
 {
     ProgramBuilder &b = cx.b;
     Addr flags = cx.biasedFlags(4096, bias);
-    cx.loadIndexed(flags, 4096, PatternContext::val);
+    cx.loadMasked(flags, 4096, PatternContext::val);
     auto skip = b.newLabel();
     ArchReg o2 = PatternContext::tmp2;
     b.addi(out_reg, PatternContext::idx, 47);
@@ -298,7 +298,7 @@ kLoopWithBreak(PatternContext &cx, ArchReg out_reg, int trips,
     ArchReg o2 = PatternContext::tmp2;
 
     b.li(PatternContext::lcnt, trips);
-    cx.loadIndexed(thresh, 4096, PatternContext::val);
+    cx.loadMasked(thresh, 4096, PatternContext::val);
     b.addi(out_reg, PatternContext::idx, 59);
     b.addi(o2, PatternContext::idx, 61);
     auto top = b.newLabel();
@@ -337,7 +337,7 @@ buildLeafFunc(PatternContext &cx, int body_len, double hammock_bias)
     }
     if (hammock_bias > 0.0) {
         Addr flags = cx.biasedFlags(4096, hammock_bias);
-        cx.loadIndexed(flags, 4096, PatternContext::fn3);
+        cx.loadMasked(flags, 4096, PatternContext::fn3);
         auto then_lab = b.newLabel();
         auto join = b.newLabel();
         b.bne(PatternContext::fn3, regZero, then_lab);

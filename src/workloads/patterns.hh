@@ -71,7 +71,7 @@ class PatternContext
      * Emit "val = data[base + (idx & (n-1))]". n must be a power of two.
      * Clobbers tmp and addr.
      */
-    void loadIndexed(Addr base, size_t n, ArchReg val_reg);
+    void loadMasked(Addr base, size_t n, ArchReg val_reg);
 
     /** Emit "mem[slot] = out" through the addr scratch register. */
     void storeSlot(Addr slot_addr, ArchReg out);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "emulator/emulator.hh"
 #include "program/builder.hh"
 #include "program/cfg.hh"
+#include "workloads/workloads.hh"
 
 namespace tproc
 {
@@ -130,6 +133,73 @@ TEST(Emulator, ZeroRegisterStaysZero)
     e.run(10);
     EXPECT_EQ(e.readReg(0), 0);
     EXPECT_EQ(e.readReg(3), 0);
+}
+
+TEST(SparseMemory, UnwrittenWordsReadZeroWithoutCreatingPages)
+{
+    SparseMemory m;
+    const Addr probes[] = {0, workloadDataBase, Addr{1} << 63, invalidAddr};
+    for (Addr a : probes)
+        EXPECT_EQ(m.read(a), 0);
+    EXPECT_EQ(m.pageCount(), 0u);
+
+    m.write(workloadDataBase, 5);
+    EXPECT_EQ(m.pageCount(), 1u);
+    EXPECT_EQ(m.read(workloadDataBase), 5);
+    EXPECT_EQ(m.read(workloadDataBase + 1), 0);     // same page
+    EXPECT_EQ(m.read(0), 0);
+    EXPECT_EQ(m.read(Addr{1} << 63), 0);
+    EXPECT_EQ(m.read(invalidAddr), 0);
+    EXPECT_EQ(m.pageCount(), 1u);
+}
+
+TEST(SparseMemory, WritesAcrossAPageBoundaryReadBack)
+{
+    SparseMemory m;
+    const Addr edge = workloadDataBase + 3 * SparseMemory::pageWords;
+    m.write(edge - 1, -1);
+    m.write(edge, 2);
+    EXPECT_EQ(m.pageCount(), 2u);
+    EXPECT_EQ(m.read(edge - 1), -1);
+    EXPECT_EQ(m.read(edge), 2);
+    EXPECT_EQ(m.read(edge - 2), 0);
+    EXPECT_EQ(m.read(edge + 1), 0);
+
+    // Overwrites stay in place; the last word of the address space has
+    // a page like any other.
+    m.write(edge, 3);
+    m.write(invalidAddr, 9);
+    EXPECT_EQ(m.read(edge), 3);
+    EXPECT_EQ(m.read(invalidAddr), 9);
+    EXPECT_EQ(m.read(invalidAddr - 1), 0);
+    EXPECT_EQ(m.pageCount(), 3u);
+}
+
+TEST(SparseMemory, LoadedAnalogImagesReadBack)
+{
+    for (const std::string &name : workloadNames()) {
+        const Workload w = makeWorkload(name);
+        const auto &image = w.program.dataInit;
+        ASSERT_FALSE(image.empty()) << name;
+        SparseMemory loaded, written;
+        loaded.load(image);
+        Addr lo = invalidAddr, hi = 0;
+        for (const auto &[a, v] : image) {
+            written.write(a, v);
+            lo = std::min(lo, a);
+            hi = std::max(hi, a);
+        }
+        for (const auto &[a, v] : image)
+            ASSERT_EQ(loaded.read(a), v) << name << " word " << a;
+        // Same pages, same words: every word of the image's span, one
+        // page beyond it on each side, reads alike.
+        EXPECT_EQ(loaded.pageCount(), written.pageCount()) << name;
+        for (Addr a = lo - SparseMemory::pageWords;
+             a <= hi + SparseMemory::pageWords; ++a) {
+            ASSERT_EQ(loaded.read(a), written.read(a))
+                << name << " word " << a;
+        }
+    }
 }
 
 TEST(Cfg, BasicBlocks)
