@@ -25,9 +25,11 @@ namespace tproc
  *
  * Words live in fixed-size, zero-filled pages behind a page-keyed
  * directory, so loading a program's data image fills a few dozen pages
- * rather than allocating a node per word. Only write() and load()
- * create pages: read() changes no state and returns 0 for any unwritten
- * word, including the garbage addresses wrong-path loads compute.
+ * rather than allocating a node per word. The image is sorted by
+ * address, so load() looks each page up once and fills its words from
+ * one contiguous run of the image. Only write() and load() create
+ * pages: read() changes no state and returns 0 for any unwritten word,
+ * including the garbage addresses wrong-path loads compute.
  */
 class SparseMemory
 {
@@ -45,17 +47,21 @@ class SparseMemory
     void
     write(Addr addr, int64_t value)
     {
-        auto &page = pages[addr >> pageBits];
-        if (!page)
-            page = std::make_unique<Page>();
-        (*page)[addr & (pageWords - 1)] = value;
+        pageOf(addr)[addr & (pageWords - 1)] = value;
     }
 
     void
-    load(const std::unordered_map<Addr, int64_t> &image)
+    load(const DataImage &image)
     {
-        for (const auto &[a, v] : image)
-            write(a, v);
+        Page *page = nullptr;
+        Addr page_no = 0;
+        for (const auto &[a, v] : image) {
+            if (!page || (a >> pageBits) != page_no) {
+                page_no = a >> pageBits;
+                page = &pageOf(a);
+            }
+            (*page)[a & (pageWords - 1)] = v;
+        }
     }
 
     /** Pages allocated so far (tests). */
@@ -63,6 +69,17 @@ class SparseMemory
 
   private:
     using Page = std::array<int64_t, pageWords>;
+
+    /** The page holding addr, created zero-filled if absent. */
+    Page &
+    pageOf(Addr addr)
+    {
+        auto &page = pages[addr >> pageBits];
+        if (!page)
+            page = std::make_unique<Page>();
+        return *page;
+    }
+
     std::unordered_map<Addr, std::unique_ptr<Page>> pages;
 };
 

@@ -258,7 +258,7 @@ ProgramBuilder::ret(ArchReg rs1)
 void
 ProgramBuilder::data(Addr addr, int64_t value)
 {
-    prog.dataInit[addr] = value;
+    prog.dataInit.emplace_back(addr, value);
 }
 
 Program
@@ -273,6 +273,7 @@ ProgramBuilder::finish()
         prog.code[f.pc].imm =
             static_cast<int64_t>(labelAddrs[f.labelId]);
     }
+    normalizeDataImage(prog.dataInit);
     return std::move(prog);
 }
 

@@ -4,6 +4,9 @@
  *
  * Forward references are supported: request a label with newLabel(), emit
  * branches to it, and bind() it later; fixups are resolved in finish().
+ * Data words are appended in call order and normalised in finish(), so
+ * data() may be called in any address order and a repeated address
+ * keeps its last value.
  */
 
 #ifndef TPROC_PROGRAM_BUILDER_HH
@@ -82,7 +85,8 @@ class ProgramBuilder
     void ret(ArchReg rs1 = regRa);
     /// @}
 
-    /** Initialize a data memory word. */
+    /** Initialize a data memory word (a later call for the same address
+     *  wins). */
     void data(Addr addr, int64_t value);
 
     /** Resolve all fixups and return the finished program. The builder

@@ -31,10 +31,19 @@ using RenameMap = std::array<PhysReg, numArchRegs>;
  * reset). Values may be rewritten by selective reissue; consumers are
  * re-notified through the processor's broadcast path.
  *
+ * alloc() hands out freed registers last-in first-out, and when none
+ * are free, the never-used register with the lowest number, so the
+ * sequence is 1, 2, 3, ... until registers come back. The arrays grow
+ * with that high-water mark rather than being sized for all n
+ * registers up front: a simulation that never has more than a few
+ * hundred registers live touches only those. capacity() and
+ * freeCount() still count all n. Freeing or writing a register that
+ * was never allocated panics.
+ *
  * Storage is structure-of-arrays: the per-cycle operand-readiness scans
  * touch only the valid flags and ready cycles, so those live in their
- * own dense arrays (a 64K-entry AoS layout drags the 8-byte values and
- * allocator state through the cache on every readiness probe).
+ * own dense arrays (an AoS layout drags the 8-byte values and allocator
+ * state through the cache on every readiness probe).
  */
 class PhysRegFile
 {
@@ -58,8 +67,12 @@ class PhysRegFile
     int64_t value(PhysReg r) const { return values[r]; }
     Cycle readyAt(PhysReg r) const { return readyAts[r]; }
 
-    size_t freeCount() const { return freeList.size(); }
-    size_t capacity() const { return values.size(); }
+    size_t
+    freeCount() const
+    {
+        return freeList.size() + (limit - values.size());
+    }
+    size_t capacity() const { return limit; }
 
     /** Reset map: every architectural register reads as zero. */
     static RenameMap
@@ -73,10 +86,16 @@ class PhysRegFile
     static constexpr PhysReg zeroReg = 0;
 
   private:
+    /** True if r was ever handed out. */
+    bool allocated(PhysReg r) const { return r < values.size(); }
+
+    size_t limit;   //!< n: registers 0 .. n-1 exist
+    /** Per-register state of registers 0 .. high-water mark. */
     std::vector<int64_t> values;
     std::vector<Cycle> readyAts;
     std::vector<uint8_t> valids;
     std::vector<uint8_t> inUses;
+    /** Freed registers, reused last-in first-out. */
     std::vector<PhysReg> freeList;
 };
 

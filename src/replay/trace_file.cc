@@ -81,13 +81,10 @@ encodeProgram(const Program &prog)
         p.push_back(static_cast<char>(inst.rs2));
         putSvarint(p, inst.imm);
     }
-    // The data image is an unordered_map; serialize sorted by address
-    // so identical programs produce identical bytes.
-    std::vector<std::pair<Addr, int64_t>> init(prog.dataInit.begin(),
-                                               prog.dataInit.end());
-    std::sort(init.begin(), init.end());
-    putVarint(p, init.size());
-    for (const auto &[addr, value] : init) {
+    // The data image is already sorted by address, so identical
+    // programs produce identical bytes.
+    putVarint(p, prog.dataInit.size());
+    for (const auto &[addr, value] : prog.dataInit) {
         putVarint(p, addr);
         putSvarint(p, value);
     }
@@ -116,13 +113,10 @@ encodeProgramV2(const Program &prog)
     putVarint(p, imms.size());
     p += imms;
 
-    std::vector<std::pair<Addr, int64_t>> init(prog.dataInit.begin(),
-                                               prog.dataInit.end());
-    std::sort(init.begin(), init.end());
-    putVarint(p, init.size());
+    putVarint(p, prog.dataInit.size());
     std::string addrs, values;
     Addr prev = 0;
-    for (const auto &[addr, value] : init) {
+    for (const auto &[addr, value] : prog.dataInit) {
         putVarint(addrs, addr - prev);
         prev = addr;
         putSvarint(values, value);
@@ -438,10 +432,11 @@ TraceReader::decodeProgram(ByteCursor c)
     prog.dataInit.reserve(static_cast<size_t>(data_count));
     for (uint64_t i = 0; i < data_count; ++i) {
         const Addr addr = static_cast<Addr>(c.varint());
-        prog.dataInit[addr] = c.svarint();
+        prog.dataInit.emplace_back(addr, c.svarint());
     }
     if (!c.atEnd())
         throw TraceError("trailing bytes in PROG chunk");
+    normalizeDataImage(prog.dataInit);
     inf.codeSize = prog.code.size();
     inf.dataInitSize = prog.dataInit.size();
 }
@@ -496,12 +491,13 @@ TraceReader::decodeProgramV2(ByteCursor c)
     Addr addr = 0;
     for (uint64_t i = 0; i < data_count; ++i) {
         addr += static_cast<Addr>(ac.varint());
-        prog.dataInit[addr] = c.svarint();
+        prog.dataInit.emplace_back(addr, c.svarint());
     }
     if (!ac.atEnd())
         throw TraceError("trailing bytes in PROG address stream");
     if (!c.atEnd())
         throw TraceError("trailing bytes in PROG chunk");
+    normalizeDataImage(prog.dataInit);
     inf.codeSize = prog.code.size();
     inf.dataInitSize = prog.dataInit.size();
 }

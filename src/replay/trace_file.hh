@@ -32,6 +32,12 @@
  * The static instruction is not stored; readers refetch it from the
  * embedded Program by pc.
  *
+ * Writers emit the data image as the Program holds it: sorted by
+ * address, one entry per word. Readers accept any order and repeated
+ * addresses (a v2 address delta of zero) and normalise the decoded
+ * image with normalizeDataImage(), so the last entry for an address
+ * wins.
+ *
  * Version 2 compression (codec.hh holds the block codec itself):
  * PROGZ and STPZ payloads are
  *

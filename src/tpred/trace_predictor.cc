@@ -1,5 +1,7 @@
 #include "tpred/trace_predictor.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace tproc
@@ -21,29 +23,29 @@ TracePredictor::predict(const PathHistory &hist) const
 
     // Hybrid selection: the path-based component wins when it has a
     // confident entry; otherwise fall back to the simple component.
-    if (pe.valid && (pe.conf.value() > 0 || !se.valid))
-        return pe.pred;
+    if (pe.valid && (pe.conf > 0 || !se.valid))
+        return pe.pred();
     if (se.valid)
-        return se.pred;
+        return se.pred();
     if (pe.valid)
-        return pe.pred;
+        return pe.pred();
     return std::nullopt;
 }
 
 void
 TracePredictor::trainEntry(Entry &e, const TraceId &actual)
 {
-    if (e.valid && e.pred == actual) {
-        e.conf.increment();
-    } else if (!e.valid) {
+    if (e.valid && e.pred() == actual) {
+        if (e.conf < Entry::maxConf)
+            ++e.conf;
+    } else if (!e.valid || e.conf == 0) {
+        e.startPc = actual.startPc;
+        e.outcomes = actual.outcomes;
+        e.numBranches = actual.numBranches;
+        e.conf = 1;
         e.valid = true;
-        e.pred = actual;
-        e.conf.set(1);
-    } else if (e.conf.value() == 0) {
-        e.pred = actual;
-        e.conf.set(1);
     } else {
-        e.conf.decrement();
+        --e.conf;
     }
 }
 
@@ -57,10 +59,8 @@ TracePredictor::update(const PathHistory &hist, const TraceId &actual)
 void
 TracePredictor::reset()
 {
-    for (auto &e : pathTable)
-        e.valid = false;
-    for (auto &e : simpleTable)
-        e.valid = false;
+    std::fill(pathTable.begin(), pathTable.end(), Entry{});
+    std::fill(simpleTable.begin(), simpleTable.end(), Entry{});
     predictions = 0;
 }
 

@@ -4,7 +4,10 @@
  * Table 1: a hybrid of a 2^16-entry path-based predictor indexed by a
  * hash of the last 8 trace ids, and a 2^16-entry simple predictor indexed
  * by the last trace id alone. Entries carry the full predicted TraceId
- * (start pc + branch outcomes) plus a 2-bit hysteresis counter.
+ * (start pc + branch outcomes) plus a 2-bit hysteresis counter, packed
+ * into a trivially constructible 16-byte record whose all-zero value is
+ * an invalid entry, so each table is one value-initialised (zeroed)
+ * allocation with no per-entry constructor.
  *
  * Prediction uses the speculative path history maintained by the
  * frontend (rebuilt on misprediction recovery); training happens on the
@@ -17,9 +20,9 @@
 #include <cstddef>
 #include <array>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
-#include "common/sat_counter.hh"
 #include "trace/trace.hh"
 
 namespace tproc
@@ -85,12 +88,32 @@ class TracePredictor
     uint64_t predictions = 0;
 
   private:
+    /** One table entry: the predicted TraceId's fields, a 2-bit
+     *  confidence counter (saturating at 0 and maxConf) and a valid
+     *  flag. All zeroes is an invalid entry. */
     struct Entry
     {
-        bool valid = false;
-        TraceId pred;
-        SatCounter conf{2, 0};
+        static constexpr uint8_t maxConf = 3;
+
+        Addr startPc;
+        uint32_t outcomes;
+        uint8_t numBranches;
+        uint8_t conf;
+        bool valid;
+
+        TraceId
+        pred() const
+        {
+            TraceId id;
+            id.startPc = startPc;
+            id.outcomes = outcomes;
+            id.numBranches = numBranches;
+            return id;
+        }
     };
+    static_assert(sizeof(Entry) == 16, "Entry must stay 16 bytes");
+    static_assert(std::is_trivially_default_constructible_v<Entry>,
+                  "tables are value-initialised, not constructed");
 
     void trainEntry(Entry &e, const TraceId &actual);
 

@@ -32,6 +32,47 @@ TEST(Builder, OutOfRangeFetchIsHalt)
     EXPECT_EQ(p.fetch(500).op, Opcode::HALT);
 }
 
+TEST(Builder, DataImageIsSortedUniqueLastWriteWins)
+{
+    ProgramBuilder b("t");
+    b.data(30, 3);
+    b.data(10, 1);
+    b.data(20, 2);
+    b.data(10, 11);         // rewrites 10
+    b.data(invalidAddr, 9);
+    b.data(30, -3);         // rewrites 30
+    b.data(0, 0);
+    b.data(10, 111);        // rewrites 10 again
+    b.halt();
+    const Program p = b.finish();
+    const DataImage want = {
+        {0, 0}, {10, 111}, {20, 2}, {30, -3}, {invalidAddr, 9}};
+    EXPECT_EQ(p.dataInit, want);
+
+    // What a word-addressed map with assignment would have held.
+    Emulator e(p);
+    for (const auto &[a, v] : want)
+        EXPECT_EQ(e.memory().read(a), v) << "word " << a;
+}
+
+TEST(Builder, NormalizeKeepsSortedImagesAndOrdersOthers)
+{
+    DataImage sorted = {{1, 5}, {2, 6}, {700, 7}};
+    const DataImage copy = sorted;
+    normalizeDataImage(sorted);
+    EXPECT_EQ(sorted, copy);
+
+    DataImage empty;
+    normalizeDataImage(empty);
+    EXPECT_TRUE(empty.empty());
+
+    // A run of one address keeps its last entry even when the run is
+    // split by other addresses.
+    DataImage mixed = {{9, 1}, {4, 2}, {9, 3}, {4, 4}, {9, 5}, {1, 6}};
+    normalizeDataImage(mixed);
+    EXPECT_EQ(mixed, (DataImage{{1, 6}, {4, 4}, {9, 5}}));
+}
+
 TEST(Emulator, ArithmeticAndMemory)
 {
     ProgramBuilder b("t");

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -78,11 +77,9 @@ programDigest(const Program &prog)
         mix(&in.rs2, sizeof(in.rs2));
         mix(&in.imm, sizeof(in.imm));
     }
-    const std::map<Addr, int64_t> sorted(prog.dataInit.begin(),
-                                         prog.dataInit.end());
-    for (const auto &kv : sorted) {
-        mix(&kv.first, sizeof(kv.first));
-        mix(&kv.second, sizeof(kv.second));
+    for (const auto &[addr, value] : prog.dataInit) {
+        mix(&addr, sizeof(addr));
+        mix(&value, sizeof(value));
     }
     mix(&prog.entry, sizeof(prog.entry));
     return h;

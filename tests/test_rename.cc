@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/logging.hh"
+#include "common/random.hh"
 #include "pe/processing_element.hh"
 #include "program/builder.hh"
 #include "trace/selection.hh"
@@ -52,6 +56,208 @@ TEST(PhysRegFile, AllocFreeWrite)
     EXPECT_EQ(prf.value(PhysRegFile::zeroReg), 0);
     prf.free(PhysRegFile::zeroReg);     // no-op
     EXPECT_TRUE(prf.ready(PhysRegFile::zeroReg, 0));
+}
+
+namespace
+{
+
+/**
+ * The physical register file as it was before it grew on demand: every
+ * array sized for all n registers and a free list pre-filled with
+ * [n-1 ... 1], so alloc() pops 1, 2, 3, ... and reuses freed registers
+ * last-in first-out. PhysRegFile must hand out the same registers and
+ * report the same state.
+ */
+class ReferenceRegFile
+{
+  public:
+    explicit ReferenceRegFile(size_t n)
+        : values(n, 0), readyAts(n, 0), valids(n, 0), inUses(n, 0)
+    {
+        valids[PhysRegFile::zeroReg] = 1;
+        inUses[PhysRegFile::zeroReg] = 1;
+        for (size_t i = n - 1; i >= 1; --i)
+            freeList.push_back(static_cast<PhysReg>(i));
+    }
+
+    PhysReg
+    alloc()
+    {
+        panic_if(freeList.empty(), "PhysRegFile exhausted");
+        const PhysReg r = freeList.back();
+        freeList.pop_back();
+        valids[r] = 0;
+        inUses[r] = 1;
+        values[r] = 0;
+        readyAts[r] = 0;
+        return r;
+    }
+
+    void
+    free(PhysReg r)
+    {
+        if (r == PhysRegFile::zeroReg)
+            return;
+        panic_if(!inUses[r], "double free of physical register %u", r);
+        inUses[r] = 0;
+        valids[r] = 0;
+        freeList.push_back(r);
+    }
+
+    void
+    write(PhysReg r, int64_t value, Cycle ready_at)
+    {
+        panic_if(!inUses[r], "write to a free physical register %u", r);
+        values[r] = value;
+        valids[r] = 1;
+        readyAts[r] = ready_at;
+    }
+
+    bool
+    ready(PhysReg r, Cycle now) const
+    {
+        return valids[r] && now >= readyAts[r];
+    }
+
+    bool hasValue(PhysReg r) const { return valids[r] != 0; }
+    int64_t value(PhysReg r) const { return values[r]; }
+    size_t freeCount() const { return freeList.size(); }
+
+  private:
+    std::vector<int64_t> values;
+    std::vector<Cycle> readyAts;
+    std::vector<uint8_t> valids;
+    std::vector<uint8_t> inUses;
+    std::vector<PhysReg> freeList;
+};
+
+/** Run one call on both files; true if it panicked on both. */
+template <typename Call>
+bool
+bothPanic(Call call, const char *what, uint64_t seed, uint64_t step)
+{
+    bool dut_threw = false, ref_threw = false;
+    try {
+        call(0);
+    } catch (const SimError &) {
+        dut_threw = true;
+    }
+    try {
+        call(1);
+    } catch (const SimError &) {
+        ref_threw = true;
+    }
+    EXPECT_EQ(dut_threw, ref_threw)
+        << what << " at seed " << seed << " step " << step;
+    return dut_threw && ref_threw;
+}
+
+/**
+ * A seeded stream of alloc/free/write calls on a PhysRegFile and the
+ * reference, both of n registers, until the files run out (which they
+ * must do at the same call) or max_steps calls have run. Allocation is
+ * drawn with probability alloc_p, so the live set drifts upward.
+ * Returns true if the files ran out.
+ */
+bool
+expectSameRegisterFile(size_t n, uint64_t seed, double alloc_p,
+                       uint64_t max_steps)
+{
+    ScopedErrorCapture capture;
+    PhysRegFile dut(n);
+    ReferenceRegFile ref(n);
+    Rng rng(seed);
+    std::vector<PhysReg> live;
+    PhysReg highest = 0;
+
+    auto sameState = [&](PhysReg r, uint64_t step) {
+        const Cycle now = rng.below(64);
+        ASSERT_EQ(dut.hasValue(r), ref.hasValue(r))
+            << "r" << r << " seed " << seed << " step " << step;
+        ASSERT_EQ(dut.ready(r, now), ref.ready(r, now))
+            << "r" << r << " seed " << seed << " step " << step;
+        ASSERT_EQ(dut.value(r), ref.value(r))
+            << "r" << r << " seed " << seed << " step " << step;
+    };
+
+    uint64_t step = 0;
+    bool ran_out = false;
+    for (; step < max_steps && !ran_out; ++step) {
+        if (live.empty() || rng.chance(alloc_p)) {
+            PhysReg got[2] = {0, 0};
+            ran_out = bothPanic([&](int side) {
+                got[side] = side == 0 ? dut.alloc() : ref.alloc();
+            }, "alloc", seed, step);
+            if (ran_out) {
+                EXPECT_EQ(live.size(), n - 1) << "seed " << seed;
+                continue;
+            }
+            EXPECT_EQ(got[0], got[1]) << "seed " << seed << " step " << step;
+            if (got[0] != got[1])
+                return false;
+            live.push_back(got[0]);
+            highest = std::max(highest, got[0]);
+        } else if (rng.chance(0.5)) {
+            const size_t at = rng.below(live.size());
+            const PhysReg r = live[at];
+            live[at] = live.back();
+            live.pop_back();
+            dut.free(r);
+            ref.free(r);
+        } else {
+            const PhysReg r = live[rng.below(live.size())];
+            const auto value = static_cast<int64_t>(rng.next());
+            const Cycle at = rng.below(64);
+            dut.write(r, value, at);
+            ref.write(r, value, at);
+            sameState(r, step);
+        }
+        EXPECT_EQ(dut.freeCount(), ref.freeCount())
+            << "seed " << seed << " step " << step;
+        if (!live.empty())
+            sameState(live[rng.below(live.size())], step);
+    }
+    // Every register ever handed out, freed ones included, reads alike.
+    for (PhysReg r = 0; r <= highest; ++r)
+        sameState(r, step);
+    EXPECT_EQ(dut.capacity(), n);
+
+    // Never-allocated registers: a structured panic, not a stray index.
+    if (highest + 1 < n) {
+        EXPECT_THROW(dut.free(highest + 1), SimError);
+        EXPECT_THROW(dut.write(highest + 1, 1, 0), SimError);
+    }
+    return ran_out;
+}
+
+} // namespace
+
+TEST(PhysRegFile, AllocatesLikeThePrefilledFreeList)
+{
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        // 80 registers: the live set wanders, reusing freed registers,
+        // until it runs the file out.
+        EXPECT_TRUE(expectSameRegisterFile(80, seed, 0.35, 20000))
+            << "seed " << seed;
+        // Table-1 size: the arrays grow to over a thousand registers.
+        expectSameRegisterFile(65536, seed, 0.55, 5000);
+    }
+    // And one stream that exhausts all 65,535 allocatable registers.
+    EXPECT_TRUE(expectSameRegisterFile(65536, 21, 0.95, 100000));
+}
+
+TEST(PhysRegFile, HandsOutLowestFirstThenReusesFreed)
+{
+    PhysRegFile prf(65536);
+    EXPECT_EQ(prf.capacity(), 65536u);
+    EXPECT_EQ(prf.freeCount(), 65535u);
+    // The first registers handed out are the lowest-numbered.
+    EXPECT_EQ(prf.alloc(), 1u);
+    EXPECT_EQ(prf.alloc(), 2u);
+    prf.free(1);
+    EXPECT_EQ(prf.alloc(), 1u);
+    EXPECT_EQ(prf.alloc(), 3u);
+    EXPECT_EQ(prf.freeCount(), 65532u);
 }
 
 TEST(Rename, IntraTraceDepsAndLiveInOut)

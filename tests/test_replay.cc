@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +23,8 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/random.hh"
+#include "core/runner.hh"
 #include "emulator/emulator.hh"
 #include "harness/golden.hh"
 #include "harness/sweep.hh"
@@ -29,6 +32,7 @@
 #include "replay/codec.hh"
 #include "replay/replay_source.hh"
 #include "replay/trace_store.hh"
+#include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
 namespace tproc
@@ -646,6 +650,226 @@ TEST(ReplayNegative, ExhaustedTraceThrowsInsteadOfReplayingShort)
     } catch (const replay::TraceError &e) {
         EXPECT_NE(std::string(e.what()).find("re-record"),
                   std::string::npos);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The data image in PROG chunks: decoders normalise it, and resealed
+// META/PROG mutants parse or fail with a structured error.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** The plaintext inside a v2 chunk's codec envelope. */
+std::string
+openPlaintext(const std::string &payload)
+{
+    replay::ByteCursor z(payload.data(), payload.size());
+    const uint8_t codec = z.u8();
+    const uint64_t plain_len = z.varint();
+    z.u64();
+    const size_t n = z.remaining();
+    return replay::codecDecompress(codec, z.take(n), n,
+                                   static_cast<size_t>(plain_len));
+}
+
+/** A v2 codec envelope storing plain verbatim (the RAW codec), with
+ *  its plaintext digest. */
+std::string
+sealPlaintext(const std::string &plain)
+{
+    std::string payload;
+    payload.push_back(static_cast<char>(replay::CodecId::RAW));
+    replay::putVarint(payload, plain.size());
+    replay::putU64(payload, replay::fnv1a(plain.data(), plain.size()));
+    payload.append(plain);
+    return payload;
+}
+
+bool
+sortedUnique(const DataImage &image)
+{
+    return std::adjacent_find(image.begin(), image.end(),
+                              [](const auto &x, const auto &y) {
+                                  return x.first >= y.first;
+                              }) == image.end();
+}
+
+/** One bit flip, truncation, splice (a copy of one slice inserted
+ *  elsewhere) or erased slice, chosen by rng. */
+void
+mutateBytes(std::string &b, Rng &rng)
+{
+    if (b.empty())
+        return;
+    const size_t from = rng.below(b.size());
+    const size_t len = 1 + rng.below(std::min<size_t>(b.size() - from, 64));
+    switch (rng.below(4)) {
+      case 0:
+        b[from] = static_cast<char>(b[from] ^ (1 << rng.below(8)));
+        break;
+      case 1:
+        b.resize(from);
+        break;
+      case 2:
+        b.insert(rng.below(b.size() + 1), b.substr(from, len));
+        break;
+      default:
+        b.erase(from, len);
+        break;
+    }
+}
+
+} // anonymous namespace
+
+TEST(TraceRoundTrip, DecodersNormaliseOutOfOrderImages)
+{
+    // Hand-built PROG chunks whose image a map would have read with
+    // "last write wins": the decoders must produce the sorted, unique
+    // image that rule implies.
+    TempDir dir("replay_image");
+    const Program tiny = tinyProgram();
+    ASSERT_TRUE(tiny.dataInit.empty());
+    replay::TraceMeta meta;
+    meta.programName = tiny.name;
+    const std::string v1 = dir.file("v1.tpt");
+    const std::string v2 = dir.file("v2.tpt");
+    replay::captureProgramTrace(tiny, meta, v1, /*compress=*/false);
+    replay::captureProgramTrace(tiny, meta, v2);
+
+    // v1: an empty image is the payload's last byte (count 0); replace
+    // it with unsorted and repeated addresses.
+    writeBytes(v1, rewriteChunk(readBytes(v1), replay::ChunkType::PROG,
+                                [](std::string &p) {
+        ASSERT_EQ(p.back(), '\0');
+        p.pop_back();
+        const DataImage writes = {
+            {30, 3}, {10, 1}, {20, 2}, {10, 11}, {30, -3}};
+        replay::putVarint(p, writes.size());
+        for (const auto &[a, v] : writes) {
+            replay::putVarint(p, a);
+            replay::putSvarint(p, v);
+        }
+    }));
+    replay::TraceReader r1(v1);
+    EXPECT_EQ(r1.program().dataInit,
+              (DataImage{{10, 11}, {20, 2}, {30, -3}}));
+    EXPECT_EQ(r1.info().dataInitSize, 3u);
+
+    // v2: an empty image is the plaintext's last two bytes (count 0,
+    // address-stream length 0); replace them with address deltas
+    // 5, 0, 3, 0 (addresses 5, 5, 8, 8), then reseal the envelope.
+    writeBytes(v2, rewriteChunk(readBytes(v2), replay::ChunkType::PROGZ,
+                                [](std::string &p) {
+        std::string plain = openPlaintext(p);
+        ASSERT_EQ(plain.substr(plain.size() - 2), std::string(2, '\0'));
+        plain.resize(plain.size() - 2);
+        std::string addrs, values;
+        for (uint64_t d : {5, 0, 3, 0})
+            replay::putVarint(addrs, d);
+        for (int64_t v : {1, 2, 3, -4})
+            replay::putSvarint(values, v);
+        replay::putVarint(plain, 4);
+        replay::putVarint(plain, addrs.size());
+        plain += addrs + values;
+        p = sealPlaintext(plain);
+    }));
+    replay::TraceReader r2(v2);
+    EXPECT_EQ(r2.program().dataInit, (DataImage{{5, 2}, {8, -4}}));
+    EXPECT_EQ(r2.info().dataInitSize, 2u);
+}
+
+TEST(TraceRoundTrip, EveryImageSurvivesV1AndV2)
+{
+    TempDir dir("replay_images");
+    std::vector<std::string> names = workloadNames();
+    names.push_back(generatedName("loops", 3));
+    for (const std::string &name : names) {
+        const Workload w = makeWorkload(name);
+        ASSERT_TRUE(sortedUnique(w.program.dataInit)) << name;
+        replay::TraceMeta meta;
+        meta.workload = name;
+        meta.captureCap = 100;
+        meta.programName = w.program.name;
+        for (bool compress : {false, true}) {
+            const std::string path = dir.file("image.tpt");
+            replay::captureProgramTrace(w.program, meta, path, compress);
+            replay::TraceReader reader(path);
+            EXPECT_EQ(reader.program().dataInit, w.program.dataInit)
+                << name << (compress ? " v2" : " v1");
+        }
+    }
+}
+
+TEST(TraceFuzz, ResealedMetaAndProgMutantsParseOrFailCleanly)
+{
+    // The outer chunk checksum rejects almost every stray byte, so each
+    // mutant is resealed (and, in v2, so is the plaintext digest) to
+    // reach the META and PROG decoders themselves. Nothing binds the
+    // program to the step stream, so a parsed mutant is also replayed.
+    TempDir dir("replay_fuzz");
+    Rng rng(20261017);
+    const Workload w = makeWorkload("li", 1, 0.25);
+    replay::TraceMeta meta;
+    meta.workload = "li";
+    meta.scale = 0.25;
+    meta.captureCap = 2500;
+    meta.programName = w.program.name;
+    const ProcessorConfig base = ProcessorConfig::forModel("base");
+
+    for (bool compress : {false, true}) {
+        const std::string good = dir.file("good.tpt");
+        replay::captureProgramTrace(w.program, meta, good, compress);
+        const std::string bytes = readBytes(good);
+        const replay::ChunkType prog = compress ? replay::ChunkType::PROGZ
+                                                : replay::ChunkType::PROG;
+        // v2 PROG mutants edit the PROGZ plaintext and reseal it; open
+        // the envelope once (this rewrite only reads the payload).
+        std::string prog_plain;
+        if (compress) {
+            rewriteChunk(bytes, prog, [&](std::string &p) {
+                prog_plain = openPlaintext(p);
+            });
+        }
+        int parsed = 0, clean = 0;
+        for (int i = 0; i < 300; ++i) {
+            const bool in_meta = i % 2 == 0;
+            const std::string mutant = rewriteChunk(
+                bytes, in_meta ? replay::ChunkType::META : prog,
+                [&](std::string &p) {
+                    if (compress && !in_meta) {
+                        std::string plain = prog_plain;
+                        mutateBytes(plain, rng);
+                        p = sealPlaintext(plain);
+                    } else {
+                        mutateBytes(p, rng);
+                    }
+                });
+            const std::string path = dir.file("mutant.tpt");
+            writeBytes(path, mutant);
+            std::shared_ptr<const replay::TraceReader> reader;
+            try {
+                reader = std::make_shared<const replay::TraceReader>(path);
+            } catch (const replay::TraceError &) {
+                continue;
+            }
+            ++parsed;
+            ASSERT_TRUE(sortedUnique(reader->program().dataInit))
+                << "mutant " << i << (compress ? " v2" : " v1");
+            ScopedErrorCapture capture;
+            try {
+                runConfig(reader->program(), base, 2000,
+                          std::make_unique<replay::ReplaySource>(reader));
+                ++clean;
+            } catch (const SimError &) {
+            } catch (const replay::TraceError &) {
+            }
+        }
+        // Resealing must reach the decoders: some mutants parse, and
+        // the META-only edits among them replay cleanly.
+        EXPECT_GT(parsed, 0) << (compress ? "v2" : "v1");
+        EXPECT_GT(clean, 0) << (compress ? "v2" : "v1");
     }
 }
 

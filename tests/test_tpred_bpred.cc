@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "bpred/branch_predictor.hh"
 #include "common/random.hh"
+#include "common/sat_counter.hh"
 #include "tpred/trace_predictor.hh"
 
 namespace tproc
@@ -93,6 +98,175 @@ TEST(TracePredictor, NoPredictionWhenCold)
     PathHistory h;
     h.push(id(12345));
     EXPECT_FALSE(tp.predict(h).has_value());
+}
+
+namespace
+{
+
+/**
+ * The next-trace predictor as it was before its entries were packed:
+ * 32-byte entries holding a TraceId and a 2-bit SatCounter, reset by
+ * clearing valid flags. Same indexing and training rules; the packed
+ * TracePredictor must predict exactly what this model predicts.
+ */
+class ReferenceTracePredictor
+{
+  public:
+    explicit ReferenceTracePredictor(const TracePredictor::Params &p)
+        : pathTable(p.pathEntries), simpleTable(p.simpleEntries)
+    {}
+
+    std::optional<TraceId>
+    predict(const PathHistory &hist) const
+    {
+        const Entry &pe = pathTable[pathIndex(hist)];
+        const Entry &se = simpleTable[simpleIndex(hist)];
+        if (pe.valid && (pe.conf.value() > 0 || !se.valid))
+            return pe.pred;
+        if (se.valid)
+            return se.pred;
+        if (pe.valid)
+            return pe.pred;
+        return std::nullopt;
+    }
+
+    void
+    update(const PathHistory &hist, const TraceId &actual)
+    {
+        train(pathTable[pathIndex(hist)], actual);
+        train(simpleTable[simpleIndex(hist)], actual);
+    }
+
+    void
+    reset()
+    {
+        for (auto &e : pathTable)
+            e.valid = false;
+        for (auto &e : simpleTable)
+            e.valid = false;
+    }
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        TraceId pred;
+        SatCounter conf{2, 0};
+    };
+
+    static void
+    train(Entry &e, const TraceId &actual)
+    {
+        if (e.valid && e.pred == actual) {
+            e.conf.increment();
+        } else if (!e.valid) {
+            e.valid = true;
+            e.pred = actual;
+            e.conf.set(1);
+        } else if (e.conf.value() == 0) {
+            e.pred = actual;
+            e.conf.set(1);
+        } else {
+            e.conf.decrement();
+        }
+    }
+
+    size_t
+    pathIndex(const PathHistory &h) const
+    {
+        return h.fold() & (pathTable.size() - 1);
+    }
+
+    size_t
+    simpleIndex(const PathHistory &h) const
+    {
+        return (h.last() * 0x9e3779b97f4a7c15ull >> 16) &
+            (simpleTable.size() - 1);
+    }
+
+    std::vector<Entry> pathTable;
+    std::vector<Entry> simpleTable;
+};
+
+std::string
+show(const std::optional<TraceId> &p)
+{
+    return p ? p->str() : "nullopt";
+}
+
+/**
+ * Drive the packed predictor and the reference with one seeded stream
+ * of update/predict/reset calls and compare every prediction. Traces
+ * come from a small pool and usually follow a fixed successor of the
+ * previous trace, so entries are confirmed until they saturate, then
+ * contested until they are replaced.
+ */
+void
+expectSamePredictions(const TracePredictor::Params &params,
+                      uint64_t seed, int calls)
+{
+    TracePredictor packed(params);
+    ReferenceTracePredictor ref(params);
+    Rng rng(seed);
+
+    std::vector<TraceId> pool;
+    for (int i = 0; i < 12; ++i) {
+        TraceId t;
+        t.startPc = 64 * rng.below(40);
+        t.outcomes = static_cast<uint32_t>(rng.below(16));
+        t.numBranches = static_cast<uint8_t>(rng.below(5));
+        pool.push_back(t);
+    }
+    std::vector<size_t> successor(pool.size());
+    for (auto &s : successor)
+        s = rng.below(pool.size());
+
+    PathHistory hist;
+    size_t last = 0;
+    for (int call = 0; call < calls; ++call) {
+        const uint64_t op = rng.below(1000);
+        if (op == 0) {
+            packed.reset();
+            ref.reset();
+        } else if (op < 100) {
+            // A probe off the running path.
+            PathHistory probe;
+            for (uint64_t n = rng.below(PathHistory::depth + 1); n > 0; --n)
+                probe.push(pool[rng.below(pool.size())]);
+            ASSERT_EQ(packed.predict(probe), ref.predict(probe))
+                << "seed " << seed << " call " << call << ": "
+                << show(packed.predict(probe)) << " vs "
+                << show(ref.predict(probe));
+        } else {
+            ASSERT_EQ(packed.predict(hist), ref.predict(hist))
+                << "seed " << seed << " call " << call << ": "
+                << show(packed.predict(hist)) << " vs "
+                << show(ref.predict(hist));
+            last = rng.chance(0.8) ? successor[last]
+                                   : rng.below(pool.size());
+            packed.update(hist, pool[last]);
+            ref.update(hist, pool[last]);
+            hist.push(pool[last]);
+        }
+    }
+}
+
+} // namespace
+
+TEST(TracePredictor, PackedEntriesPredictLikeTheReference)
+{
+    // 2^6-entry tables: 12 traces over 8-deep paths collide constantly.
+    TracePredictor::Params small;
+    small.pathEntries = 64;
+    small.simpleEntries = 64;
+    for (uint64_t seed = 1; seed <= 20; ++seed)
+        expectSamePredictions(small, seed, 20000);
+}
+
+TEST(TracePredictor, PackedEntriesPredictLikeTheReferenceAtTable1Sizes)
+{
+    for (uint64_t seed = 101; seed <= 103; ++seed)
+        expectSamePredictions(TracePredictor::Params(), seed, 5000);
 }
 
 TEST(BranchPredictor, TwoBitHysteresis)

@@ -5,7 +5,7 @@ Usage (from any directory):
 
     python3 tools/perf_pairs.py --parent DIR --change DIR \\
         --workload ci-stress --seed 1 [--pairs 10] [--seconds 30] \\
-        [--log FILE]
+        [--log FILE] [--trace]
     python3 tools/perf_pairs.py --self-test
 
 Runs `python3 perfbench/run.py --workload W --seed S --seconds N
@@ -28,6 +28,13 @@ Quartiles are statistics.quantiles(method="inclusive"): linear
 interpolation between order statistics, the first and last sample
 being the 0th and 100th percentiles (numpy's default).
 
+With --trace the runs use `--trace 1` instead, and the tool prints
+README's traced table in place of the two rows: one row per layer
+metric (TRACED below), each side's per-run values in pair order. A
+traced run reports the simulated cycle count per set (`core.cycles`),
+which a change that keeps statistics identical cannot move, so the
+tool also exits 1 when two runs' `core.cycles` differ.
+
 Exits 1 when any run fails or the digest blocks differ, 2 on usage.
 Standard library only.
 """
@@ -42,6 +49,11 @@ from pathlib import Path
 
 DIGEST = re.compile(r"^  [0-9a-f]{16}  ")
 QUARTILES = "statistics.quantiles(method='inclusive')"
+# Layer metrics of the traced table, with the format of one value.
+TRACED = (("core.cycles", "{:,.0f}"), ("core.construct_ms", "{:.2f}"),
+          ("core.cycle_self_ns", "{:.0f}"), ("workloads.build_s", "{:.3f}"),
+          ("workloads.share", "{:.3f}"), ("emulator.share", "{:.3f}"),
+          ("replay.parse_s", "{:.3f}"), ("harness.share", "{:.3f}"))
 
 
 def quartiles(xs):
@@ -50,10 +62,11 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=False):
     """One benchmark run in tree: (final JSON dict, digest lines, ok)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
     try:
@@ -102,6 +115,19 @@ def summarize(workload, seed, pairs):
     return speed, other, wins, gap
 
 
+def traced_table(workload, pairs):
+    """(table lines, cycles_agree) for traced pairs, values in pair
+    order."""
+    lines = ["| metric | workload | before | after |", "|---|---|---|---|"]
+    for name, fmt in TRACED:
+        cells = [", ".join(fmt.format(metric(pair[side], name))
+                           for pair in pairs) for side in (0, 1)]
+        lines.append("| `%s` | %s | %s | %s |"
+                     % (name, workload, cells[0], cells[1]))
+    cycles = {metric(r, "core.cycles") for pair in pairs for r in pair}
+    return lines, len(cycles) == 1
+
+
 def campaign(opt):
     log = Path(opt.log or "perf-pairs-%s-seed%d.jsonl" %
                (opt.workload, opt.seed))
@@ -114,11 +140,12 @@ def campaign(opt):
         for side in order:
             tree = opt.parent if side == "parent" else opt.change
             final, dig, good = run_once(tree, opt.workload, opt.seed,
-                                        opt.seconds)
+                                        opt.seconds, opt.trace)
             ok = ok and good
             with log.open("a") as f:
                 f.write(json.dumps({"workload": opt.workload,
-                                    "seed": opt.seed, "pair": k + 1,
+                                    "seed": opt.seed, "trace": opt.trace,
+                                    "pair": k + 1,
                                     "side": side, "ok": good,
                                     "result": final}) + "\n")
             if not good:
@@ -127,14 +154,25 @@ def campaign(opt):
                 return 1
             got[side] = final
             digests.setdefault(side, set()).add(tuple(dig))
-            print("pair %d %s: sim_kips %.0f" %
-                  (k + 1, side, metric(final, "sim_kips")), file=sys.stderr)
+            shown = "core.cycles" if opt.trace else "sim_kips"
+            print("pair %d %s: %s %.0f" %
+                  (k + 1, side, shown, metric(final, shown)),
+                  file=sys.stderr)
         pairs.append((got["parent"], got["change"]))
 
-    speed, other, _, _ = summarize(opt.workload, opt.seed, pairs)
     same = (len(digests["parent"]) == 1 and
             digests["parent"] == digests["change"])
     lines = len(next(iter(digests["parent"])))
+    if opt.trace:
+        table, cycles_agree = traced_table(opt.workload, pairs)
+        print("\n".join(table))
+        print("core.cycles: %s" % ("identical" if cycles_agree
+                                   else "DIFFER"))
+        print("digests: %s (%d lines per run)" %
+              ("identical" if same else "DIFFER", lines))
+        return 0 if ok and same and cycles_agree else 1
+
+    speed, other, _, _ = summarize(opt.workload, opt.seed, pairs)
     print("quartiles: " + QUARTILES)
     print("| workload | seed | sim_kips before | sim_kips after | ratio "
           "| wins | gap / parent IQR | sim_kcps before | sim_kcps after |")
@@ -180,6 +218,33 @@ def self_test():
     check("other row", other,
           "| w | 7 | 1.00 ms | 1.10 ms (+10.0%) | 20.0 | 15.0 (-25.0%) "
           "| 10.7073 | 0 |")
+
+    def traced(cycles, construct, share):
+        values = {"core.cycles": cycles, "core.construct_ms": construct,
+                  "core.cycle_self_ns": 1116.4, "workloads.build_s": 0.0874,
+                  "workloads.share": share, "emulator.share": 0.0123,
+                  "replay.parse_s": 0.0, "harness.share": 0.0091}
+        return {"failed": 0, "metrics": {k: {"value": v}
+                                         for k, v in values.items()}}
+
+    tpairs = [(traced(684214, 1.46, 0.08), traced(684214, 0.74, 0.019)),
+              (traced(684214, 1.49, 0.0804), traced(684214, 0.835, 0.0186))]
+    table, agree = traced_table("ci-stress", tpairs)
+    check("traced header", table[:2],
+          ["| metric | workload | before | after |", "|---|---|---|---|"])
+    check("traced rows", len(table), 2 + len(TRACED))
+    check("cycles row", table[2],
+          "| `core.cycles` | ci-stress | 684,214, 684,214 "
+          "| 684,214, 684,214 |")
+    check("construct row", table[3],
+          "| `core.construct_ms` | ci-stress | 1.46, 1.49 | 0.74, 0.83 |")
+    check("share row", table[6],
+          "| `workloads.share` | ci-stress | 0.080, 0.080 | 0.019, 0.019 |")
+    check("last row", table[-1],
+          "| `harness.share` | ci-stress | 0.009, 0.009 | 0.009, 0.009 |")
+    check("cycles agree", agree, True)
+    tpairs[1] = (tpairs[1][0], traced(684215, 0.8, 0.02))
+    check("cycles differ", traced_table("ci-stress", tpairs)[1], False)
     for e in errors:
         print("perf_pairs self-test: " + e, file=sys.stderr)
     print("perf_pairs self-test: %s" % ("FAIL" if errors else "ok"))
@@ -196,6 +261,8 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--log", help="JSON-lines log to append to")
+    ap.add_argument("--trace", action="store_true",
+                    help="run --trace 1 and print the traced table")
     ap.add_argument("--self-test", action="store_true",
                     help="check the arithmetic on a canned sample")
     opt = ap.parse_args()
