@@ -7,14 +7,12 @@
  * the *shape* — who wins, by roughly what factor, where crossovers fall —
  * is the claim, not the absolute values.
  *
- * All drivers share one BenchOptions instance parsed by parseBenchArgs:
- * command-line flags are the primary interface; the historical
- * TPROC_BENCH_* / TPROC_SWEEP_* environment variables remain as
- * fallbacks for anything not given as a flag.
+ * All drivers share one BenchOptions instance parsed by parseBenchArgs;
+ * command-line flags are the only way to configure them.
  */
 
-#ifndef TPROC_BENCH_COMMON_HH
-#define TPROC_BENCH_COMMON_HH
+#ifndef BENCH_COMMON_HH
+#define BENCH_COMMON_HH
 
 #include <cstdint>
 #include <cstdlib>
@@ -37,88 +35,41 @@ namespace tproc::bench
 {
 
 /**
- * Every knob the bench drivers understand, in one struct. Defaults are
- * overridden first from the environment (fallback compatibility), then
- * from command-line flags (the canonical interface; see
- * parseBenchArgs).
+ * Every knob the bench drivers understand, in one struct: defaults
+ * overridden by command-line flags (see parseBenchArgs).
  */
 struct BenchOptions
 {
     /** Instructions simulated per benchmark per configuration
-     *  (--insts, TPROC_BENCH_INSTS). */
+     *  (--insts). */
     uint64_t insts = 400000;
 
-    /** Workload generation seed (--seed, TPROC_BENCH_SEED). */
+    /** Workload generation seed (--seed). */
     uint64_t seed = 1;
 
-    /** Golden-model verification (--verify=0/1, TPROC_BENCH_VERIFY; on
-     *  by default: it is cheap and a silent wrong-path bug would
-     *  invalidate the numbers). */
+    /** Golden-model verification (--verify=0/1; on by default: it is
+     *  cheap and a silent wrong-path bug would invalidate the
+     *  numbers). */
     bool verify = true;
 
     /** Sweep-engine worker threads, 0 = hardware concurrency
-     *  (--threads, TPROC_BENCH_THREADS); 1 restores the old serial
-     *  behaviour bit for bit. */
+     *  (--threads); 1 restores the old serial behaviour bit for bit. */
     unsigned threads = 0;
 
     /** Clean re-runs granted to a failed point before its failure
-     *  stands, microreboot-style (--retries, TPROC_SWEEP_RETRIES). */
+     *  stands, microreboot-style (--retries). */
     unsigned retries = 0;
 
-    /** Batch tiling factor for bench_sweep_scaling (--repeat,
-     *  TPROC_BENCH_REPEAT): more points amortize thread startup when
-     *  the per-point runtime is small. */
-    unsigned repeat = 1;
-
-    /** Per-point sweep-results JSON artifact path (--json,
-     *  TPROC_SWEEP_JSON); empty = driver default or none. */
+    /** Per-point sweep-results JSON artifact path (--json); empty =
+     *  none. */
     std::string json;
-
-    /** Defaults with the TPROC_* environment folded in. */
-    static BenchOptions
-    fromEnv()
-    {
-        BenchOptions o;
-        // Malformed env values warn and keep the default: these are
-        // fallback knobs, and a typo'd one must never be a silent zero.
-        auto u64 = [](const char *name, uint64_t &into) {
-            if (!tproc::parseEnvU64(name, into))
-                std::cerr << "warning: ignoring malformed " << name
-                          << "\n";
-        };
-        auto u32 = [&u64](const char *name, unsigned &into) {
-            uint64_t x = into;
-            u64(name, x);
-            if (x > 0xffffffffULL)
-                std::cerr << "warning: ignoring out-of-range " << name
-                          << "\n";
-            else
-                into = static_cast<unsigned>(x);
-        };
-        u64("TPROC_BENCH_INSTS", o.insts);
-        u64("TPROC_BENCH_SEED", o.seed);
-        if (const char *e = std::getenv("TPROC_BENCH_VERIFY")) {
-            uint64_t b;
-            if (tproc::parseU64(e, b))
-                o.verify = b != 0;
-            else
-                std::cerr << "warning: ignoring malformed "
-                             "TPROC_BENCH_VERIFY\n";
-        }
-        u32("TPROC_BENCH_THREADS", o.threads);
-        u32("TPROC_SWEEP_RETRIES", o.retries);
-        u32("TPROC_BENCH_REPEAT", o.repeat);
-        if (const char *e = std::getenv("TPROC_SWEEP_JSON"))
-            o.json = e;
-        return o;
-    }
 };
 
 /** The driver-wide options instance parseBenchArgs fills. */
 inline BenchOptions &
 options()
 {
-    static BenchOptions opts = BenchOptions::fromEnv();
+    static BenchOptions opts;
     return opts;
 }
 
@@ -157,8 +108,6 @@ applyBenchArg(BenchOptions &opts, const char *arg,
         return parseUnsigned(v, opts.threads);
     if (const char *v = value("--retries"))
         return parseUnsigned(v, opts.retries);
-    if (const char *v = value("--repeat"))
-        return parseUnsigned(v, opts.repeat);
     if (const char *v = value("--verify")) {
         uint64_t b;
         if (!tproc::parseU64(v, b)) {
@@ -217,10 +166,7 @@ printBenchUsage(const char *argv0, std::ostream &os)
        << "  --no-verify     shorthand for --verify=0\n"
        << "  --threads=N     sweep worker threads, 0 = hw concurrency\n"
        << "  --retries=N     clean re-runs for a failed point (0)\n"
-       << "  --repeat=N      batch tiling factor, scaling bench (1)\n"
-       << "  --json=FILE     write per-point sweep results JSON\n"
-       << "TPROC_BENCH_* / TPROC_SWEEP_* env vars remain as fallbacks\n"
-       << "for flags not given.\n";
+       << "  --json=FILE     write per-point sweep results JSON\n";
 }
 
 /**
@@ -330,4 +276,4 @@ printHeaderNote(const char *what)
 
 } // namespace tproc::bench
 
-#endif // TPROC_BENCH_COMMON_HH
+#endif // BENCH_COMMON_HH

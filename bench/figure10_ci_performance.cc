@@ -11,8 +11,8 @@
  * covered by MLB-RET; combining FG with MLB-RET is the best average.
  *
  * The 40-point (workload x model) matrix runs through the parallel
- * harness engine (TPROC_BENCH_THREADS controls the fan-out;
- * TPROC_SWEEP_JSON archives per-point stats).
+ * harness engine (--threads controls the fan-out; --json archives
+ * per-point stats).
  */
 
 #include <iostream>

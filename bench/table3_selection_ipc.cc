@@ -8,8 +8,8 @@
  * overcome.
  *
  * The 32-point (workload x selection-variant) matrix runs through the
- * parallel harness engine (TPROC_BENCH_THREADS controls the fan-out;
- * TPROC_SWEEP_JSON archives per-point stats).
+ * parallel harness engine (--threads controls the fan-out; --json
+ * archives per-point stats).
  */
 
 #include <iostream>

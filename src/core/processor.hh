@@ -73,7 +73,7 @@ namespace tproc
 /**
  * What the retirement watchdog raises when no trace has retired for
  * cfg.watchdogCycles. Under a ScopedErrorCapture it is thrown as-is, so
- * harnesses (sweep fault isolation, the soak campaign) get the machine
+ * harnesses (sweep fault isolation, the explorer) get the machine
  * state as structured fields rather than a formatted string to regex:
  * the firing cycle, the stall length, the window occupancy, and the
  * workload/seed identity the harness stamped via Processor::setIdentity.

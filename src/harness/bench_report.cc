@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include <unistd.h>
-
 #include "common/hires_timer.hh"
 #include "harness/metrics.hh"
 #include "harness/sweep.hh"
@@ -60,10 +58,21 @@ bestOf(const SweepPoint &p, int reps)
     return t;
 }
 
+/** Point-by-point equality of two passes over one batch: both ok and
+ *  every counter identical. */
 bool
-sameStats(const ProcessorStats &a, const ProcessorStats &b)
+sameStats(const std::vector<SweepResult> &a,
+          const std::vector<SweepResult> &b)
 {
-    return statsToDict(a) == statsToDict(b);
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i].ok != b[i].ok ||
+            statsToDict(a[i].stats) != statsToDict(b[i].stats)) {
+            return false;
+        }
+    }
+    return true;
 }
 
 JsonValue
@@ -87,7 +96,7 @@ timingKeys()
         "wall_seconds",  "cycles_per_sec",     "insts_per_sec",
         "live_seconds",  "cold_seconds",       "warm_seconds",
         "speedup",       "total_wall_seconds", "baseline",
-        "host",          "phases",
+        "host",          "phases",             "sweep",
     };
     return keys;
 }
@@ -280,43 +289,78 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
         workloads.push(std::move(w));
     }
 
-    // Replay passes run out of a trace directory; a caller-provided one
-    // is kept (warm across tool invocations), a temp one is removed.
-    const bool own_dir = opts.traceDir.empty();
-    const std::filesystem::path trace_dir = own_dir
-        ? std::filesystem::temp_directory_path() /
-              ("tproc_bench." + std::to_string(::getpid()))
-        : std::filesystem::path(opts.traceDir);
+    // The sweep batch: every workload on base and FG+MLB-RET, tiled 4x
+    // so 64 points amortize thread startup and scheduler noise at small
+    // instruction counts. It runs serially, across hardware-concurrency
+    // workers, and replayed from traces cold (the first point on each
+    // workload captures it) and warm. 8 points share each trace, as in
+    // a real sweep; one point per trace could never repay its capture.
+    const std::vector<SweepPoint> grid =
+        crossPoints(names, {"base", "FG+MLB-RET"}, opts.seed, opts.insts,
+                    opts.verify);
+    std::vector<SweepPoint> batch;
+    for (int tile = 0; tile < 4; ++tile)
+        batch.insert(batch.end(), grid.begin(), grid.end());
+    for (size_t i = 0; i < batch.size(); ++i)
+        batch[i].index = i;
 
-    auto replayPoint = [&](const std::string &workload) {
-        SweepPoint p = makePoint(workload);
-        p.traceDir = trace_dir.string();
-        return p;
+    const replay::TempTraceDir trace_dir("tproc_bench");
+    std::vector<SweepPoint> replay_batch = batch;
+    for (SweepPoint &p : replay_batch)
+        p.traceDir = trace_dir.path();
+
+    SweepEngine::Options serial_opts;
+    serial_opts.threads = 1;
+    SweepEngine serial(serial_opts);
+    SweepEngine parallel;
+    const unsigned threads = parallel.effectiveThreads(batch.size());
+    auto timedRun = [](SweepEngine &engine,
+                       const std::vector<SweepPoint> &points,
+                       double &seconds) {
+        HiresTimer t;
+        std::vector<SweepResult> results = engine.run(points);
+        seconds = t.seconds();
+        return results;
     };
 
-    // Cold pass captures each workload's trace (timed once — the
-    // capture cost is inherently one-shot); warm pass is the steady
-    // state, best of reps like the live pass.
-    double cold_total_s = 0.0;
-    double warm_total_s = 0.0;
-    bool replay_identical = true;
-    for (size_t i = 0; i < names.size(); ++i) {
-        say("  replay " + names[i] + " (cold + " +
-            std::to_string(opts.reps) + " warm reps)...");
-        Timed cold = bestOf(replayPoint(names[i]), 1);
-        Timed warm = bestOf(replayPoint(names[i]), opts.reps);
-        cold_total_s += cold.wall;
-        warm_total_s += warm.wall;
-        replay_identical = replay_identical &&
-            sameStats(cold.stats, live[i].stats) &&
-            sameStats(warm.stats, live[i].stats) && warm.stable;
+    double serial_s = 0.0, parallel_s = 0.0, cold_s = 0.0, warm_s = 0.0;
+    say("  sweep batch: " + std::to_string(batch.size()) +
+        " points, serial...");
+    const auto serial_results = timedRun(serial, batch, serial_s);
+    for (const SweepResult &r : serial_results) {
+        if (!r.ok) {
+            throw std::runtime_error("bench point " + r.point.label() +
+                                     " failed: " + r.error);
+        }
     }
+    say("  sweep batch: parallel (" + std::to_string(threads) +
+        " threads)...");
+    const auto parallel_results = timedRun(parallel, batch, parallel_s);
+    say("  sweep batch: replay, cold (captures traces)...");
+    const auto cold_results = timedRun(parallel, replay_batch, cold_s);
+    say("  sweep batch: replay, warm...");
+    const auto warm_results = timedRun(parallel, replay_batch, warm_s);
+
+    // The engine's determinism contract: identical per-point stats
+    // whatever the worker count, live or replayed.
+    stats_stable = stats_stable && sameStats(serial_results,
+                                             parallel_results);
+    const bool replay_identical = sameStats(serial_results, cold_results) &&
+        sameStats(serial_results, warm_results);
+
+    JsonValue sweep = JsonValue::makeObject();
+    sweep.set("points", num(static_cast<double>(batch.size())));
+    sweep.set("threads", num(threads));
+    sweep.set("serial_seconds", num(serial_s));
+    sweep.set("parallel_seconds", num(parallel_s));
+    sweep.set("speedup", num(rate(serial_s, parallel_s)));
+
     JsonValue replay = JsonValue::makeObject();
     replay.set("workloads", num(static_cast<double>(names.size())));
-    replay.set("live_seconds", num(live_total_s));
-    replay.set("cold_seconds", num(cold_total_s));
-    replay.set("warm_seconds", num(warm_total_s));
-    replay.set("speedup", num(rate(live_total_s, warm_total_s)));
+    replay.set("live_seconds", num(parallel_s));
+    replay.set("cold_seconds", num(cold_s));
+    replay.set("warm_seconds", num(warm_s));
+    replay.set("speedup", num(rate(parallel_s, warm_s)));
     replay.set("identical", JsonValue::makeBool(replay_identical));
 
     // Trace-container accounting: the (compressed, v2) files the replay
@@ -325,7 +369,7 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
     // non-timing view.
     say("  trace compression probe...");
     JsonValue compression = JsonValue::makeArray();
-    replay::TraceStore store(trace_dir.string());
+    replay::TraceStore store(trace_dir.path());
     for (const auto &name : names) {
         const std::string v2_path =
             store.tracePath(name, opts.seed, 1.0, opts.insts);
@@ -349,16 +393,6 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
         compression.push(std::move(c));
     }
 
-    if (own_dir) {
-        std::error_code ec;
-        std::filesystem::remove_all(trace_dir, ec);
-        // The process-wide reader cache still holds entries keyed by the
-        // just-deleted paths; a later report in this process (same pid,
-        // same temp dir) would replay from memory and silently skip the
-        // on-disk captures its compression probe depends on.
-        replay::TraceStore::dropCache();
-    }
-
     JsonValue report = JsonValue::makeObject();
     report.set("schema", JsonValue::makeString("tproc-bench-report-v1"));
     report.set("bench_index", num(opts.benchIndex));
@@ -377,6 +411,7 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
     report.set("host", std::move(host));
 
     report.set("workloads", std::move(workloads));
+    report.set("sweep", std::move(sweep));
     report.set("replay", std::move(replay));
     report.set("trace_compression", std::move(compression));
 

@@ -4,9 +4,10 @@
  *
  * Every optimisation PR checks one BENCH_<n>.json into the repo root:
  * a single JSON document holding simulation throughput (cycles/sec and
- * insts/sec) per golden workload, the capture-once/replay-many
- * speedup, and trace-container compression ratios — plus a `baseline`
- * block carrying the same summary numbers measured on the tree
+ * insts/sec) per golden workload, the sweep engine's parallel and
+ * capture-once/replay-many speedups over one 64-point batch, and
+ * trace-container compression ratios — plus a `baseline` block
+ * carrying the same summary numbers measured on the tree
  * *before* that PR's hot-path work, so the file itself documents the
  * win it claims.
  *
@@ -52,12 +53,9 @@ struct BenchReportOptions
     /** Sequence number of the BENCH_<n>.json this run produces. */
     unsigned benchIndex = 1;
 
-    /** Golden-model retirement verification during the live pass. */
+    /** Golden-model retirement verification (live pass and sweep
+     *  batch). */
     bool verify = true;
-
-    /** Trace directory for the replay passes; empty = fresh temp dir,
-     *  removed afterwards. */
-    std::string traceDir;
 
     /**
      * Windowed-telemetry sampling interval for every bench point
@@ -74,6 +72,16 @@ struct BenchReportOptions
  * lines go to *progress when non-null. Throws std::runtime_error if a
  * simulation point fails (a broken simulator must not produce a
  * plausible-looking artifact).
+ *
+ * The live pass runs every golden workload on opts.model, best of
+ * opts.reps, and fills `workloads` and `summary`. The sweep batch runs
+ * every workload on base and FG+MLB-RET, tiled to 64 points, four
+ * times — serially, across hardware-concurrency workers, and replayed
+ * from traces in a temporary directory cold and warm — and fills
+ * `sweep`, `replay` and `trace_compression`. Identity flags:
+ * `stats_stable_across_reps` needs the live reps and the serial and
+ * parallel batch passes to agree, `replay_identical` both replay
+ * passes to match the serial pass.
  *
  * The report carries a "phases" block (wall-clock attribution from
  * PhaseTimers::global(), scoped to this run) which — like wall_seconds

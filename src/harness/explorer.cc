@@ -226,12 +226,8 @@ sampleShape(const ShapeSpace &space, uint64_t seed, uint64_t index)
 }
 
 ExploreReport
-runExplore(const ExploreOptions &opts_)
+runExplore(const ExploreOptions &opts)
 {
-    ExploreOptions opts = opts_;
-    if (opts.scratchDir.empty())
-        opts.scratchDir = opts.failureDir + ".store";
-
     // Fail on a bad mix up front, not at point 0 inside fault capture.
     parsePatternMix(opts.mix);
 
@@ -252,6 +248,7 @@ runExplore(const ExploreOptions &opts_)
     // Two oracle runs per shape, one flat batch through the engine.
     // Results come back in input order whatever the worker count, so
     // the report is scheduler-independent by construction.
+    const replay::TempTraceDir store("tproc_explore");
     std::vector<SampledShape> shapes;
     std::vector<SweepPoint> batch;
     shapes.reserve(indices.size());
@@ -273,7 +270,7 @@ runExplore(const ExploreOptions &opts_)
         live.labelOverride = name + "/shape-" + std::to_string(idx);
 
         SweepPoint replayed = base;
-        replayed.traceDir = opts.scratchDir;
+        replayed.traceDir = store.path();
         replayed.labelOverride =
             name + "/shape-" + std::to_string(idx) + "(replay)";
 
@@ -306,8 +303,8 @@ runExplore(const ExploreOptions &opts_)
         p.model = shape.model;
         p.knobs = shape.knobs;
 
-        // The soak harness's oracle ladder, verbatim: first failure
-        // wins, divergences compare the full StatDict bit for bit.
+        // The oracle ladder: first failure wins, divergences compare
+        // the full StatDict bit for bit.
         if (!live.ok) {
             p.kind = "panic";
             p.message = live.error;
@@ -338,10 +335,10 @@ runExplore(const ExploreOptions &opts_)
         if (p.kind == "replay-divergence" || p.kind == "injected")
             ++report.divergences;
 
-        // Capture-on-failure (the soak contract): land the offending
-        // workload as a replay artifact named by the trace-store
-        // convention, plus a one-line repro. --point=I re-runs exactly
-        // this index because shape sampling is index-keyed.
+        // Capture-on-failure: land the offending workload as a replay
+        // artifact named by the trace-store convention, plus a one-line
+        // repro. --point=I re-runs exactly this index because shape
+        // sampling is index-keyed.
         try {
             std::filesystem::create_directories(opts.failureDir);
             replay::TraceStore failStore(opts.failureDir);

@@ -15,16 +15,19 @@
  * through the SweepEngine — live (golden-verified, telemetry on) and
  * replayed from a captured trace. The two must agree bit for bit.
  *
- * Any panic, watchdog bark, or oracle divergence is captured with the
- * soak harness's contract: a verify-clean v2 `.tpt` lands in the
- * failure directory plus a one-line repro command (`--point=I` re-runs
- * exactly that index because sampling is index-keyed). Surviving
- * points feed a cliff detector that reads the per-point StatDict and
- * the tproc-metrics-v1 interval series (ipc, window_occupancy,
- * bus_backlog) to rank the frontier: IPC cliffs, zero-retirement
- * (watchdog-adjacent) intervals, saturated buses. The whole campaign
- * serializes as a deterministic `explore-report-v1` JSON document —
- * bit-identical across runs and scheduler widths (docs/explorer.md).
+ * Any panic, watchdog bark, or oracle divergence is captured: a
+ * verify-clean v2 `.tpt` lands in the failure directory plus a
+ * one-line repro command (`--point=I` re-runs exactly that index
+ * because sampling is index-keyed) — the microreboot idea from
+ * PAPERS.md, every failure leaves a cheap, precise recovery point.
+ * The replay oracle's own trace store is a fresh temporary directory,
+ * removed when the campaign ends. Surviving points feed a cliff
+ * detector that reads the per-point StatDict and the tproc-metrics-v1
+ * interval series (ipc, window_occupancy, bus_backlog) to rank the
+ * frontier: IPC cliffs, zero-retirement (watchdog-adjacent) intervals,
+ * saturated buses. The whole campaign serializes as a deterministic
+ * `explore-report-v1` JSON document — bit-identical across runs and
+ * scheduler widths (docs/explorer.md).
  *
  * Explorer, engine, and store stay separable layers: the explorer
  * only builds SweepPoints and reads SweepResults; the engine knows
@@ -167,16 +170,12 @@ struct ExploreOptions
      *  untouched (not even created) while every point passes. */
     std::string failureDir = "explore-failures";
 
-    /** Trace store for the replay oracle; defaults to
-     *  failureDir + ".store". */
-    std::string scratchDir;
-
     /** Per-point progress + failure/repro lines (null = silent). */
     std::ostream *log = nullptr;
 
     /** Test hook: report this index as a divergence even though its
      *  oracles agreed, proving capture-on-failure end to end (-1 =
-     *  off; mirrors SoakOptions::injectFailureAt). */
+     *  off). */
     int64_t injectDivergenceAt = -1;
 };
 
@@ -203,8 +202,7 @@ struct ExplorePoint
     StatDict knobs;             //!< sampled shape knobs
     bool ok = false;
     /** Failure kind ("" when ok): "panic", "panic(replay)",
-     *  "replay-divergence", or "injected" — the soak harness
-     *  vocabulary. */
+     *  "replay-divergence", or "injected". */
     std::string kind;
     std::string message;
     std::string tracePath;      //!< captured .tpt ("" unless failed)
@@ -227,7 +225,8 @@ struct ExploreReport
 };
 
 /** Run the campaign. Throws UnknownWorkloadError on a bad mix (CLI
- *  front-ends surface it as usage + exit 2); per-point faults never
+ *  front-ends surface it as usage + exit 2) and std::runtime_error
+ *  when the replay store cannot be created; per-point faults never
  *  throw — they come back as failed points with captures. */
 ExploreReport runExplore(const ExploreOptions &opts);
 

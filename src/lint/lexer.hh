@@ -3,8 +3,8 @@
  * Minimal C++ tokenizer for tproc-lint.
  *
  * The linter's rules must never fire on the contents of a string
- * literal or a comment ("panic(replay)" in soak.cc is data, not a
- * call), so every rule runs over this token stream instead of raw
+ * literal or a comment ("panic(replay)" in explorer.cc is data, not
+ * a call), so every rule runs over this token stream instead of raw
  * text. The lexer understands exactly as much C++ as that requires:
  * line and block comments, string/char literals with escapes, raw
  * string literals with arbitrary delimiters, preprocessor

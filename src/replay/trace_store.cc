@@ -1,6 +1,7 @@
 #include "replay/trace_store.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -235,6 +236,25 @@ TraceStore::isCachedForTest(const std::string &path)
     auto &cache = readerCache();
     std::lock_guard<std::mutex> lock(cache.mutex);
     return cache.byPath.count(path) != 0;
+}
+
+TempTraceDir::TempTraceDir(const std::string &stem)
+    : dir((std::filesystem::temp_directory_path() / (stem + ".XXXXXX"))
+              .string())
+{
+    if (!::mkdtemp(dir.data())) {
+        throw TraceError("cannot create trace directory " + dir + ": " +
+                         std::strerror(errno));
+    }
+}
+
+TempTraceDir::~TempTraceDir()
+{
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    // The cache is keyed by path; mkdtemp may hand a later run the
+    // same name.
+    TraceStore::dropCache();
 }
 
 TraceStore::EnsureResult

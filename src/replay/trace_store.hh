@@ -84,6 +84,30 @@ class TraceStore
     bool compressCaptures = true;
 };
 
+/**
+ * A fresh, uniquely named trace directory under the system temp
+ * directory, holding one run's replay captures. The destructor removes
+ * it and drops the parsed-trace cache. A capture's identity covers the
+ * workload name, seed, scale and instruction cap, not the program the
+ * current build generates for that name, so a store that outlived its
+ * run could hand a later build stale captures. Throws
+ * std::runtime_error when the directory cannot be created.
+ */
+class TempTraceDir
+{
+  public:
+    explicit TempTraceDir(const std::string &stem);
+    ~TempTraceDir();
+
+    TempTraceDir(const TempTraceDir &) = delete;
+    TempTraceDir &operator=(const TempTraceDir &) = delete;
+
+    const std::string &path() const { return dir; }
+
+  private:
+    std::string dir;
+};
+
 } // namespace tproc::replay
 
 #endif // TPROC_REPLAY_TRACE_STORE_HH

@@ -53,7 +53,7 @@ TEST(BenchReport, SchemaFieldsPresent)
     ASSERT_TRUE(r.find("schema"));
     EXPECT_EQ(r.at("schema").asString(), "tproc-bench-report-v1");
     for (const char *key :
-         {"bench_index", "config", "host", "workloads", "replay",
+         {"bench_index", "config", "host", "workloads", "sweep", "replay",
           "trace_compression", "summary", "identity"}) {
         EXPECT_TRUE(r.find(key)) << "missing top-level key: " << key;
     }
@@ -74,7 +74,16 @@ TEST(BenchReport, SchemaFieldsPresent)
     }
     EXPECT_EQ(r.at("summary").at("total_cycles").asNumber(), cycle_sum);
 
+    // The sweep batch: 8 workloads x {base, FG+MLB-RET}, tiled 4x.
+    const JsonValue &sweep = r.at("sweep");
+    EXPECT_EQ(sweep.at("points").asNumber(), 64.0);
+    EXPECT_GE(sweep.at("threads").asNumber(), 1.0);
+    EXPECT_EQ(r.at("trace_compression").asArray().size(),
+              workloads.size());
+
+    // The batch widens the two identity flags; it adds none.
     const JsonValue &identity = r.at("identity");
+    EXPECT_EQ(identity.asObject().size(), 2u);
     for (const char *key : {"stats_stable_across_reps", "replay_identical"}) {
         ASSERT_TRUE(identity.find(key));
         EXPECT_TRUE(identity.at(key).asBool())
@@ -107,6 +116,7 @@ TEST(BenchReport, NonTimingFieldsDeterministicAcrossRuns)
     // Timing fields must be excluded from the comparison view: wall
     // clocks differ between runs, yet the diff above is empty.
     JsonValue view = harness::benchNonTimingView(again);
+    EXPECT_FALSE(view.find("sweep"));
     EXPECT_FALSE(view.at("summary").find("total_wall_seconds"));
     EXPECT_FALSE(view.at("summary").find("cycles_per_sec"));
     EXPECT_TRUE(view.at("summary").find("total_cycles"));

@@ -5,8 +5,9 @@
  * explore-report-v1 document are byte-identical across processes and
  * scheduler widths, validate() rejects every degenerate shape with a
  * structured error naming the offending knob *before* simulation
- * starts, and an injected divergence lands a verify-clean replayable
- * .tpt plus a working one-line repro (the soak capture contract).
+ * starts, an injected divergence lands a verify-clean replayable .tpt
+ * plus a working one-line repro (the capture-on-failure contract), and
+ * a clean campaign leaves no failure directory or replay store behind.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -52,6 +54,36 @@ class TempDir
 
   private:
     std::string p;
+};
+
+/** Sets an environment variable for its lifetime, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name_, const std::string &value) : name(name_)
+    {
+        if (const char *old = std::getenv(name)) {
+            had = true;
+            saved = old;
+        }
+        setenv(name, value.c_str(), 1);
+    }
+
+    ~ScopedEnv()
+    {
+        if (had)
+            setenv(name, saved.c_str(), 1);
+        else
+            unsetenv(name);
+    }
+
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name;
+    bool had = false;
+    std::string saved;
 };
 
 /** FNV-1a over a string: the cross-process digest primitive. */
@@ -203,19 +235,40 @@ TEST(Explorer, ReportByteIdenticalAcrossProcesses)
 TEST(Explorer, CleanRunTouchesNoFailureDir)
 {
     TempDir root("explore-clean");
+    // A private temp directory, so the test sees every replay store
+    // the campaigns create.
+    const std::string tmp = root.path() + "/tmp";
+    fs::create_directories(tmp);
+    ScopedEnv tmpdir("TMPDIR", tmp);
+
     const std::string failDir = root.path() + "/failures";
     harness::ExploreOptions opts = smallCampaign();
     opts.shapes = 2;
     opts.failureDir = failDir;
-    opts.scratchDir = root.path() + "/store";
-    const harness::ExploreReport rep = harness::runExplore(opts);
-    EXPECT_EQ(rep.pointsRun, 2u);
-    EXPECT_EQ(rep.failures, 0u);
-    EXPECT_EQ(rep.divergences, 0u);
-    // The failure dir must not even exist after a clean campaign.
-    EXPECT_FALSE(fs::exists(failDir));
-    // Frontier still ranks the surviving points deterministically.
-    EXPECT_EQ(rep.frontier.size(), 2u);
+    std::string first;
+    for (int run = 0; run < 2; ++run) {
+        const harness::ExploreReport rep = harness::runExplore(opts);
+        EXPECT_EQ(rep.pointsRun, 2u);
+        EXPECT_EQ(rep.failures, 0u);
+        EXPECT_EQ(rep.divergences, 0u);
+        // Frontier still ranks the surviving points deterministically.
+        EXPECT_EQ(rep.frontier.size(), 2u);
+        // Neither the failure dir nor any replay store outlives a
+        // clean campaign: a store left behind would hand a later build
+        // the captures of this one.
+        EXPECT_FALSE(fs::exists(failDir));
+        EXPECT_FALSE(fs::exists(failDir + ".store"));
+        EXPECT_TRUE(fs::is_empty(tmp));
+
+        // A second campaign in the same process recaptures from
+        // scratch and reports byte for byte what the first did.
+        std::ostringstream os;
+        harness::writeExploreReport(os, rep, opts);
+        if (run == 0)
+            first = os.str();
+        else
+            EXPECT_EQ(os.str(), first);
+    }
 }
 
 // -------------------------------------------------- capture-on-failure
@@ -223,12 +276,10 @@ TEST(Explorer, CleanRunTouchesNoFailureDir)
 TEST(Explorer, InjectedDivergenceCapturesReplayableTrace)
 {
     TempDir fail("explore-fail");
-    TempDir scratch("explore-scratch");
 
     harness::ExploreOptions opts = smallCampaign();
     opts.shapes = 2;
     opts.failureDir = fail.path();
-    opts.scratchDir = scratch.path();
     opts.injectDivergenceAt = 1;
 
     const harness::ExploreReport rep = harness::runExplore(opts);

@@ -1,11 +1,10 @@
 /**
  * @file
- * Synthetic-workload generator and soak-harness tests: name grammar and
- * error reporting, byte-identical program determinism (including across
- * processes), the standing differential oracles on generated programs
- * (live == replay, serial == PE-parallel), and the capture-on-failure
- * contract — an injected soak divergence must land a verifiable .tpt
- * plus a repro line, and the captured artifact must actually replay.
+ * Synthetic-workload generator tests: name grammar and error
+ * reporting, byte-identical program determinism (including across
+ * processes), and the standing live == replay oracle on generated
+ * programs. The capture-on-failure contract is tested with the
+ * explorer (test_explorer).
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +18,7 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "harness/soak.hh"
 #include "harness/sweep.hh"
-#include "replay/trace_file.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
@@ -233,82 +230,6 @@ TEST(Generator, GeneratedPointsPassStandingOracles)
                   harness::statsToDict(replayed.stats))
             << name;
     }
-}
-
-TEST(Generator, SoakCapturesInjectedFailureWithWorkingRepro)
-{
-    TempDir fail("soak-fail");
-    TempDir scratch("soak-scratch");
-
-    harness::SoakOptions opts;
-    opts.mix = "fgci+steady";
-    opts.seed = 11;
-    opts.maxPoints = 2;
-    opts.insts = 15000;
-    opts.failureDir = fail.path();
-    opts.scratchDir = scratch.path();
-    opts.injectFailureAt = 1;
-
-    const harness::SoakReport rep = harness::runSoak(opts);
-    EXPECT_EQ(rep.points, 2u);
-    ASSERT_EQ(rep.failures.size(), 1u);
-    const harness::SoakFailure &f = rep.failures[0];
-    EXPECT_EQ(f.index, 1u);
-    EXPECT_EQ(f.kind, "injected");
-    EXPECT_EQ(f.workload, "gen:fgci+steady:1");
-
-    // The capture must be a verify-clean v2 container on disk.
-    ASSERT_FALSE(f.tracePath.empty());
-    ASSERT_TRUE(fs::exists(f.tracePath)) << f.tracePath;
-    std::string err;
-    replay::TraceInfo info;
-    ASSERT_TRUE(replay::TraceReader::verify(f.tracePath, &err, &info))
-        << err;
-    EXPECT_EQ(info.meta.workload, f.workload);
-
-    // The repro line names the exact point and the failure dir.
-    EXPECT_NE(f.repro.find("tproc-sweep"), std::string::npos);
-    EXPECT_NE(f.repro.find(f.workload), std::string::npos);
-    EXPECT_NE(f.repro.find("--seed=11"), std::string::npos);
-    EXPECT_NE(f.repro.find("--trace-dir=" + fail.path()),
-              std::string::npos);
-
-    // And the repro actually works: replaying the captured point from
-    // the failure dir matches a live run bit for bit.
-    harness::SweepPoint p;
-    p.workload = f.workload;
-    p.model = f.model;
-    p.seed = f.seed;
-    p.maxInsts = opts.insts;
-    p.verify = true;
-    harness::SweepPoint fromCapture = p;
-    fromCapture.traceDir = fail.path();
-    const auto replayed = harness::SweepEngine::runPoint(fromCapture);
-    ASSERT_TRUE(replayed.ok) << replayed.error;
-    harness::SweepPoint liveAgain = p;
-    const auto live = harness::SweepEngine::runPoint(liveAgain);
-    ASSERT_TRUE(live.ok) << live.error;
-    EXPECT_EQ(harness::statsToDict(live.stats),
-              harness::statsToDict(replayed.stats));
-}
-
-TEST(Generator, SoakCleanRunTouchesNoFailureDir)
-{
-    TempDir root("soak-clean");
-    const std::string failDir = root.path() + "/failures";
-
-    harness::SoakOptions opts;
-    opts.mix = "steady";
-    opts.seed = 3;
-    opts.maxPoints = 1;
-    opts.insts = 8000;
-    opts.failureDir = failDir;
-    opts.scratchDir = root.path() + "/store";
-
-    const harness::SoakReport rep = harness::runSoak(opts);
-    EXPECT_EQ(rep.points, 1u);
-    EXPECT_TRUE(rep.failures.empty());
-    EXPECT_FALSE(fs::exists(failDir));
 }
 
 } // namespace tproc

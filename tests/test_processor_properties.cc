@@ -215,7 +215,7 @@ TEST(ProcessorProperties, WatchdogRaisesStructuredError)
     // threshold of 1 cycle fires before the first trace can retire) and
     // check the structured error: typed, field-carrying, and stamped
     // with the identity a harness set. This is the contract sweep fault
-    // isolation and soak capture-on-failure rely on.
+    // isolation and the explorer's capture-on-failure rely on.
     Workload w = makeWorkload("compress", 1, 0.01);
     ProcessorConfig cfg = ProcessorConfig::forModel("base");
     cfg.watchdogCycles = 1;

@@ -52,7 +52,6 @@ usage(std::ostream &os)
        << "  --reps=N              wall-time reps, best kept (3)\n"
        << "  --index=N             BENCH_<n> sequence number (1)\n"
        << "  --no-verify           skip golden-model verification\n"
-       << "  --trace-dir=DIR       reuse DIR for replay traces\n"
        << "  --baseline=FILE       embed FILE's summary as the baseline\n"
        << "                        block (pre-change numbers)\n"
        << "  --baseline-label=STR  label for the baseline block\n"
@@ -139,8 +138,6 @@ main(int argc, char **argv)
             }
         } else if (std::string(argv[i]) == "--no-verify") {
             opts.verify = false;
-        } else if (cli::parseArg(argv[i], "--trace-dir", v)) {
-            opts.traceDir = v;
         } else if (cli::parseArg(argv[i], "--baseline", v)) {
             baseline_path = v;
         } else if (cli::parseArg(argv[i], "--baseline-label", v)) {

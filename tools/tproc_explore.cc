@@ -10,7 +10,7 @@
  * Usage:
  *   tproc-explore [--shapes=N] [--seed=S] [--mix=SPEC] [--insts=N]
  *                 [--threads=T] [--shard=I/N]
- *                 [--point=I] [--failure-dir=DIR] [--scratch-dir=DIR]
+ *                 [--point=I] [--failure-dir=DIR]
  *                 [--metrics-interval=N] [--frontier=K] [--json=FILE]
  *                 [--quiet]
  *
@@ -24,8 +24,9 @@
  * Exit status: number of failing points (capped at 125); usage errors
  * exit 2 (the tproc-bench convention — every corner input, including
  * degenerate --shard specs and out-of-range counts, is a reported
- * usage error up front, never a downstream assert). An unknown
- * --mix lists the valid pattern names.
+ * usage error up front, never a downstream assert), and so does a
+ * replay store that cannot be created in the temp directory. An
+ * unknown --mix lists the valid pattern names.
  */
 
 #include <cstring>
@@ -49,8 +50,7 @@ usage(std::ostream &os)
     os << "usage: tproc-explore [--shapes=N] [--seed=S] [--mix=SPEC]\n"
           "                     [--insts=N] [--threads=T]\n"
           "                     [--shard=I/N] [--point=I]\n"
-          "                     [--failure-dir=DIR] "
-          "[--scratch-dir=DIR]\n"
+          "                     [--failure-dir=DIR]\n"
           "                     [--metrics-interval=N] [--frontier=K]\n"
           "                     [--json=FILE] [--quiet]\n";
 }
@@ -113,8 +113,6 @@ main(int argc, char **argv)
             point_set = true;
         } else if (parseArg(argv[i], "--failure-dir", v)) {
             opts.failureDir = v;
-        } else if (parseArg(argv[i], "--scratch-dir", v)) {
-            opts.scratchDir = v;
         } else if (parseArg(argv[i], "--metrics-interval", v)) {
             if (!cli::parseU64(v, opts.metricsInterval))
                 return badNumber("--metrics-interval", v);
@@ -170,6 +168,11 @@ main(int argc, char **argv)
     } catch (const UnknownWorkloadError &e) {
         std::cerr << "tproc-explore: " << e.what() << '\n';
         usage(std::cerr);
+        return 2;
+    } catch (const std::exception &e) {
+        // E.g. the replay oracle's temporary store could not be
+        // created.
+        std::cerr << "tproc-explore: " << e.what() << '\n';
         return 2;
     }
 

@@ -11,33 +11,18 @@
  *               [--merged-json=FILE] [--trace-dir=DIR] [--golden=DIR]
  *               [--write-golden=DIR] [--metrics-json=FILE]
  *               [--metrics-interval=N] [--no-verify] [--quiet]
- *               [--generate=N] [--gen-seed=S] [--pattern-mix=SPEC]
- *
- * Soak usage:
- *   tproc-sweep --soak[=SECONDSs|POINTS] [--gen-seed=S]
- *               [--pattern-mix=SPEC] [--insts=N]
- *               [--failure-dir=DIR] [--models=a,b,...] [--quiet]
+ *               [--generate=N] [--pattern-mix=SPEC]
  *
  * Merge usage:
  *   tproc-sweep merge [--out=FILE] shard0.json shard1.json ...
  *
  * --generate=N swaps the workload list for N generated synthetic
  * workloads "gen:<mix>:<0..N-1>" (src/workloads/generator.hh): the mix
- * comes from --pattern-mix (default "all"), the data seed from
- * --gen-seed (default --seed). Generated points are ordinary
- * SweepPoints — identity is the name plus seed — so they compose with
+ * comes from --pattern-mix (default "all"), the data seed from --seed.
+ * Generated points are ordinary SweepPoints — identity is the name
+ * plus seed — so they compose with
  * --shard/--resume/--trace-dir/--golden/--metrics-json unchanged, and
  * two runs with the same flags are bit-identical.
- *
- * --soak runs an endless seeded stream of generated workloads through
- * the standing oracles (live==replay, golden verification) until the
- * bound is hit: "--soak=45s" is a wall-time bound, "--soak=200" a
- * point count, bare "--soak" 30 seconds. Any panic, watchdog bark, or
- * divergence is captured as a v2 .tpt into --failure-dir (default
- * soak-failures/, left untouched while points pass) together with a
- * printed one-line repro command; exit status is the number of
- * failing points. docs/workloads.md documents the capture-on-failure
- * contract.
  *
  * An unknown workload name, generator pattern, or pattern-mix spec is
  * reported with the valid names and exits 2 (the usage convention
@@ -96,7 +81,6 @@
 #include "harness/golden.hh"
 #include "harness/journal.hh"
 #include "harness/metrics.hh"
-#include "harness/soak.hh"
 #include "harness/sweep.hh"
 #include "tools/cli.hh"
 #include "workloads/generator.hh"
@@ -122,12 +106,7 @@ usage(std::ostream &os)
           "[--metrics-json=FILE]\n"
           "                   [--metrics-interval=N] [--no-verify] "
           "[--quiet]\n"
-          "                   [--generate=N] [--gen-seed=S] "
-          "[--pattern-mix=SPEC]\n"
-          "       tproc-sweep --soak[=SECONDSs|POINTS] [--gen-seed=S]\n"
-          "                   [--pattern-mix=SPEC] [--insts=N]\n"
-          "                   [--failure-dir=DIR] [--models=a,b,...] "
-          "[--quiet]\n"
+          "                   [--generate=N] [--pattern-mix=SPEC]\n"
           "       tproc-sweep merge [--out=FILE] a.json b.json ...\n";
 }
 
@@ -272,14 +251,7 @@ main(int argc, char **argv)
     std::string metrics_path;
     uint64_t metrics_interval = 0;
     uint64_t generate = 0;
-    uint64_t gen_seed = 0;
-    bool gen_seed_set = false;
-    bool insts_set = false;
     std::string pattern_mix = "all";
-    bool soak = false;
-    uint64_t soak_points = 0;
-    double soak_seconds = 0.0;
-    std::string failure_dir = "soak-failures";
 
     auto badNumber = [](const char *flag, const std::string &v) {
         std::cerr << "tproc-sweep: bad " << flag << " '" << v
@@ -297,7 +269,6 @@ main(int argc, char **argv)
         } else if (parseArg(argv[i], "--insts", v)) {
             if (!cli::parseU64(v, insts))
                 return badNumber("--insts", v);
-            insts_set = true;
         } else if (parseArg(argv[i], "--seed", v)) {
             if (!cli::parseU64(v, seed))
                 return badNumber("--seed", v);
@@ -344,31 +315,8 @@ main(int argc, char **argv)
                 usage(std::cerr);
                 return 126;
             }
-        } else if (parseArg(argv[i], "--gen-seed", v)) {
-            if (!cli::parseU64(v, gen_seed))
-                return badNumber("--gen-seed", v);
-            gen_seed_set = true;
         } else if (parseArg(argv[i], "--pattern-mix", v)) {
             pattern_mix = v;
-        } else if (std::strcmp(argv[i], "--soak") == 0) {
-            soak = true;
-        } else if (parseArg(argv[i], "--soak", v)) {
-            // A trailing 's' makes the bound wall time; bare digits
-            // make it a point count. Either way zero is a typo.
-            soak = true;
-            if (!v.empty() && v.back() == 's') {
-                uint64_t secs = 0;
-                if (!cli::parseU64(v.substr(0, v.size() - 1), secs) ||
-                    secs == 0) {
-                    return badNumber("--soak", v);
-                }
-                soak_seconds = static_cast<double>(secs);
-            } else if (!cli::parseU64(v, soak_points) ||
-                       soak_points == 0) {
-                return badNumber("--soak", v);
-            }
-        } else if (parseArg(argv[i], "--failure-dir", v)) {
-            failure_dir = v;
         } else if (std::strcmp(argv[i], "--no-verify") == 0) {
             verify = false;
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
@@ -385,14 +333,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (soak && generate) {
-        std::cerr << "tproc-sweep: --soak and --generate are mutually "
-                     "exclusive (soak streams its own generated "
-                     "points)\n";
-        usage(std::cerr);
-        return 126;
-    }
-
     // Unknown workload or pattern names are usage errors caught up
     // front — report the valid names and exit 2 (docs/cli.md), instead
     // of surfacing them as per-point fault-capture failures mid-sweep.
@@ -402,8 +342,6 @@ main(int argc, char **argv)
             workloads.clear();
             for (uint64_t i = 0; i < generate; ++i)
                 workloads.push_back(generatedName(pattern_mix, i));
-            if (gen_seed_set)
-                seed = gen_seed;
         } else {
             const auto known = workloadNames();
             for (const auto &w : workloads) {
@@ -433,43 +371,6 @@ main(int argc, char **argv)
             usage(std::cerr);
             return 2;
         }
-    }
-
-    if (soak) {
-        harness::SoakOptions sopts;
-        sopts.mix = pattern_mix;
-        sopts.seed = gen_seed_set ? gen_seed : seed;
-        sopts.maxPoints = soak_points;
-        sopts.maxSeconds = soak_seconds;
-        sopts.insts = insts_set ? insts : 60000;
-        sopts.models = models;
-        sopts.failureDir = failure_dir;
-        sopts.log = quiet ? nullptr : &std::cerr;
-        const harness::SoakReport rep = harness::runSoak(sopts);
-        // With --quiet the per-point stream is suppressed, but a
-        // failure's capture path and repro line must still land in the
-        // log — they are the whole point of the harness.
-        if (quiet) {
-            for (const auto &f : rep.failures) {
-                std::cerr << "soak FAILURE [" << f.index << "] "
-                          << f.workload << "/" << f.model << " (seed "
-                          << f.seed << "): " << f.kind << ": "
-                          << f.message << "\n";
-                if (!f.tracePath.empty())
-                    std::cerr << "  captured: " << f.tracePath << "\n";
-                std::cerr << "  repro: " << f.repro << "\n";
-            }
-        }
-        std::cout << "soak: " << rep.points << " point"
-                  << (rep.points == 1 ? "" : "s") << " in "
-                  << rep.wallSeconds << "s, " << rep.failures.size()
-                  << " failure"
-                  << (rep.failures.size() == 1 ? "" : "s");
-        if (!rep.failures.empty())
-            std::cout << " (captured under " << failure_dir << ")";
-        std::cout << "\n";
-        const size_t nfail = rep.failures.size();
-        return nfail > 125 ? 125 : static_cast<int>(nfail);
     }
 
     // An unwritable telemetry destination is a usage error up front
