@@ -7,8 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/common.hh"
-
 #include "arb/arb.hh"
 #include "bpred/branch_predictor.hh"
 #include "core/runner.hh"
@@ -144,21 +142,4 @@ BENCHMARK(BM_ProcessorSimRate)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-// Hand-rolled BENCHMARK_MAIN so the shared bench flags (--insts,
-// --seed, ...) parse first and everything unrecognized passes through
-// to google-benchmark's own parser (--benchmark_filter and friends).
-int
-main(int argc, char **argv)
-{
-    std::vector<std::string> forwarded{argv[0]};
-    tproc::bench::parseBenchArgs(argc, argv, &forwarded);
-    std::vector<char *> bargv;
-    for (auto &a : forwarded)
-        bargv.push_back(a.data());
-    int bargc = static_cast<int>(bargv.size());
-    benchmark::Initialize(&bargc, bargv.data());
-    if (benchmark::ReportUnrecognizedArguments(bargc, bargv.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -174,14 +174,6 @@ mergeResults(const std::vector<SweepResult> &results)
     return merged;
 }
 
-namespace
-{
-
-/**
- * One per-point JSON object. The deterministic fields come first and
- * are byte-stable across runs; wall_seconds and attempts are timing /
- * scheduling facts and are left out of canonical (merged) artifacts.
- */
 void
 writeResultObject(std::ostream &os, const SweepResult &r, int indent,
                   bool deterministicOnly)
@@ -210,8 +202,6 @@ writeResultObject(std::ostream &os, const SweepResult &r, int indent,
     statsToDict(r.stats).writeJson(os, indent + 2);
     os << "\n" << pad << "}";
 }
-
-} // namespace
 
 SweepResult
 resultFromJson(const JsonValue &v)

@@ -123,6 +123,15 @@ ProcessorStats statsFromDict(const StatDict &d);
 /** Merge (sum) the stats of all successful results into one dict. */
 StatDict mergeResults(const std::vector<SweepResult> &results);
 
+/**
+ * One pretty-printed per-point JSON object, indented by indent spaces.
+ * The deterministic fields come first and are byte-stable across runs;
+ * wall_seconds and attempts are timing / scheduling facts, left out
+ * when deterministicOnly is set (canonical artifacts).
+ */
+void writeResultObject(std::ostream &os, const SweepResult &r, int indent,
+                       bool deterministicOnly);
+
 /** Serialize results as a JSON array (one object per point). */
 void writeResultsJson(std::ostream &os,
                       const std::vector<SweepResult> &results);

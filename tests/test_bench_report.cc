@@ -3,8 +3,7 @@
  * Bench-report contract tests: BENCH_*.json schema presence, JSON
  * round-trip through the common parser/printer, non-timing determinism
  * across runs, options recovery from a report, baseline attachment,
- * and the BenchOptions flag parser + StatDict counter handles that
- * front the redesigned bench API.
+ * and the StatDict counter handles.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/common.hh"
 #include "common/stats.hh"
 #include "harness/bench_report.hh"
 
@@ -181,52 +179,6 @@ TEST(BenchReport, DiffNamesEachOneSidedKeyAndComparesTheRest)
     const JsonValue d = parseJson(R"({"m": 2, "n": 1})");
     EXPECT_EQ(harness::diffBenchReports(c, d),
               std::vector<std::string>{"$: key order differs"});
-}
-
-TEST(BenchOptions, FlagsOverrideDefaults)
-{
-    bench::BenchOptions opts;
-    std::vector<std::string> raw = {"prog",        "--insts=1234",
-                                    "--seed=7",    "--threads=3",
-                                    "--no-verify", "--json=out.json"};
-    std::vector<char *> argv;
-    for (std::string &s : raw)
-        argv.push_back(s.data());
-    auto err = bench::parseBenchArgsInto(
-        opts, static_cast<int>(argv.size()), argv.data(), nullptr);
-    ASSERT_FALSE(err.has_value()) << *err;
-    EXPECT_EQ(opts.insts, 1234u);
-    EXPECT_EQ(opts.seed, 7u);
-    EXPECT_EQ(opts.threads, 3u);
-    EXPECT_FALSE(opts.verify);
-    EXPECT_EQ(opts.json, "out.json");
-}
-
-TEST(BenchOptions, UnknownFlagRejectedPassthroughCollected)
-{
-    bench::BenchOptions opts;
-    std::vector<std::string> raw = {"prog", "--bogus=1"};
-    std::vector<char *> argv;
-    for (std::string &s : raw)
-        argv.push_back(s.data());
-    auto err = bench::parseBenchArgsInto(
-        opts, static_cast<int>(argv.size()), argv.data(), nullptr);
-    EXPECT_TRUE(err.has_value());
-
-    // With a passthrough list the unknown flag is forwarded instead
-    // (micro_components hands Google-Benchmark flags through this way).
-    bench::BenchOptions opts2;
-    std::vector<std::string> fwd;
-    std::vector<std::string> raw2 = {"prog", "--insts=5", "--bogus=1"};
-    std::vector<char *> argv2;
-    for (std::string &s : raw2)
-        argv2.push_back(s.data());
-    auto err2 = bench::parseBenchArgsInto(
-        opts2, static_cast<int>(argv2.size()), argv2.data(), &fwd);
-    ASSERT_FALSE(err2.has_value()) << *err2;
-    EXPECT_EQ(opts2.insts, 5u);
-    ASSERT_EQ(fwd.size(), 1u);
-    EXPECT_EQ(fwd[0], "--bogus=1");
 }
 
 TEST(StatDictCounter, HandleBumpsMatchNamedOps)

@@ -3,15 +3,17 @@
  * CLI helper tests (tools/cli.hh): the strict numeric parsers, the
  * hardened --shard=I/N grammar (including the 2^32-overflow corner
  * that used to truncate through strtoul and silently run the wrong
- * shard), and the count-flag grid bound. Process-level usage-error
- * behavior (exit 2 / exit 126 paths) is exercised by the CI smoke
- * steps; these tests pin the parsing layer itself.
+ * shard), the parenthesis-aware list splitter, and the count-flag
+ * grid bound. Process-level usage-error behavior (exit 2 / exit 126
+ * paths) is exercised by the CI smoke steps; these tests pin the
+ * parsing layer itself.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "tools/cli.hh"
 
@@ -78,6 +80,19 @@ TEST(Cli, ParseShardRejectsDegenerateSlices)
     // Rejections leave the outputs untouched.
     EXPECT_EQ(i, 9u);
     EXPECT_EQ(n, 9u);
+}
+
+TEST(Cli, SplitListKeepsParenthesizedCommas)
+{
+    using List = std::vector<std::string>;
+    EXPECT_EQ(cli::splitList("base,base(fg,ntb),FG+MLB-RET"),
+              (List{"base", "base(fg,ntb)", "FG+MLB-RET"}));
+    EXPECT_EQ(cli::splitList("base(fg,ntb)"), (List{"base(fg,ntb)"}));
+    EXPECT_EQ(cli::splitList(",compress,,li,"), (List{"compress", "li"}));
+    EXPECT_EQ(cli::splitList(""), List{});
+    // An unbalanced parenthesis keeps the rest of the list in one
+    // field, which then fails name validation as a whole.
+    EXPECT_EQ(cli::splitList("base(fg,ntb,FG"), (List{"base(fg,ntb,FG"}));
 }
 
 TEST(Cli, CountFlagBoundIsSane)

@@ -42,20 +42,32 @@ parseArg(const char *arg, const char *key, std::string &value)
     return true;
 }
 
-/** Split a comma-separated list, dropping empty fields. */
+/**
+ * Split a comma-separated list, dropping empty fields. Only commas
+ * outside parentheses split, so a model name such as "base(fg,ntb)"
+ * stays one field.
+ */
 inline std::vector<std::string>
 splitList(const std::string &s)
 {
     std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > pos)
-            out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
+    std::string field;
+    int depth = 0;
+    for (char c : s) {
+        if (c == ',' && depth == 0) {
+            if (!field.empty())
+                out.push_back(field);
+            field.clear();
+            continue;
+        }
+        if (c == '(')
+            ++depth;
+        else if (c == ')' && depth > 0)
+            --depth;
+        field += c;
     }
+    if (!field.empty())
+        out.push_back(field);
     return out;
 }
 
