@@ -507,7 +507,7 @@ Processor::completeSlot(InFlightTrace &t, int slot)
     // bus (they "complete" later, once the access returns).
     if ((c.isLoad() || c.isStore()) && !d.agenDone) {
         d.agenDone = true;
-        d.effAddr = static_cast<Addr>(d.srcVal1 + c.inst.imm);
+        d.effAddr = effectiveAddr(d.srcVal1, c.inst.imm);
         d.waitingBus = true;
         cacheQueue.push_back({t.uid, slot});
         return;

@@ -8,12 +8,19 @@ namespace tproc
 int64_t
 evalAlu(Opcode op, int64_t a, int64_t b, int64_t imm)
 {
-    auto ua = static_cast<uint64_t>(a);
+    // Adds, subtracts and multiplies are done in uint64_t, where
+    // overflow wraps, and give the two's-complement bits.
+    const auto ua = static_cast<uint64_t>(a);
+    const auto ub = static_cast<uint64_t>(b);
     switch (op) {
-      case Opcode::ADD: return a + b;
-      case Opcode::SUB: return a - b;
-      case Opcode::MUL: return a * b;
-      case Opcode::DIVX: return b == 0 ? 0 : a / b;
+      case Opcode::ADD: return static_cast<int64_t>(ua + ub);
+      case Opcode::SUB: return static_cast<int64_t>(ua - ub);
+      case Opcode::MUL: return static_cast<int64_t>(ua * ub);
+      case Opcode::DIVX:
+        // INT64_MIN / -1 overflows (and traps on x86); it wraps too.
+        if (b == 0)
+            return 0;
+        return b == -1 ? static_cast<int64_t>(0 - ua) : a / b;
       case Opcode::AND: return a & b;
       case Opcode::OR: return a | b;
       case Opcode::XOR: return a ^ b;
@@ -21,8 +28,9 @@ evalAlu(Opcode op, int64_t a, int64_t b, int64_t imm)
       case Opcode::SRL: return static_cast<int64_t>(ua >> (b & 63));
       case Opcode::SRA: return a >> (b & 63);
       case Opcode::SLT: return a < b ? 1 : 0;
-      case Opcode::SLTU: return ua < static_cast<uint64_t>(b) ? 1 : 0;
-      case Opcode::ADDI: return a + imm;
+      case Opcode::SLTU: return ua < ub ? 1 : 0;
+      case Opcode::ADDI:
+        return static_cast<int64_t>(ua + static_cast<uint64_t>(imm));
       case Opcode::ANDI: return a & imm;
       case Opcode::ORI: return a | imm;
       case Opcode::XORI: return a ^ imm;
@@ -74,7 +82,7 @@ Emulator::step()
         break;
       case Opcode::LD:
         res.isMem = true;
-        res.memAddr = static_cast<Addr>(regs[inst.rs1] + inst.imm);
+        res.memAddr = effectiveAddr(regs[inst.rs1], inst.imm);
         res.memValue = mem.read(res.memAddr);
         if (inst.rd != regZero) {
             res.hasDest = true;
@@ -84,7 +92,7 @@ Emulator::step()
         break;
       case Opcode::ST:
         res.isMem = true;
-        res.memAddr = static_cast<Addr>(regs[inst.rs1] + inst.imm);
+        res.memAddr = effectiveAddr(regs[inst.rs1], inst.imm);
         res.memValue = regs[inst.rs2];
         mem.write(res.memAddr, res.memValue);
         break;
@@ -135,8 +143,6 @@ Emulator::step()
     regs[regZero] = 0;
     curPc = res.nextPc;
     ++icount;
-    if (observer)
-        observer(res);
     return res;
 }
 

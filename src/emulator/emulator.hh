@@ -10,7 +10,6 @@
 #define TPROC_EMULATOR_EMULATOR_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -84,8 +83,18 @@ class SparseMemory
 };
 
 /** Pure ALU evaluation shared between the emulator and the timing
- *  simulator's execution units. Division by zero yields zero. */
+ *  simulator's execution units. Arithmetic wraps modulo 2^64 (a
+ *  program, which may come from a trace file, can overflow anything);
+ *  division by zero yields zero and INT64_MIN / -1 yields INT64_MIN. */
 int64_t evalAlu(Opcode op, int64_t a, int64_t b, int64_t imm);
+
+/** A load's or store's address: base register plus immediate,
+ *  wrapping modulo 2^64. */
+inline Addr
+effectiveAddr(int64_t base, int64_t imm)
+{
+    return static_cast<Addr>(base) + static_cast<Addr>(imm);
+}
 
 /** Conditional branch outcome. */
 bool evalBranch(Opcode op, int64_t a, int64_t b);
@@ -96,9 +105,6 @@ bool evalBranch(Opcode op, int64_t a, int64_t b);
 class Emulator : public ArchSource
 {
   public:
-    /** Called after every step with the step's result (capture hook). */
-    using StepObserver = std::function<void(const StepResult &)>;
-
     explicit Emulator(const Program &prog_);
 
     /** Execute the instruction at the current pc. */
@@ -116,9 +122,6 @@ class Emulator : public ArchSource
     /** Run until HALT or max_insts, returning instructions executed. */
     uint64_t run(uint64_t max_insts);
 
-    /** Install the capture hook (empty observer uninstalls it). */
-    void setStepObserver(StepObserver obs) { observer = std::move(obs); }
-
   private:
     const Program &prog;
     std::array<int64_t, numArchRegs> regs{};
@@ -126,7 +129,6 @@ class Emulator : public ArchSource
     Addr curPc;
     bool isHalted = false;
     uint64_t icount = 0;
-    StepObserver observer;
 };
 
 } // namespace tproc

@@ -1,7 +1,6 @@
 #include "harness/bench_report.hh"
 
 #include <algorithm>
-#include <filesystem>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -9,7 +8,6 @@
 #include "common/hires_timer.hh"
 #include "harness/metrics.hh"
 #include "harness/sweep.hh"
-#include "replay/capture.hh"
 #include "replay/trace_store.hh"
 #include "workloads/workloads.hh"
 
@@ -363,34 +361,27 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
     replay.set("speedup", num(rate(parallel_s, warm_s)));
     replay.set("identical", JsonValue::makeBool(replay_identical));
 
-    // Trace-container accounting: the (compressed, v2) files the replay
-    // passes ran off, against freshly captured uncompressed v1 twins.
-    // Byte sizes are deterministic — capture is — so they live in the
-    // non-timing view.
+    // Trace-container accounting: how far the codec shrinks each
+    // program in the traces the replay passes ran off. A trace holds
+    // no step stream, so these bytes do not depend on opts.insts. They
+    // are deterministic — capture is — so they live in the non-timing
+    // view.
     say("  trace compression probe...");
     JsonValue compression = JsonValue::makeArray();
     replay::TraceStore store(trace_dir.path());
     for (const auto &name : names) {
-        const std::string v2_path =
-            store.tracePath(name, opts.seed, 1.0, opts.insts);
-        const std::string v1_path = v2_path + ".v1twin";
-        std::error_code ec;
-        const auto v2_bytes = std::filesystem::file_size(v2_path, ec);
-        if (ec)
-            continue;
-        replay::captureWorkloadTrace(name, opts.seed, 1.0, opts.insts,
-                                     v1_path, /*compress=*/false);
-        const auto v1_bytes = std::filesystem::file_size(v1_path, ec);
-        std::filesystem::remove(v1_path);
-        if (ec || v1_bytes == 0 || v2_bytes == 0)
-            continue;
-        JsonValue c = JsonValue::makeObject();
-        c.set("workload", JsonValue::makeString(name));
-        c.set("v1_bytes", num(static_cast<double>(v1_bytes)));
-        c.set("v2_bytes", num(static_cast<double>(v2_bytes)));
-        c.set("ratio", num(static_cast<double>(v1_bytes) /
-                           static_cast<double>(v2_bytes)));
-        compression.push(std::move(c));
+        const auto ensured = store.ensure(name, opts.seed, 1.0, opts.insts);
+        for (const replay::ChunkStat &c : ensured.reader->info().chunkStats) {
+            if (c.type != replay::ChunkType::PROGZ)
+                continue;
+            JsonValue e = JsonValue::makeObject();
+            e.set("workload", JsonValue::makeString(name));
+            e.set("stored_bytes", num(static_cast<double>(c.storedBytes)));
+            e.set("plain_bytes", num(static_cast<double>(c.plainBytes)));
+            e.set("ratio", num(static_cast<double>(c.plainBytes) /
+                               static_cast<double>(c.storedBytes)));
+            compression.push(std::move(e));
+        }
     }
 
     JsonValue report = JsonValue::makeObject();

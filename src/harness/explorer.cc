@@ -345,7 +345,7 @@ runExplore(const ExploreOptions &opts)
             const std::string path = failStore.tracePath(
                 p.workload, opts.seed, 1.0, opts.insts);
             replay::captureWorkloadTrace(p.workload, opts.seed, 1.0,
-                                         opts.insts, path, true);
+                                         opts.insts, path);
             p.tracePath = path;
         } catch (const std::exception &e) {
             p.message +=

@@ -16,7 +16,7 @@
  * replayed from a captured trace. The two must agree bit for bit.
  *
  * Any panic, watchdog bark, or oracle divergence is captured: a
- * verify-clean v2 `.tpt` lands in the failure directory plus a
+ * verify-clean v3 `.tpt` lands in the failure directory plus a
  * one-line repro command (`--point=I` re-runs exactly that index
  * because sampling is index-keyed) — the microreboot idea from
  * PAPERS.md, every failure leaves a cheap, precise recovery point.

@@ -1,10 +1,12 @@
 #include "harness/paper.hh"
 
 #include <algorithm>
+#include <future>
 #include <map>
 #include <ostream>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "common/stats.hh"
@@ -509,14 +511,24 @@ runPaper(uint64_t insts, uint64_t seed, const SweepEngine::Options &opts)
     PaperResult r;
     r.insts = insts;
     r.seed = seed;
+    // The functional studies (Table 2 emulates every analog to
+    // completion) share nothing with the sweep, so they run on their
+    // own thread alongside it. A std::async future blocks in its
+    // destructor, so this waits for them on every path out, an
+    // exception from the sweep included.
+    auto functional = std::async(std::launch::async, [insts, seed] {
+        std::pair<std::vector<Table2Row>, std::vector<Table5Row>> t;
+        for (const Workload &w : makeAllWorkloads(seed)) {
+            Emulator emu(w.program);
+            const uint64_t n = emu.run(w.maxInsts);
+            t.first.push_back({w.name, w.program.size(), n, emu.halted(),
+                               w.profileNote});
+            t.second.push_back({w.name, studyBranches(w.program, insts)});
+        }
+        return t;
+    });
     r.points = SweepEngine(opts).run(paperPoints(insts, seed));
-    for (const Workload &w : makeAllWorkloads(seed)) {
-        Emulator emu(w.program);
-        const uint64_t n = emu.run(w.maxInsts);
-        r.table2.push_back(
-            {w.name, w.program.size(), n, emu.halted(), w.profileNote});
-        r.table5.push_back({w.name, studyBranches(w.program, insts)});
-    }
+    std::tie(r.table2, r.table5) = functional.get();
     return r;
 }
 

@@ -70,8 +70,9 @@ struct PaperResult
 /** The union point set; indices run 0..n-1 in order. */
 std::vector<SweepPoint> paperPoints(uint64_t insts, uint64_t seed);
 
-/** Run paperPoints() in one engine batch, then the functional Table 2
- *  and Table 5 studies. Per-point faults come back as failed points. */
+/** Run paperPoints() in one engine batch, with the functional Table 2
+ *  and Table 5 studies on one extra thread alongside it. Per-point
+ *  faults come back as failed points. */
 PaperResult runPaper(uint64_t insts, uint64_t seed,
                      const SweepEngine::Options &opts);
 

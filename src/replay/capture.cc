@@ -17,14 +17,13 @@ captureCapFor(uint64_t max_insts)
 
 CaptureResult
 captureProgramTrace(const Program &prog, const TraceMeta &meta,
-                    const std::string &path, bool compress)
+                    const std::string &path)
 {
     auto capture_phase = PhaseTimers::global().scope("capture");
-    TraceWriter writer(path, meta, prog, compress);
+    TraceWriter writer(path, meta, prog);
     Emulator emu(prog);
-    emu.setStepObserver(
-        [&writer](const StepResult &s) { writer.append(s); });
-    emu.run(meta.captureCap);
+    while (!emu.halted() && writer.steps() < meta.captureCap)
+        writer.append(emu.step());
     writer.finalize();
 
     CaptureResult r;
@@ -37,7 +36,7 @@ captureProgramTrace(const Program &prog, const TraceMeta &meta,
 CaptureResult
 captureWorkloadTrace(const std::string &workload, uint64_t seed,
                      double scale, uint64_t max_insts,
-                     const std::string &path, bool compress)
+                     const std::string &path)
 {
     const Workload w = makeWorkload(workload, seed, scale);
     TraceMeta meta;
@@ -46,7 +45,7 @@ captureWorkloadTrace(const std::string &workload, uint64_t seed,
     meta.scale = scale;
     meta.captureCap = captureCapFor(max_insts);
     meta.programName = w.program.name;
-    return captureProgramTrace(w.program, meta, path, compress);
+    return captureProgramTrace(w.program, meta, path);
 }
 
 } // namespace tproc::replay

@@ -15,30 +15,27 @@ ReplaySource::checked(std::shared_ptr<const TraceReader> r)
 }
 
 ReplaySource::ReplaySource(std::shared_ptr<const TraceReader> reader_)
-    : reader(checked(std::move(reader_))), cursor(*reader)
+    : reader(checked(std::move(reader_))),
+      capturedSteps(reader->info().totalSteps), emu(reader->program())
 {
 }
 
 StepResult
 ReplaySource::step()
 {
-    panic_if(isHalted, "ReplaySource::step after halt");
-    StepResult s;
-    if (!cursor.next(s)) {
+    if (emu.instCount() == capturedSteps && !emu.halted()) {
         // A truncated capture is a property of the trace file, not a
         // simulator bug: throw the structured trace error so harnesses
         // can attribute it (and tell the user to re-record) instead of
         // dying in panic's abort path.
         throw TraceError(
             "replay: trace " + reader->meta().workload +
-            " exhausted after " + std::to_string(cursor.stepsRead()) +
+            " exhausted after " + std::to_string(capturedSteps) +
             " steps without HALT (captured with cap " +
             std::to_string(reader->meta().captureCap) +
             "; re-record with a higher instruction limit)");
     }
-    if (s.halted)
-        isHalted = true;
-    return s;
+    return emu.step();
 }
 
 } // namespace tproc::replay

@@ -11,20 +11,22 @@
 
 #include <memory>
 
-#include "emulator/arch_source.hh"
+#include "emulator/emulator.hh"
 #include "replay/trace_file.hh"
 
 namespace tproc::replay
 {
 
 /**
- * Streams a TraceReader's step records through the ArchSource
- * interface. The parsed trace is shared and immutable (any number of
- * concurrent ReplaySources over one reader); each source carries its
- * own cursor. Stepping past the end of a trace that did not reach its
- * program's HALT is a hard error (panic): the capture cap was too
- * small for this simulation, and replaying short would silently
- * desynchronize verification.
+ * An Emulator over a parsed trace's program. TraceReader verified at
+ * parse time that emulating that program reproduces the captured
+ * execution, so this source serves exactly the recorded steps. The
+ * parsed trace is shared and immutable (any number of concurrent
+ * ReplaySources over one reader); each source carries its own
+ * emulator. Stepping past the end of a trace that did not reach its
+ * program's HALT throws TraceError: the capture cap was too small for
+ * this simulation, and replaying on would serve steps no digest
+ * covers.
  */
 class ReplaySource : public ArchSource
 {
@@ -32,19 +34,17 @@ class ReplaySource : public ArchSource
     explicit ReplaySource(std::shared_ptr<const TraceReader> reader_);
 
     StepResult step() override;
-    bool halted() const override { return isHalted; }
-    uint64_t instCount() const override { return cursor.stepsRead(); }
-
-    const TraceReader &traceReader() const { return *reader; }
+    bool halted() const override { return emu.halted(); }
+    uint64_t instCount() const override { return emu.instCount(); }
 
   private:
-    /** Panics on null so the cursor below never sees one. */
+    /** Panics on null so the emulator below never sees one. */
     static std::shared_ptr<const TraceReader>
     checked(std::shared_ptr<const TraceReader> r);
 
     std::shared_ptr<const TraceReader> reader;
-    StepCursor cursor;
-    bool isHalted = false;
+    uint64_t capturedSteps;
+    Emulator emu;
 };
 
 } // namespace tproc::replay

@@ -6,8 +6,10 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
+#include "emulator/emulator.hh"
 #include "replay/codec.hh"
 
 namespace tproc::replay
@@ -41,20 +43,75 @@ bitsDouble(uint64_t bits)
 }
 
 /**
- * Decoded PROGZ/STPZ plaintext may legitimately dwarf its compressed
- * bytes, but a corrupt or malicious file must not drive huge
- * allocations: the budget is enforced per chunk AND cumulatively
- * across the whole file, so a tiny crafted trace full of
- * RLE-amplified chunks cannot balloon stepData without bound. 256 MiB
- * covers step streams orders of magnitude past the current capture
- * caps (a 20k-instruction golden trace decodes to ~250 KiB).
+ * Decoded PROGZ plaintext may legitimately dwarf its compressed bytes
+ * (the codec's RLE path), but a corrupt or malicious file must not
+ * drive huge allocations. 256 MiB is orders of magnitude past any
+ * program the generators build.
  */
 constexpr uint64_t maxPlainTraceBytes = uint64_t{1} << 28;
 
 /** Upfront reserve cap for counts read from (possibly lying) chunk
- *  headers; vectors grow geometrically past it only as real decoded
+ *  payloads; vectors grow geometrically past it only as real decoded
  *  data materializes. */
 constexpr uint64_t maxUpfrontReserve = uint64_t{1} << 20;
+
+/** The four chunks of a file, in order. */
+constexpr ChunkType chunkOrder[] = {ChunkType::META, ChunkType::PROGZ,
+                                    ChunkType::DGST, ChunkType::END};
+
+const char *
+chunkName(ChunkType t)
+{
+    switch (t) {
+      case ChunkType::META: return "META";
+      case ChunkType::END: return "END";
+      case ChunkType::PROGZ: return "PROGZ";
+      case ChunkType::DGST: return "DGST";
+    }
+    return "unknown";
+}
+
+/**
+ * Fold one step into the digest h. Every StepResult field that the
+ * processor's retirement check reads (pc, the instruction, nextPc, the
+ * branch outcome, destValue, memAddr, memValue), plus the remaining
+ * flags, is one 64-bit word. Each word is multiplied by its own odd
+ * constant, so the multiplies are independent and overlap; the xor of
+ * the products is folded into h with one more multiply and an
+ * xorshift, which carries high bits down into later steps' low bits.
+ */
+inline uint64_t
+stepDigest(uint64_t h, const StepResult &s)
+{
+    const Instruction &in = s.inst;
+    const uint64_t shape = uint64_t{static_cast<uint8_t>(in.op)} |
+        uint64_t{in.rd} << 8 | uint64_t{in.rs1} << 16 |
+        uint64_t{in.rs2} << 24 | uint64_t{s.taken} << 32 |
+        uint64_t{s.hasDest} << 33 | uint64_t{s.isMem} << 34 |
+        uint64_t{s.halted} << 35;
+    const uint64_t w = (s.pc * 0x9e3779b97f4a7c15ull) ^
+        (shape * 0xc2b2ae3d27d4eb4full) ^
+        (static_cast<uint64_t>(in.imm) * 0x165667b19e3779f9ull) ^
+        (s.nextPc * 0xd6e8feb86659fd93ull) ^
+        (static_cast<uint64_t>(s.destValue) * 0xff51afd7ed558ccdull) ^
+        (s.memAddr * 0xc4ceb9fe1a85ec53ull) ^
+        (static_cast<uint64_t>(s.memValue) * 0x94d049bb133111ebull);
+    h = (h ^ w) * 0xbf58476d1ce4e5b9ull;
+    return h ^ (h >> 31);
+}
+
+/** Append one chunk: header, payload, and the checksum over both. */
+void
+appendChunk(std::string &out, ChunkType type, uint32_t records,
+            const std::string &payload)
+{
+    const size_t start = out.size();
+    out.push_back(static_cast<char>(type));
+    putU32(out, static_cast<uint32_t>(payload.size()));
+    putU32(out, records);
+    out.append(payload);
+    putU64(out, fnv1a(out.data() + start, out.size() - start));
+}
 
 std::string
 encodeMeta(const TraceMeta &meta)
@@ -68,33 +125,10 @@ encodeMeta(const TraceMeta &meta)
     return p;
 }
 
+/** The PROGZ payload: codec envelope around the plaintext that
+ *  trace_file.hh describes. */
 std::string
 encodeProgram(const Program &prog)
-{
-    std::string p;
-    putVarint(p, prog.entry);
-    putVarint(p, prog.code.size());
-    for (const Instruction &inst : prog.code) {
-        p.push_back(static_cast<char>(inst.op));
-        p.push_back(static_cast<char>(inst.rd));
-        p.push_back(static_cast<char>(inst.rs1));
-        p.push_back(static_cast<char>(inst.rs2));
-        putSvarint(p, inst.imm);
-    }
-    // The data image is already sorted by address, so identical
-    // programs produce identical bytes.
-    putVarint(p, prog.dataInit.size());
-    for (const auto &[addr, value] : prog.dataInit) {
-        putVarint(p, addr);
-        putSvarint(p, value);
-    }
-    return p;
-}
-
-/** The v2 PROGZ plaintext (see trace_file.hh): per-field code planes,
- *  and the sorted data image dict-coded as address deltas + values. */
-std::string
-encodeProgramV2(const Program &prog)
 {
     std::string p;
     putVarint(p, prog.entry);
@@ -124,115 +158,28 @@ encodeProgramV2(const Program &prog)
     putVarint(p, addrs.size());
     p += addrs;
     p += values;
-    return p;
+
+    const CodecResult comp = codecCompress(p);
+    std::string payload;
+    payload.push_back(static_cast<char>(comp.codec));
+    putVarint(payload, p.size());
+    putU64(payload, fnv1a(p.data(), p.size()));
+    payload.append(comp.bytes);
+    return payload;
 }
 
-/** Append the raw bytes of one varint from c to out, unparsed. */
-void
-copyVarint(ByteCursor &c, std::string &out)
+/** A register field read from a file: in range, or a TraceError. */
+ArchReg
+checkedReg(char byte, size_t inst, const char *field)
 {
-    for (int i = 0; i < 10; ++i) {
-        const uint8_t b = c.u8();
-        out.push_back(static_cast<char>(b));
-        if (!(b & 0x80))
-            return;
+    const auto r = static_cast<uint8_t>(byte);
+    if (r >= numArchRegs) {
+        throw TraceError("PROGZ instruction " + std::to_string(inst) +
+                         " names " + field + " register " +
+                         std::to_string(r) + " (the ISA has " +
+                         std::to_string(numArchRegs) + ")");
     }
-    throw TraceError("varint longer than 64 bits");
-}
-
-/** Interleaved v1 step records -> the STPZ column plaintext. Pure
- *  byte regrouping: every varint is copied verbatim, never re-coded. */
-std::string
-stepColumnsFromInterleaved(const char *data, size_t n, uint32_t records)
-{
-    ByteCursor c(data, n);
-    std::string flags, pcd, npc, dest, mema, memv;
-    for (uint32_t i = 0; i < records; ++i) {
-        const uint8_t f = c.u8();
-        if (f & ~0x1fu)
-            throw TraceError("invalid step flags");
-        flags.push_back(static_cast<char>(f));
-        copyVarint(c, pcd);
-        if (!(f & 16))
-            copyVarint(c, npc);
-        if (f & 2)
-            copyVarint(c, dest);
-        if (f & 4) {
-            copyVarint(c, mema);
-            copyVarint(c, memv);
-        }
-    }
-    if (!c.atEnd())
-        throw TraceError("trailing bytes in step records");
-    std::string out;
-    out.reserve(n + 12);
-    for (const std::string *s : {&flags, &pcd, &npc, &dest, &mema,
-                                 &memv}) {
-        putVarint(out, s->size());
-        out.append(*s);
-    }
-    return out;
-}
-
-/** Inverse of stepColumnsFromInterleaved; byte-exact by construction,
- *  so the reconstructed records feed the END stream digest unchanged. */
-std::string
-stepInterleavedFromColumns(const char *data, size_t n, uint32_t records)
-{
-    ByteCursor c(data, n);
-    ByteCursor streams[6] = {{nullptr, 0}, {nullptr, 0}, {nullptr, 0},
-                             {nullptr, 0}, {nullptr, 0}, {nullptr, 0}};
-    size_t flags_len = 0;
-    for (int s = 0; s < 6; ++s) {
-        const uint64_t len = c.varint();
-        if (len > c.remaining())
-            throw TraceError("step column stream exceeds chunk");
-        if (s == 0)
-            flags_len = static_cast<size_t>(len);
-        streams[s] = ByteCursor(c.take(static_cast<size_t>(len)),
-                                static_cast<size_t>(len));
-    }
-    if (!c.atEnd())
-        throw TraceError("trailing bytes after step column streams");
-    if (flags_len != records)
-        throw TraceError("step flag column disagrees with record count");
-
-    ByteCursor &fc = streams[0];
-    std::string out;
-    out.reserve(n);
-    for (uint32_t i = 0; i < records; ++i) {
-        const uint8_t f = fc.u8();
-        if (f & ~0x1fu)
-            throw TraceError("invalid step flags");
-        out.push_back(static_cast<char>(f));
-        copyVarint(streams[1], out);
-        if (!(f & 16))
-            copyVarint(streams[2], out);
-        if (f & 2)
-            copyVarint(streams[3], out);
-        if (f & 4) {
-            copyVarint(streams[4], out);
-            copyVarint(streams[5], out);
-        }
-    }
-    for (int s = 1; s < 6; ++s) {
-        if (!streams[s].atEnd())
-            throw TraceError("trailing bytes in step column stream");
-    }
-    return out;
-}
-
-/** The chunk digest covers the serialized header fields + payload. */
-uint64_t
-chunkDigest(ChunkType type, uint32_t payload_len, uint32_t records,
-            const std::string &payload)
-{
-    std::string header;
-    header.push_back(static_cast<char>(type));
-    putU32(header, payload_len);
-    putU32(header, records);
-    uint64_t h = fnv1a(header.data(), header.size());
-    return fnv1a(payload.data(), payload.size(), h);
+    return r;
 }
 
 } // anonymous namespace
@@ -242,117 +189,24 @@ chunkDigest(ChunkType type, uint32_t payload_len, uint32_t records,
 // ---------------------------------------------------------------------
 
 TraceWriter::TraceWriter(std::string path, const TraceMeta &meta,
-                         const Program &prog, bool compress)
-    : finalPath(std::move(path)), tmpPath(uniqueTmpPath(finalPath)),
-      out(tmpPath, std::ios::binary | std::ios::trunc),
-      compressed(compress)
+                         const Program &prog)
+    : finalPath(std::move(path)), bytes(traceMagic, sizeof(traceMagic))
 {
-    if (!out)
-        throw TraceError("cannot create trace file " + tmpPath);
-
-    std::string header(traceMagic, sizeof(traceMagic));
-    putU32(header, compressed ? traceVersion2 : traceVersion1);
-    out.write(header.data(), static_cast<std::streamsize>(header.size()));
-
-    writeChunk(ChunkType::META, 0, encodeMeta(meta));
-    if (compressed)
-        writeCompressedChunk(ChunkType::PROGZ, 0, encodeProgramV2(prog));
-    else
-        writeChunk(ChunkType::PROG, 0, encodeProgram(prog));
-}
-
-TraceWriter::~TraceWriter()
-{
-    // A writer abandoned before finalize() — scope exit, an exception
-    // anywhere between construction and finalize, a failed finalize —
-    // must not leak its temp file; the final path was never touched.
-    if (!finalized) {
-        out.close();
-        std::remove(tmpPath.c_str());
-    }
-}
-
-void
-TraceWriter::writeChunk(ChunkType type, uint32_t records,
-                        const std::string &payload)
-{
-    const auto len = static_cast<uint32_t>(payload.size());
-    std::string buf;
-    buf.push_back(static_cast<char>(type));
-    putU32(buf, len);
-    putU32(buf, records);
-    buf.append(payload);
-    putU64(buf, chunkDigest(type, len, records, payload));
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-}
-
-void
-TraceWriter::writeCompressedChunk(ChunkType type, uint32_t records,
-                                  const std::string &plain)
-{
-    const CodecResult comp = codecCompress(plain);
-    std::string payload;
-    payload.push_back(static_cast<char>(comp.codec));
-    putVarint(payload, plain.size());
-    putU64(payload, fnv1a(plain.data(), plain.size()));
-    payload.append(comp.bytes);
-    writeChunk(type, records, payload);
+    putU32(bytes, traceVersion);
+    appendChunk(bytes, ChunkType::META, 0, encodeMeta(meta));
+    appendChunk(bytes, ChunkType::PROGZ, 0, encodeProgram(prog));
 }
 
 void
 TraceWriter::append(const StepResult &s)
 {
-    std::string &p = stepPayload;
-    uint8_t flags = 0;
-    if (s.taken)
-        flags |= 1;
-    if (s.hasDest)
-        flags |= 2;
-    if (s.isMem)
-        flags |= 4;
-    if (s.halted)
-        flags |= 8;
-    const bool sequential = s.nextPc == s.pc + 1;
-    if (sequential)
-        flags |= 16;
-    p.push_back(static_cast<char>(flags));
-    putSvarint(p, static_cast<int64_t>(s.pc - prevPc));
-    if (!sequential)
-        putSvarint(p, static_cast<int64_t>(s.nextPc - s.pc));
-    if (s.hasDest)
-        putSvarint(p, s.destValue);
-    if (s.isMem) {
-        putSvarint(p, static_cast<int64_t>(s.memAddr - prevMemAddr));
-        putSvarint(p, s.memValue);
-        prevMemAddr = s.memAddr;
-    }
-    prevPc = s.pc;
+    digest = stepDigest(digest, s);
     if (s.halted)
         sawHalt = true;
-    ++stepRecords;
-    ++totalSteps;
-    if (stepRecords >= stepsPerChunk)
-        flushSteps();
-}
-
-void
-TraceWriter::flushSteps()
-{
-    if (!stepRecords)
-        return;
-    // The stream digest always covers the interleaved v1 record bytes,
-    // so recompressing a trace preserves its END digest bit for bit.
-    streamFnv = fnv1a(stepPayload.data(), stepPayload.size(), streamFnv);
-    if (compressed) {
-        writeCompressedChunk(
-            ChunkType::STPZ, stepRecords,
-            stepColumnsFromInterleaved(stepPayload.data(),
-                                       stepPayload.size(), stepRecords));
-    } else {
-        writeChunk(ChunkType::STEPS, stepRecords, stepPayload);
+    if (++totalSteps % stepsPerDigest == 0) {
+        digests.push_back(digest);
+        digest = 0;
     }
-    stepPayload.clear();
-    stepRecords = 0;
 }
 
 void
@@ -360,36 +214,40 @@ TraceWriter::finalize()
 {
     if (finalized)
         throw TraceError("trace writer finalized twice");
-    flushSteps();
+    finalized = true;
+    if (totalSteps % stepsPerDigest)
+        digests.push_back(digest);
 
+    std::string chain;
+    for (uint64_t d : digests)
+        putU64(chain, d);
+    appendChunk(bytes, ChunkType::DGST,
+                static_cast<uint32_t>(digests.size()), chain);
     std::string end;
     putU64(end, totalSteps);
-    putU64(end, streamFnv);
     end.push_back(sawHalt ? 1 : 0);
-    writeChunk(ChunkType::END, 0, end);
+    putU64(end, fnv1a(bytes.data(), bytes.size()));
+    appendChunk(bytes, ChunkType::END, 0, end);
 
-    out.flush();
-    const bool ok = out.good();
+    const std::string tmp_path = uniqueTmpPath(finalPath);
+    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        throw TraceError("cannot create trace file " + tmp_path);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.close();
-    if (!ok) {
-        std::remove(tmpPath.c_str());
-        throw TraceError("I/O error writing trace " + tmpPath);
+    if (!out) {
+        std::remove(tmp_path.c_str());
+        throw TraceError("I/O error writing trace " + tmp_path);
     }
-    if (std::rename(tmpPath.c_str(), finalPath.c_str()) != 0) {
-        std::remove(tmpPath.c_str());
-        throw TraceError("cannot rename " + tmpPath + " to " + finalPath);
+    if (std::rename(tmp_path.c_str(), finalPath.c_str()) != 0) {
+        std::remove(tmp_path.c_str());
+        throw TraceError("cannot rename " + tmp_path + " to " + finalPath);
     }
-    finalized = true;
 }
 
 // ---------------------------------------------------------------------
 // TraceReader.
 // ---------------------------------------------------------------------
-
-TraceReader::TraceReader(const std::string &path)
-{
-    parseContainer(path);
-}
 
 void
 TraceReader::decodeMeta(ByteCursor c)
@@ -409,47 +267,9 @@ TraceReader::decodeProgram(ByteCursor c)
     prog.entry = static_cast<Addr>(c.varint());
     prog.name = inf.meta.programName;
     const uint64_t code_size = c.varint();
-    // Every instruction encodes to >= 5 bytes; a corrupt count must not
-    // drive a multi-gigabyte reserve.
-    if (code_size > c.remaining() / 5)
-        throw TraceError("PROG code count exceeds chunk size");
-    prog.code.reserve(static_cast<size_t>(code_size));
-    for (uint64_t i = 0; i < code_size; ++i) {
-        Instruction inst;
-        const uint8_t op = c.u8();
-        if (op >= static_cast<uint8_t>(Opcode::NUM_OPCODES))
-            throw TraceError("PROG chunk holds an invalid opcode");
-        inst.op = static_cast<Opcode>(op);
-        inst.rd = c.u8();
-        inst.rs1 = c.u8();
-        inst.rs2 = c.u8();
-        inst.imm = c.svarint();
-        prog.code.push_back(inst);
-    }
-    const uint64_t data_count = c.varint();
-    if (data_count > c.remaining() / 2)
-        throw TraceError("PROG data count exceeds chunk size");
-    prog.dataInit.reserve(static_cast<size_t>(data_count));
-    for (uint64_t i = 0; i < data_count; ++i) {
-        const Addr addr = static_cast<Addr>(c.varint());
-        prog.dataInit.emplace_back(addr, c.svarint());
-    }
-    if (!c.atEnd())
-        throw TraceError("trailing bytes in PROG chunk");
-    normalizeDataImage(prog.dataInit);
-    inf.codeSize = prog.code.size();
-    inf.dataInitSize = prog.dataInit.size();
-}
-
-void
-TraceReader::decodeProgramV2(ByteCursor c)
-{
-    prog.entry = static_cast<Addr>(c.varint());
-    prog.name = inf.meta.programName;
-    const uint64_t code_size = c.varint();
     // Four fixed plane bytes + >= 1 imm byte per instruction follow.
     if (code_size > c.remaining() / 5)
-        throw TraceError("PROG code count exceeds chunk size");
+        throw TraceError("PROGZ code count exceeds chunk size");
     const size_t nc = static_cast<size_t>(code_size);
     const char *ops = c.take(nc);
     const char *rd = c.take(nc);
@@ -457,7 +277,7 @@ TraceReader::decodeProgramV2(ByteCursor c)
     const char *rs2 = c.take(nc);
     const uint64_t imm_len = c.varint();
     if (imm_len > c.remaining())
-        throw TraceError("PROG imm stream exceeds chunk size");
+        throw TraceError("PROGZ imm stream exceeds chunk size");
     ByteCursor ic(c.take(static_cast<size_t>(imm_len)),
                   static_cast<size_t>(imm_len));
     prog.code.reserve(static_cast<size_t>(
@@ -466,26 +286,27 @@ TraceReader::decodeProgramV2(ByteCursor c)
         Instruction inst;
         const auto op = static_cast<uint8_t>(ops[i]);
         if (op >= static_cast<uint8_t>(Opcode::NUM_OPCODES))
-            throw TraceError("PROG chunk holds an invalid opcode");
+            throw TraceError("PROGZ chunk holds an invalid opcode");
         inst.op = static_cast<Opcode>(op);
-        inst.rd = static_cast<uint8_t>(rd[i]);
-        inst.rs1 = static_cast<uint8_t>(rs1[i]);
-        inst.rs2 = static_cast<uint8_t>(rs2[i]);
+        // The emulator and the rename map index fixed arrays by these.
+        inst.rd = checkedReg(rd[i], i, "rd");
+        inst.rs1 = checkedReg(rs1[i], i, "rs1");
+        inst.rs2 = checkedReg(rs2[i], i, "rs2");
         inst.imm = ic.svarint();
         prog.code.push_back(inst);
     }
     if (!ic.atEnd())
-        throw TraceError("trailing bytes in PROG imm stream");
+        throw TraceError("trailing bytes in PROGZ imm stream");
 
     const uint64_t data_count = c.varint();
     const uint64_t addr_len = c.varint();
     if (addr_len > c.remaining())
-        throw TraceError("PROG address stream exceeds chunk size");
+        throw TraceError("PROGZ address stream exceeds chunk size");
     ByteCursor ac(c.take(static_cast<size_t>(addr_len)),
                   static_cast<size_t>(addr_len));
     // Each entry costs >= 1 address byte and >= 1 value byte.
     if (data_count > addr_len || data_count > c.remaining())
-        throw TraceError("PROG data count exceeds chunk size");
+        throw TraceError("PROGZ data count exceeds chunk size");
     prog.dataInit.reserve(static_cast<size_t>(
         std::min<uint64_t>(data_count, maxUpfrontReserve)));
     Addr addr = 0;
@@ -494,16 +315,15 @@ TraceReader::decodeProgramV2(ByteCursor c)
         prog.dataInit.emplace_back(addr, c.svarint());
     }
     if (!ac.atEnd())
-        throw TraceError("trailing bytes in PROG address stream");
+        throw TraceError("trailing bytes in PROGZ address stream");
     if (!c.atEnd())
-        throw TraceError("trailing bytes in PROG chunk");
+        throw TraceError("trailing bytes in PROGZ chunk");
     normalizeDataImage(prog.dataInit);
     inf.codeSize = prog.code.size();
     inf.dataInitSize = prog.dataInit.size();
 }
 
-void
-TraceReader::parseContainer(const std::string &path)
+TraceReader::TraceReader(const std::string &path)
 {
     std::string data;
     {
@@ -520,234 +340,163 @@ TraceReader::parseContainer(const std::string &path)
         std::memcmp(data.data(), traceMagic, sizeof(traceMagic)) != 0) {
         throw TraceError(path + ": not a trace file (bad magic)");
     }
-    {
-        ByteCursor c(data.data() + 4, 4);
-        const uint32_t version = c.u32();
-        if (version < traceVersion1 || version > traceVersionMax) {
-            throw TraceError(path + ": unsupported trace version " +
-                             std::to_string(version) + " (reader handles " +
-                             std::to_string(traceVersion1) + ".." +
-                             std::to_string(traceVersionMax) + ")");
-        }
-        inf.version = version;
+    inf.version = ByteCursor(data.data() + 4, 4).u32();
+    if (inf.version == 1 || inf.version == 2) {
+        throw TraceError(path + ": trace version " +
+                         std::to_string(inf.version) +
+                         " stores a step stream, which replay no longer "
+                         "reads; re-record it (tproc-trace record)");
     }
-    const bool v2 = inf.version >= traceVersion2;
+    if (inf.version != traceVersion) {
+        throw TraceError(path + ": unsupported trace version " +
+                         std::to_string(inf.version) + " (reader handles " +
+                         std::to_string(traceVersion) + ")");
+    }
 
-    // Decode the codec envelope of one PROGZ/STPZ payload, verifying
-    // the inner plaintext digest and the file-wide plaintext budget.
-    uint64_t plain_total = 0;
-    auto decompress = [&](const char *payload, uint32_t len,
-                          int chunk_no) {
-        ByteCursor z(payload, len);
-        const uint8_t codec = z.u8();
-        const uint64_t plain_len = z.varint();
-        const uint64_t plain_fnv = z.u64();
-        if (plain_len > maxPlainTraceBytes ||
-            plain_total + plain_len > maxPlainTraceBytes) {
-            throw TraceError(path + ": chunk " +
-                             std::to_string(chunk_no) +
-                             " claims an implausible plaintext size");
-        }
-        plain_total += plain_len;
-        const size_t comp_len = z.remaining();
-        const char *comp = z.take(comp_len);
-        std::string plain;
-        try {
-            plain = codecDecompress(codec, comp, comp_len,
-                                    static_cast<size_t>(plain_len));
-        } catch (const TraceError &e) {
-            throw TraceError(path + ": chunk " +
-                             std::to_string(chunk_no) + ": " + e.what());
-        }
-        if (fnv1a(plain.data(), plain.size()) != plain_fnv) {
-            throw TraceError(path + ": chunk " +
-                             std::to_string(chunk_no) +
-                             " plaintext checksum mismatch");
-        }
-        return std::make_pair(std::move(plain), codec);
+    // The four chunks, in their fixed order, each checksummed.
+    struct Chunk
+    {
+        const char *payload;
+        uint32_t len;
+        uint32_t records;
     };
-
+    Chunk chunks[4];
     size_t pos = 8;
-    int chunk_no = 0;
-    bool saw_end = false;
-    uint64_t stream_fnv = fnvOffset;
-    uint64_t steps_sum = 0;
-    while (pos < data.size()) {
-        if (saw_end)
-            throw TraceError(path + ": data after END chunk");
+    size_t end_pos = 0;
+    for (int i = 0; i < 4; ++i) {
+        const std::string name = chunkName(chunkOrder[i]);
         if (data.size() - pos < 9 + 8)
-            throw TraceError(path + ": truncated chunk header");
+            throw TraceError(path + ": truncated before the " + name +
+                             " chunk");
         ByteCursor hdr(data.data() + pos, 9);
-        const uint8_t type = hdr.u8();
+        const auto type = static_cast<ChunkType>(hdr.u8());
         const uint32_t len = hdr.u32();
         const uint32_t records = hdr.u32();
         if (data.size() - pos - 9 < static_cast<size_t>(len) + 8)
-            throw TraceError(path + ": truncated chunk payload");
-
+            throw TraceError(path + ": truncated " + name + " chunk");
         const char *payload = data.data() + pos + 9;
-        uint64_t digest = fnv1a(data.data() + pos, 9);
-        digest = fnv1a(payload, len, digest);
-        {
-            ByteCursor tail(payload + len, 8);
-            if (tail.u64() != digest) {
-                throw TraceError(path + ": chunk " +
-                                 std::to_string(chunk_no) +
-                                 " checksum mismatch");
-            }
+        if (ByteCursor(payload + len, 8).u64() !=
+            fnv1a(data.data() + pos, 9 + static_cast<size_t>(len))) {
+            throw TraceError(path + ": chunk " + std::to_string(i) +
+                             " checksum mismatch");
         }
-
-        const auto ctype = static_cast<ChunkType>(type);
-        // Program/step chunks come in a per-version flavor; the other
-        // flavor is a format violation, not a decodable alternative.
-        if ((ctype == ChunkType::PROG || ctype == ChunkType::STEPS) &&
-            v2) {
-            throw TraceError(path + ": uncompressed " +
-                             (ctype == ChunkType::PROG
-                                  ? std::string("PROG")
-                                  : std::string("STEPS")) +
-                             " chunk in a version-2 trace");
+        if (type != chunkOrder[i]) {
+            throw TraceError(path + ": chunk " + std::to_string(i) +
+                             " has type " +
+                             std::to_string(static_cast<int>(type)) +
+                             " where " + name + " belongs");
         }
-        if ((ctype == ChunkType::PROGZ || ctype == ChunkType::STPZ) &&
-            !v2) {
-            throw TraceError(path + ": compressed " +
-                             (ctype == ChunkType::PROGZ
-                                  ? std::string("PROGZ")
-                                  : std::string("STPZ")) +
-                             " chunk in a version-1 trace");
-        }
-        if (chunk_no == 0 && ctype != ChunkType::META)
-            throw TraceError(path + ": first chunk is not META");
-        if (chunk_no == 1 && ctype != ChunkType::PROG &&
-            ctype != ChunkType::PROGZ) {
-            throw TraceError(path + ": second chunk is not PROG");
-        }
-        switch (ctype) {
-          case ChunkType::META:
-            if (chunk_no != 0)
-                throw TraceError(path + ": duplicate META chunk");
-            decodeMeta(ByteCursor(payload, len));
-            break;
-          case ChunkType::PROG:
-            if (chunk_no != 1)
-                throw TraceError(path + ": duplicate PROG chunk");
-            decodeProgram(ByteCursor(payload, len));
-            inf.chunkStats.push_back({ctype, 0, len, len});
-            break;
-          case ChunkType::PROGZ: {
-            if (chunk_no != 1)
-                throw TraceError(path + ": duplicate PROG chunk");
-            auto [plain, codec] = decompress(payload, len, chunk_no);
-            decodeProgramV2(ByteCursor(plain.data(), plain.size()));
-            inf.chunkStats.push_back({ctype, codec, len, plain.size()});
-            break;
-          }
-          case ChunkType::STEPS:
-            if (chunk_no < 2)
-                throw TraceError(path + ": STEPS before PROG");
-            chunks.push_back({stepData.size(), len, records});
-            stepData.append(payload, len);
-            stream_fnv = fnv1a(payload, len, stream_fnv);
-            steps_sum += records;
-            ++inf.stepChunks;
-            inf.chunkStats.push_back({ctype, 0, len, len});
-            break;
-          case ChunkType::STPZ: {
-            if (chunk_no < 2)
-                throw TraceError(path + ": STEPS before PROG");
-            auto [plain, codec] = decompress(payload, len, chunk_no);
-            std::string interleaved;
-            try {
-                interleaved = stepInterleavedFromColumns(
-                    plain.data(), plain.size(), records);
-            } catch (const TraceError &e) {
-                throw TraceError(path + ": chunk " +
-                                 std::to_string(chunk_no) + ": " +
-                                 e.what());
-            }
-            chunks.push_back({stepData.size(), interleaved.size(),
-                              records});
-            stream_fnv = fnv1a(interleaved.data(), interleaved.size(),
-                               stream_fnv);
-            stepData += interleaved;
-            steps_sum += records;
-            ++inf.stepChunks;
-            inf.chunkStats.push_back({ctype, codec, len, plain.size()});
-            break;
-          }
-          case ChunkType::END: {
-            if (chunk_no < 2)
-                throw TraceError(path + ": END before PROG");
-            ByteCursor c(payload, len);
-            inf.totalSteps = c.u64();
-            const uint64_t want_fnv = c.u64();
-            inf.cleanHalt = c.u8() != 0;
-            if (!c.atEnd())
-                throw TraceError(path + ": trailing bytes in END chunk");
-            if (inf.totalSteps != steps_sum) {
-                throw TraceError(path + ": END claims " +
-                                 std::to_string(inf.totalSteps) +
-                                 " steps but chunks hold " +
-                                 std::to_string(steps_sum));
-            }
-            if (want_fnv != stream_fnv)
-                throw TraceError(path + ": step stream digest mismatch");
-            saw_end = true;
-            break;
-          }
-          default:
-            throw TraceError(path + ": unknown chunk type " +
-                             std::to_string(type));
-        }
+        chunks[i] = {payload, len, records};
+        end_pos = pos;
         pos += 9 + static_cast<size_t>(len) + 8;
-        ++chunk_no;
     }
-    if (!saw_end)
-        throw TraceError(path + ": incomplete trace (missing END chunk)");
+    if (pos != data.size())
+        throw TraceError(path + ": data after END chunk");
+
+    // END first: its digest covers every byte before it, so a chunk
+    // resealed on its own is caught before any decoder reads it.
+    {
+        ByteCursor c(chunks[3].payload, chunks[3].len);
+        inf.totalSteps = c.u64();
+        const uint8_t halt = c.u8();
+        const uint64_t sealed = c.u64();
+        if (!c.atEnd())
+            throw TraceError(path + ": trailing bytes in END chunk");
+        if (halt > 1)
+            throw TraceError(path + ": END clean-halt flag is not 0 or 1");
+        inf.cleanHalt = halt != 0;
+        if (sealed != fnv1a(data.data(), end_pos)) {
+            throw TraceError(path + ": END digest mismatch (META, PROGZ "
+                             "and DGST are not the chunks it sealed)");
+        }
+    }
+
+    try {
+        decodeMeta(ByteCursor(chunks[0].payload, chunks[0].len));
+
+        ByteCursor z(chunks[1].payload, chunks[1].len);
+        const uint8_t codec = z.u8();
+        const uint64_t plain_len = z.varint();
+        const uint64_t plain_fnv = z.u64();
+        if (plain_len > maxPlainTraceBytes)
+            throw TraceError("PROGZ claims an implausible plaintext size");
+        const size_t comp_len = z.remaining();
+        const std::string plain =
+            codecDecompress(codec, z.take(comp_len), comp_len,
+                            static_cast<size_t>(plain_len));
+        if (fnv1a(plain.data(), plain.size()) != plain_fnv)
+            throw TraceError("PROGZ plaintext checksum mismatch");
+        decodeProgram(ByteCursor(plain.data(), plain.size()));
+        inf.chunkStats.push_back(
+            {ChunkType::PROGZ, codec, chunks[1].len, plain.size()});
+    } catch (const TraceError &e) {
+        throw TraceError(path + ": " + e.what());
+    }
+
+    const Chunk &dg = chunks[2];
+    if (dg.len != uint64_t{dg.records} * 8)
+        throw TraceError(path + ": DGST length disagrees with its count");
+    std::vector<uint64_t> digests(dg.records);
+    ByteCursor dc(dg.payload, dg.len);
+    for (uint64_t &d : digests)
+        d = dc.u64();
+    inf.digests = digests.size();
+    inf.chunkStats.push_back({ChunkType::DGST, 0, dg.len, dg.len});
+
+    // Bounded work: the chain must cover END's step count exactly, or
+    // nothing is emulated. Parse time is then bounded by file size.
+    const uint64_t covered = uint64_t{dg.records} * stepsPerDigest;
+    if (inf.totalSteps > covered) {
+        throw TraceError(path + ": END claims " +
+                         std::to_string(inf.totalSteps) +
+                         " steps but the digest chain covers at most " +
+                         std::to_string(covered));
+    }
+    if (covered - inf.totalSteps >= stepsPerDigest) {
+        throw TraceError(path + ": the digest chain holds " +
+                         std::to_string(dg.records) + " digests for " +
+                         std::to_string(inf.totalSteps) + " steps");
+    }
+    verifyExecution(digests, path);
 }
 
-bool
-StepCursor::next(StepResult &out)
+void
+TraceReader::verifyExecution(const std::vector<uint64_t> &digests,
+                             const std::string &path) const
 {
-    const auto &chunks = reader->chunks;
-    for (;;) {
-        if (chunkIdx >= chunks.size())
-            return false;
-        const TraceReader::StepChunk &c = chunks[chunkIdx];
-        if (recordIdx == 0)
-            cur = ByteCursor(reader->stepData.data() + c.offset,
-                             c.length);
-        if (recordIdx < c.records)
-            break;
-        if (!cur.atEnd())
-            throw TraceError("trailing bytes in STEPS chunk");
-        ++chunkIdx;
-        recordIdx = 0;
+    Emulator emu(prog);
+    uint64_t step = 0;
+    for (size_t c = 0; c < digests.size(); ++c) {
+        const uint64_t first = step;
+        const uint64_t last =
+            std::min<uint64_t>(first + stepsPerDigest, inf.totalSteps);
+        auto differs = [&](const std::string &why) {
+            return TraceError(path + ": digest chunk " +
+                              std::to_string(c) + " (steps " +
+                              std::to_string(first) + ".." +
+                              std::to_string(last - 1) + ") differs: " +
+                              why);
+        };
+        uint64_t h = 0;
+        for (; step < last; ++step) {
+            if (emu.halted()) {
+                throw differs("the program halts after " +
+                              std::to_string(step) + " steps");
+            }
+            h = stepDigest(h, emu.step());
+        }
+        if (h != digests[c]) {
+            throw differs("re-emulating the program does not reproduce "
+                          "the captured execution");
+        }
     }
-
-    const uint8_t flags = cur.u8();
-    if (flags & ~0x1fu)
-        throw TraceError("invalid step flags");
-    StepResult s;
-    s.taken = flags & 1;
-    s.hasDest = flags & 2;
-    s.isMem = flags & 4;
-    s.halted = flags & 8;
-    s.pc = prevPc + static_cast<Addr>(cur.svarint());
-    s.inst = reader->prog.fetch(s.pc);
-    s.nextPc = (flags & 16) ? s.pc + 1
-                            : s.pc + static_cast<Addr>(cur.svarint());
-    if (s.hasDest)
-        s.destValue = cur.svarint();
-    if (s.isMem) {
-        s.memAddr = prevMemAddr + static_cast<Addr>(cur.svarint());
-        s.memValue = cur.svarint();
-        prevMemAddr = s.memAddr;
+    if (emu.halted() != inf.cleanHalt) {
+        throw TraceError(path + ": END says the execution " +
+                         (inf.cleanHalt ? "halts" : "runs on") +
+                         " after " + std::to_string(inf.totalSteps) +
+                         " steps, but the program " +
+                         (emu.halted() ? "halts" : "runs on"));
     }
-    prevPc = s.pc;
-    ++recordIdx;
-    ++decoded;
-    out = s;
-    return true;
 }
 
 bool
@@ -756,10 +505,6 @@ TraceReader::verify(const std::string &path, std::string *error,
 {
     try {
         TraceReader r(path);
-        StepCursor cursor(r);
-        StepResult s;
-        while (cursor.next(s)) {
-        }
         if (info)
             *info = r.info();
         return true;

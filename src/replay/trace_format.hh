@@ -20,29 +20,25 @@ namespace tproc::replay
 constexpr char traceMagic[4] = {'T', 'P', 'R', 'C'};
 
 /**
- * Container versions. Version 1 stores every payload raw; version 2
- * replaces the PROG/STEPS chunks with compressed PROGZ/STPZ twins
- * (see trace_file.hh for the layouts). Readers accept both; writers
- * emit v2 by default and v1 when compression is off. Bump
- * traceVersionMax on any further incompatible layout change.
+ * Container version. Version 3 stores the program and a digest chain
+ * over its execution, not the step stream (see trace_file.hh).
+ * Versions 1 and 2 held the step stream itself; readers reject them
+ * with a request to re-record. Bump traceVersion on any further
+ * incompatible layout change.
  */
-constexpr uint32_t traceVersion1 = 1;
-constexpr uint32_t traceVersion2 = 2;
-constexpr uint32_t traceVersionMax = traceVersion2;
+constexpr uint32_t traceVersion = 3;
 
-/** Chunk type tags (one META, one PROG[Z], n STEPS/STPZ, one END). */
+/** Chunk type tags, in file order: META, PROGZ, DGST, END. */
 enum class ChunkType : uint8_t
 {
     META = 1,       //!< workload identity: name, seed, scale, capture cap
-    PROG = 2,       //!< the full Program (code, data image, entry); v1
-    STEPS = 3,      //!< a run of encoded StepResults; v1
-    END = 4,        //!< totals + stream digest; marks a complete file
-    PROGZ = 5,      //!< compressed, column-transformed Program; v2
-    STPZ = 6        //!< compressed, column-split StepResult run; v2
+    END = 4,        //!< step total, clean-halt flag, digest of the rest
+    PROGZ = 5,      //!< compressed, column-transformed Program
+    DGST = 7        //!< one execution digest per stepsPerDigest steps
 };
 
-/** Step records per STEPS chunk (the checksum granularity). */
-constexpr uint32_t stepsPerChunk = 4096;
+/** Steps covered by each DGST digest (the verification granularity). */
+constexpr uint32_t stepsPerDigest = 4096;
 
 /** What TraceReader and the writers throw on I/O or format trouble. */
 struct TraceError : std::runtime_error
@@ -50,7 +46,7 @@ struct TraceError : std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** @name FNV-1a (64-bit) — the per-chunk and stream checksum. */
+/** @name FNV-1a (64-bit) — the per-chunk checksum and END's digest. */
 /// @{
 constexpr uint64_t fnvOffset = 0xcbf29ce484222325ull;
 constexpr uint64_t fnvPrime = 0x100000001b3ull;

@@ -28,8 +28,8 @@ namespace
  * cannot hold every trace in memory forever — but eviction never
  * drops a reader some live replay still references (use_count > 1):
  * under SweepEngine parallel replay, evicting a pinned trace would
- * force every concurrent point on it to re-parse (and, for v2 traces,
- * re-decompress) the same file, defeating the parse-once contract.
+ * force every concurrent point on it to re-parse (and re-verify by
+ * emulation) the same file, defeating the parse-once contract.
  * When every entry is pinned the cache temporarily exceeds its bound
  * rather than evict live work.
  */
@@ -150,9 +150,9 @@ acceptable(const TraceInfo &info, const std::string &workload,
 
 /**
  * Cached or freshly parsed reader accepted for the identity, or null.
- * The TraceReader constructor checks every chunk checksum, the step
- * totals, and the stream digest; replay decodes the records
- * themselves, so no separate verify walk is needed here.
+ * The TraceReader constructor checks every chunk checksum and END's
+ * digest and re-emulates the program against the digest chain, so no
+ * separate verify walk is needed here.
  */
 std::shared_ptr<const TraceReader>
 openFor(const std::string &path, const std::string &workload,
@@ -290,8 +290,7 @@ TraceStore::ensure(const std::string &workload, uint64_t seed,
     }
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    captureWorkloadTrace(workload, seed, scale, max_insts, path,
-                         compressCaptures);
+    captureWorkloadTrace(workload, seed, scale, max_insts, path);
     r.captured = true;
     r.reader = openFor(path, workload, seed, scale, max_insts, &why);
     if (!r.reader) {

@@ -43,17 +43,13 @@ class TraceStore
      * are serialized process-wide and land atomically (temp + rename),
      * so concurrent sweep points record a workload exactly once and a
      * killed capture leaves no file behind. Parsed traces are held in
-     * a process-wide cache, so a sweep parses each trace file once no
-     * matter how many points replay it (the capture-once/parse-once/
-     * replay-many fast path). Throws TraceError when the trace cannot
-     * be produced.
+     * a process-wide cache, so a sweep parses (and so verifies by
+     * re-emulation) each trace file once no matter how many points
+     * replay it (the capture-once/parse-once/replay-many fast path).
+     * Throws TraceError when the trace cannot be produced.
      */
     EnsureResult ensure(const std::string &workload, uint64_t seed,
                         double scale, uint64_t max_insts);
-
-    /** Whether ensure()'s captures write compressed (v2) traces; both
-     *  versions are always readable, this only affects new files. */
-    void setCompressCaptures(bool on) { compressCaptures = on; }
 
     /** Drop the process-wide parsed-trace cache (tests). */
     static void dropCache();
@@ -81,7 +77,6 @@ class TraceStore
 
   private:
     std::string dir;
-    bool compressCaptures = true;
 };
 
 /**

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/runner.hh"
 #include "program/builder.hh"
 #include "workloads/patterns.hh"
@@ -169,6 +171,44 @@ TEST(Processor, FgModelExploitsFgci)
     EXPECT_GT(fg.tracesPreserved, 0u);
     // And it should not be slower than base by much (usually faster).
     EXPECT_GT(fg.ipc(), base.ipc() * 0.9);
+}
+
+TEST(Processor, OverflowingArithmeticWrapsLikeTheEmulator)
+{
+    // A trace file can hold any program, and its reader emulates it:
+    // INT64_MIN / -1 (a trap on x86) and overflowing adds, multiplies
+    // and addresses (undefined behaviour in signed arithmetic) must
+    // wrap, in the emulator and in the processor's execution units.
+    constexpr int64_t min = std::numeric_limits<int64_t>::min();
+    constexpr int64_t max = std::numeric_limits<int64_t>::max();
+    ProgramBuilder b("overflow");
+    b.li(3, min);
+    b.li(4, -1);
+    b.div(5, 3, 4);         // INT64_MIN / -1 = INT64_MIN
+    b.add(6, 3, 3);         // 0
+    b.sub(7, 0, 3);         // INT64_MIN
+    b.li(8, max);
+    b.mul(9, 8, 8);         // 1
+    b.addi(10, 8, 1);       // INT64_MIN
+    b.st(8, 8, 1);          // mem[INT64_MAX + 1]: the address wraps
+    b.ld(11, 8, 1);
+    b.halt();
+    const Program p = b.finish();
+
+    Emulator e(p);
+    e.run(100);
+    ASSERT_TRUE(e.halted());
+    EXPECT_EQ(e.readReg(5), min);
+    EXPECT_EQ(e.readReg(6), 0);
+    EXPECT_EQ(e.readReg(7), min);
+    EXPECT_EQ(e.readReg(9), 1);
+    EXPECT_EQ(e.readReg(10), min);
+    EXPECT_EQ(e.readReg(11), max);
+    EXPECT_EQ(e.memory().read(Addr{1} << 63), max);
+
+    // Every retirement is verified against the emulator.
+    for (const char *model : {"base", "FG+MLB-RET"})
+        EXPECT_EQ(runModel(p, model).retiredInsts, p.size()) << model;
 }
 
 } // namespace tproc

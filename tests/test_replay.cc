@@ -4,8 +4,8 @@
  * capture-once/replay-many store, the differential contract (replaying
  * a recorded trace through the full timing processor is bit-identical
  * to live emulation for every seed workload), negative cases for
- * truncated and corrupted files, capture atomicity under SIGKILL, and
- * the golden-statistics helpers.
+ * truncated, corrupted, resealed and divergent files, capture
+ * atomicity under SIGKILL, and the golden-statistics helpers.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@
 #include "emulator/emulator.hh"
 #include "harness/golden.hh"
 #include "harness/sweep.hh"
+#include "program/builder.hh"
 #include "replay/capture.hh"
 #include "replay/codec.hh"
 #include "replay/replay_source.hh"
@@ -108,7 +109,7 @@ tinyProgram()
 } // anonymous namespace
 
 // ---------------------------------------------------------------------
-// The block codec (compressed v2 chunks ride on it).
+// The block codec (the PROGZ chunk rides on it).
 // ---------------------------------------------------------------------
 
 namespace
@@ -206,23 +207,21 @@ TEST(TraceRoundTrip, TinyProgramToHalt)
     EXPECT_TRUE(cap.halted);
     EXPECT_EQ(cap.steps, 6u);
 
-    replay::TraceReader reader(path);
-    EXPECT_EQ(reader.info().version, replay::traceVersion2);
-    EXPECT_EQ(reader.meta().workload, "tiny");
-    EXPECT_TRUE(reader.info().cleanHalt);
-    EXPECT_EQ(reader.info().totalSteps, 6u);
-    EXPECT_EQ(reader.program().code.size(), prog.code.size());
+    auto reader = std::make_shared<const replay::TraceReader>(path);
+    EXPECT_EQ(reader->info().version, replay::traceVersion);
+    EXPECT_EQ(reader->meta().workload, "tiny");
+    EXPECT_TRUE(reader->info().cleanHalt);
+    EXPECT_EQ(reader->info().totalSteps, 6u);
+    EXPECT_EQ(reader->info().digests, 1u);
+    EXPECT_EQ(reader->program().code.size(), prog.code.size());
 
-    // The decoded stream must equal a fresh emulation step for step.
+    // The replayed stream must equal a fresh emulation step for step.
     Emulator emu(prog);
-    replay::StepCursor cursor(reader);
-    StepResult got;
-    while (cursor.next(got)) {
-        const StepResult want = emu.step();
-        EXPECT_EQ(want, got) << "step " << cursor.stepsRead();
-    }
+    replay::ReplaySource src(reader);
+    while (!src.halted())
+        EXPECT_EQ(emu.step(), src.step()) << "step " << src.instCount();
     EXPECT_TRUE(emu.halted());
-    EXPECT_EQ(cursor.stepsRead(), 6u);
+    EXPECT_EQ(src.instCount(), 6u);
 }
 
 TEST(TraceRoundTrip, WorkloadProgramAndStreamSurvive)
@@ -250,68 +249,14 @@ TEST(TraceRoundTrip, WorkloadProgramAndStreamSurvive)
         EXPECT_EQ(p.code[i], w.program.code[i]) << "inst " << i;
     EXPECT_EQ(p.dataInit, w.program.dataInit);
 
+    EXPECT_EQ(reader.info().digests, 2u);   // ceil(5000 / 4096)
+
     Emulator emu(w.program);
-    replay::StepCursor cursor(reader);
-    StepResult got;
-    uint64_t n = 0;
-    while (cursor.next(got)) {
-        EXPECT_EQ(emu.step(), got) << "step " << n;
-        ++n;
-    }
-    EXPECT_EQ(n, cap);
-}
-
-TEST(TraceRoundTrip, V1AndV2CarryIdenticalStreams)
-{
-    // The compressed (v2, default) and raw (v1) containers must hold
-    // the same program and the same step stream; v2 must be markedly
-    // smaller (the CI golden job gates the checked-in traces at 3x).
-    TempDir dir("replay_versions");
-    const std::string v1 = dir.file("v1.tpt");
-    const std::string v2 = dir.file("v2.tpt");
-    const Workload w = makeWorkload("compress", 1, 1.0);
-    replay::TraceMeta meta;
-    meta.workload = "compress";
-    meta.seed = 1;
-    meta.captureCap = 20000;
-    meta.programName = w.program.name;
-    replay::captureProgramTrace(w.program, meta, v1,
-                                /*compress=*/false);
-    replay::captureProgramTrace(w.program, meta, v2);
-
-    replay::TraceReader r1(v1);
-    replay::TraceReader r2(v2);
-    EXPECT_EQ(r1.info().version, replay::traceVersion1);
-    EXPECT_EQ(r2.info().version, replay::traceVersion2);
-    EXPECT_GE(r1.info().fileBytes, 3 * r2.info().fileBytes);
-
-    EXPECT_EQ(r1.program().code.size(), r2.program().code.size());
-    EXPECT_EQ(r1.program().dataInit, r2.program().dataInit);
-    EXPECT_EQ(r1.program().entry, r2.program().entry);
-
-    replay::StepCursor c1(r1), c2(r2);
-    StepResult s1, s2;
-    while (c1.next(s1)) {
-        ASSERT_TRUE(c2.next(s2));
-        ASSERT_EQ(s1, s2) << "step " << c1.stepsRead();
-    }
-    EXPECT_FALSE(c2.next(s2));
-    EXPECT_EQ(c1.stepsRead(), 20000u);
-
-    // Recompressing the v1 file (reader -> compressed writer, the
-    // `tproc-trace compress` path) reproduces the direct v2 capture
-    // byte for byte: the transforms are canonical and the stream
-    // digest is defined over the v1 record bytes in both versions.
-    const std::string re = dir.file("recompressed.tpt");
-    {
-        replay::TraceWriter writer(re, r1.meta(), r1.program());
-        replay::StepCursor cur(r1);
-        StepResult s;
-        while (cur.next(s))
-            writer.append(s);
-        writer.finalize();
-    }
-    EXPECT_EQ(readBytes(re), readBytes(v2));
+    replay::ReplaySource src(
+        std::make_shared<const replay::TraceReader>(path));
+    for (uint64_t n = 0; n < cap; ++n)
+        ASSERT_EQ(emu.step(), src.step()) << "step " << n;
+    EXPECT_THROW(src.step(), replay::TraceError);
 }
 
 TEST(TraceRoundTrip, CaptureCapSaturates)
@@ -429,8 +374,7 @@ namespace
 {
 
 std::string
-makeValidTrace(const TempDir &dir, const std::string &name,
-               bool compress = true)
+makeValidTrace(const TempDir &dir, const std::string &name)
 {
     const std::string path = dir.file(name);
     const Workload w = makeWorkload("compress", 1, 0.25);
@@ -440,7 +384,7 @@ makeValidTrace(const TempDir &dir, const std::string &name,
     meta.scale = 0.25;
     meta.captureCap = 2000;
     meta.programName = w.program.name;
-    replay::captureProgramTrace(w.program, meta, path, compress);
+    replay::captureProgramTrace(w.program, meta, path);
     return path;
 }
 
@@ -452,115 +396,150 @@ TEST(TraceCodec, ChunkStatsReportCompression)
     const std::string path = makeValidTrace(dir, "stats.tpt");
     replay::TraceReader reader(path);
     const auto &stats = reader.info().chunkStats;
-    ASSERT_FALSE(stats.empty());
+    ASSERT_EQ(stats.size(), 2u);
     EXPECT_EQ(stats[0].type, replay::ChunkType::PROGZ);
-    size_t stored = 0, plain = 0;
-    for (const auto &c : stats) {
-        EXPECT_TRUE(c.type == replay::ChunkType::PROGZ ||
-                    c.type == replay::ChunkType::STPZ);
-        stored += c.storedBytes;
-        plain += c.plainBytes;
-    }
-    EXPECT_LT(stored, plain);   // the golden workloads all compress
+    EXPECT_LT(stats[0].storedBytes, stats[0].plainBytes);
+    EXPECT_EQ(stats[1].type, replay::ChunkType::DGST);
+    EXPECT_EQ(stats[1].storedBytes, 8 * reader.info().digests);
+    EXPECT_EQ(stats[1].plainBytes, stats[1].storedBytes);
 }
 
 TEST(ReplayNegative, TruncatedFileRejected)
 {
     TempDir dir("replay_trunc");
-    for (bool compress : {true, false}) {
-        const std::string good =
-            makeValidTrace(dir, compress ? "good2.tpt" : "good1.tpt",
-                           compress);
-        const std::string bytes = readBytes(good);
-        ASSERT_GT(bytes.size(), 64u);
+    const std::string good = makeValidTrace(dir, "good.tpt");
+    const std::string bytes = readBytes(good);
+    ASSERT_GT(bytes.size(), 64u);
 
-        for (size_t keep : {bytes.size() - 1, bytes.size() / 2,
-                            size_t{20}, size_t{4}}) {
-            const std::string path = dir.file("trunc.tpt");
-            writeBytes(path, bytes.substr(0, keep));
-            EXPECT_THROW(replay::TraceReader reader(path),
-                         replay::TraceError)
-                << "kept " << keep << " bytes (compress=" << compress
-                << ")";
-            std::string why;
-            EXPECT_FALSE(replay::TraceStore::validFor(
-                path, "compress", 1, 0.25, 1000, &why));
-            EXPECT_FALSE(why.empty());
-        }
+    for (size_t keep : {bytes.size() - 1, bytes.size() / 2, size_t{20},
+                        size_t{4}}) {
+        const std::string path = dir.file("trunc.tpt");
+        writeBytes(path, bytes.substr(0, keep));
+        EXPECT_THROW(replay::TraceReader reader(path), replay::TraceError)
+            << "kept " << keep << " bytes";
+        std::string why;
+        EXPECT_FALSE(replay::TraceStore::validFor(path, "compress", 1,
+                                                  0.25, 1000, &why));
+        EXPECT_FALSE(why.empty());
     }
 }
 
 TEST(ReplayNegative, CorruptedBytesRejected)
 {
     TempDir dir("replay_corrupt");
-    for (bool compress : {true, false}) {
-        const std::string good =
-            makeValidTrace(dir, compress ? "good2.tpt" : "good1.tpt",
-                           compress);
-        const std::string bytes = readBytes(good);
+    const std::string good = makeValidTrace(dir, "good.tpt");
+    const std::string bytes = readBytes(good);
 
-        // Flip one byte in several places: magic, version, chunk
-        // interior (for v2, inside the compressed payloads).
-        for (size_t at : {size_t{0}, size_t{5}, bytes.size() / 3,
-                          2 * bytes.size() / 3, bytes.size() - 3}) {
-            std::string bad = bytes;
-            bad[at] = static_cast<char>(bad[at] ^ 0x40);
-            const std::string path = dir.file("bad.tpt");
-            writeBytes(path, bad);
-            EXPECT_THROW(replay::TraceReader reader(path),
-                         replay::TraceError)
-                << "flipped byte " << at << " (compress=" << compress
-                << ")";
-        }
+    // Flip one byte in several places: magic, version, the compressed
+    // program, the digest chain, END.
+    for (size_t at : {size_t{0}, size_t{5}, bytes.size() / 3,
+                      2 * bytes.size() / 3, bytes.size() - 30,
+                      bytes.size() - 3}) {
+        std::string bad = bytes;
+        bad[at] = static_cast<char>(bad[at] ^ 0x40);
+        const std::string path = dir.file("bad.tpt");
+        writeBytes(path, bad);
+        EXPECT_THROW(replay::TraceReader reader(path), replay::TraceError)
+            << "flipped byte " << at;
     }
+}
+
+TEST(ReplayNegative, StepStreamVersionsAskForReRecord)
+{
+    // Versions 1 and 2 stored the step stream; the reader names the
+    // cure, and the store recaptures such a file like any unreadable
+    // one.
+    TempDir dir("replay_oldversion");
+    replay::TraceStore store(dir.path());
+    const std::string path = store.tracePath("compress", 1, 0.25, 1000);
+    std::string bytes = readBytes(makeValidTrace(dir, "good.tpt"));
+    for (char version : {1, 2}) {
+        bytes[4] = version;
+        writeBytes(path, bytes);
+        try {
+            replay::TraceReader reader(path);
+            ADD_FAILURE() << "version " << int{version} << " accepted";
+        } catch (const replay::TraceError &e) {
+            EXPECT_NE(std::string(e.what()).find("re-record"),
+                      std::string::npos)
+                << e.what();
+        }
+        replay::TraceStore::dropCache();
+        EXPECT_TRUE(store.ensure("compress", 1, 0.25, 1000).captured);
+    }
+    EXPECT_TRUE(replay::TraceStore::validFor(path, "compress", 1, 0.25,
+                                             1000));
 }
 
 namespace
 {
 
-/**
- * Rewrite the first chunk of the given type with mutate(payload),
- * recomputing the outer chunk digest — so the reader gets past the
- * container checksum and the codec-envelope validation itself is what
- * rejects the file.
- */
-std::string
-rewriteChunk(const std::string &bytes, replay::ChunkType type,
-             const std::function<void(std::string &)> &mutate)
+/** Where the first chunk of the given type starts, or npos. */
+size_t
+findChunk(const std::string &bytes, replay::ChunkType type)
 {
     size_t pos = 8;
     while (pos + 9 + 8 <= bytes.size()) {
         replay::ByteCursor hdr(bytes.data() + pos, 9);
         const uint8_t t = hdr.u8();
         const uint32_t len = hdr.u32();
-        const uint32_t records = hdr.u32();
-        if (static_cast<replay::ChunkType>(t) == type) {
-            std::string payload = bytes.substr(pos + 9, len);
-            mutate(payload);
-            std::string header;
-            header.push_back(static_cast<char>(t));
-            replay::putU32(header,
-                           static_cast<uint32_t>(payload.size()));
-            replay::putU32(header, records);
-            uint64_t digest =
-                replay::fnv1a(header.data(), header.size());
-            digest = replay::fnv1a(payload.data(), payload.size(),
-                                   digest);
-            std::string out = bytes.substr(0, pos) + header + payload;
-            replay::putU64(out, digest);
-            out += bytes.substr(pos + 9 + len + 8);
-            return out;
-        }
+        if (static_cast<replay::ChunkType>(t) == type)
+            return pos;
         pos += 9 + static_cast<size_t>(len) + 8;
     }
-    ADD_FAILURE() << "chunk type " << static_cast<int>(type)
-                  << " not found";
-    return bytes;
+    return std::string::npos;
+}
+
+/**
+ * Rewrite the first chunk of the given type with mutate(payload),
+ * recomputing that chunk's checksum — so the reader gets past it and
+ * only END's digest, or the decoders once resealEnd() has run, can
+ * reject the file.
+ */
+std::string
+rewriteChunk(const std::string &bytes, replay::ChunkType type,
+             const std::function<void(std::string &)> &mutate)
+{
+    const size_t pos = findChunk(bytes, type);
+    if (pos == std::string::npos) {
+        ADD_FAILURE() << "chunk type " << static_cast<int>(type)
+                      << " not found";
+        return bytes;
+    }
+    replay::ByteCursor hdr(bytes.data() + pos, 9);
+    const uint8_t t = hdr.u8();
+    const uint32_t len = hdr.u32();
+    const uint32_t records = hdr.u32();
+    std::string payload = bytes.substr(pos + 9, len);
+    mutate(payload);
+    std::string out = bytes.substr(0, pos);
+    out.push_back(static_cast<char>(t));
+    replay::putU32(out, static_cast<uint32_t>(payload.size()));
+    replay::putU32(out, records);
+    out += payload;
+    replay::putU64(out, replay::fnv1a(out.data() + pos, out.size() - pos));
+    out += bytes.substr(pos + 9 + len + 8);
+    return out;
+}
+
+/** Reseal END as a writer would: its digest over every byte before
+ *  it, then its own checksum. */
+std::string
+resealEnd(const std::string &bytes)
+{
+    const uint64_t sealed = replay::fnv1a(
+        bytes.data(), findChunk(bytes, replay::ChunkType::END));
+    return rewriteChunk(bytes, replay::ChunkType::END,
+                        [sealed](std::string &p) {
+        ASSERT_EQ(p.size(), 17u);
+        p.resize(9);
+        replay::putU64(p, sealed);
+    });
 }
 
 } // anonymous namespace
 
-TEST(ReplayNegative, CompressedChunkCorruptionsRejectedByName)
+TEST(ReplayNegative, ProgzCorruptionsRejectedByName)
 {
     TempDir dir("replay_zneg");
     const std::string good = makeValidTrace(dir, "good.tpt");
@@ -581,38 +560,35 @@ TEST(ReplayNegative, CompressedChunkCorruptionsRejectedByName)
         }
     };
 
-    for (replay::ChunkType type : {replay::ChunkType::STPZ,
-                                   replay::ChunkType::PROGZ}) {
-        const std::string label =
-            type == replay::ChunkType::STPZ ? "STPZ" : "PROGZ";
-        // Unknown codec id (first byte of the codec envelope).
-        expectNamedError(
-            rewriteChunk(bytes, type,
-                         [](std::string &p) {
-                             p[0] = static_cast<char>(99);
-                         }),
-            "unknown codec id", label + "/codec");
-        // Plaintext checksum mismatch: decode succeeds but the stored
-        // plaintext FNV (after codec byte + plainLen varint) is wrong.
-        expectNamedError(
-            rewriteChunk(bytes, type,
-                         [](std::string &p) {
-                             size_t i = 1;
-                             while (static_cast<uint8_t>(p[i]) & 0x80)
-                                 ++i;
+    const auto progz = [&](const std::function<void(std::string &)> &f) {
+        return resealEnd(rewriteChunk(bytes, replay::ChunkType::PROGZ, f));
+    };
+    // Unknown codec id (first byte of the codec envelope).
+    expectNamedError(progz([](std::string &p) {
+                         p[0] = static_cast<char>(99);
+                     }),
+                     "unknown codec id", "codec");
+    // Plaintext checksum mismatch: decode succeeds but the stored
+    // plaintext FNV (after codec byte + plainLen varint) is wrong.
+    expectNamedError(progz([](std::string &p) {
+                         size_t i = 1;
+                         while (static_cast<uint8_t>(p[i]) & 0x80)
                              ++i;
-                             p[i] = static_cast<char>(p[i] ^ 0x40);
-                         }),
-            "plaintext checksum mismatch", label + "/fnv");
-        // Truncated compressed payload (outer digest recomputed, so
-        // only the codec's own bounds checking can catch it).
-        expectNamedError(
-            rewriteChunk(bytes, type,
-                         [](std::string &p) {
-                             p.resize(p.size() - 8);
-                         }),
-            "truncated", label + "/trunc");
-    }
+                         ++i;
+                         p[i] = static_cast<char>(p[i] ^ 0x40);
+                     }),
+                     "plaintext checksum mismatch", "fnv");
+    // Truncated compressed payload (every seal recomputed, so only the
+    // codec's own bounds checking can catch it).
+    expectNamedError(progz([](std::string &p) { p.resize(p.size() - 8); }),
+                     "truncated", "trunc");
+    // The same edit with END left stale: END's digest rejects it before
+    // any decoder runs.
+    expectNamedError(rewriteChunk(bytes, replay::ChunkType::PROGZ,
+                                  [](std::string &p) {
+                                      p[0] = static_cast<char>(99);
+                                  }),
+                     "END digest mismatch", "stale END");
 }
 
 TEST(ReplayNegative, NonTraceFileRejected)
@@ -661,7 +637,7 @@ TEST(ReplayNegative, ExhaustedTraceThrowsInsteadOfReplayingShort)
 namespace
 {
 
-/** The plaintext inside a v2 chunk's codec envelope. */
+/** The plaintext inside a PROGZ chunk's codec envelope. */
 std::string
 openPlaintext(const std::string &payload)
 {
@@ -674,7 +650,7 @@ openPlaintext(const std::string &payload)
                                    static_cast<size_t>(plain_len));
 }
 
-/** A v2 codec envelope storing plain verbatim (the RAW codec), with
+/** A PROGZ codec envelope storing plain verbatim (the RAW codec), with
  *  its plaintext digest. */
 std::string
 sealPlaintext(const std::string &plain)
@@ -723,64 +699,45 @@ mutateBytes(std::string &b, Rng &rng)
 
 } // anonymous namespace
 
-TEST(TraceRoundTrip, DecodersNormaliseOutOfOrderImages)
+TEST(TraceRoundTrip, DecoderNormalisesOutOfOrderImages)
 {
-    // Hand-built PROG chunks whose image a map would have read with
-    // "last write wins": the decoders must produce the sorted, unique
-    // image that rule implies.
+    // A hand-built PROGZ image that a map would have read with "last
+    // write wins": the decoder must produce the sorted, unique image
+    // that rule implies. The tiny program never reads these words, so
+    // the trace still verifies.
     TempDir dir("replay_image");
     const Program tiny = tinyProgram();
     ASSERT_TRUE(tiny.dataInit.empty());
     replay::TraceMeta meta;
     meta.programName = tiny.name;
-    const std::string v1 = dir.file("v1.tpt");
-    const std::string v2 = dir.file("v2.tpt");
-    replay::captureProgramTrace(tiny, meta, v1, /*compress=*/false);
-    replay::captureProgramTrace(tiny, meta, v2);
+    const std::string path = dir.file("image.tpt");
+    replay::captureProgramTrace(tiny, meta, path);
 
-    // v1: an empty image is the payload's last byte (count 0); replace
-    // it with unsorted and repeated addresses.
-    writeBytes(v1, rewriteChunk(readBytes(v1), replay::ChunkType::PROG,
-                                [](std::string &p) {
-        ASSERT_EQ(p.back(), '\0');
-        p.pop_back();
-        const DataImage writes = {
-            {30, 3}, {10, 1}, {20, 2}, {10, 11}, {30, -3}};
-        replay::putVarint(p, writes.size());
-        for (const auto &[a, v] : writes) {
-            replay::putVarint(p, a);
-            replay::putSvarint(p, v);
-        }
-    }));
-    replay::TraceReader r1(v1);
-    EXPECT_EQ(r1.program().dataInit,
-              (DataImage{{10, 11}, {20, 2}, {30, -3}}));
-    EXPECT_EQ(r1.info().dataInitSize, 3u);
-
-    // v2: an empty image is the plaintext's last two bytes (count 0,
+    // An empty image is the plaintext's last two bytes (count 0,
     // address-stream length 0); replace them with address deltas
-    // 5, 0, 3, 0 (addresses 5, 5, 8, 8), then reseal the envelope.
-    writeBytes(v2, rewriteChunk(readBytes(v2), replay::ChunkType::PROGZ,
-                                [](std::string &p) {
-        std::string plain = openPlaintext(p);
-        ASSERT_EQ(plain.substr(plain.size() - 2), std::string(2, '\0'));
-        plain.resize(plain.size() - 2);
-        std::string addrs, values;
-        for (uint64_t d : {5, 0, 3, 0})
-            replay::putVarint(addrs, d);
-        for (int64_t v : {1, 2, 3, -4})
-            replay::putSvarint(values, v);
-        replay::putVarint(plain, 4);
-        replay::putVarint(plain, addrs.size());
-        plain += addrs + values;
-        p = sealPlaintext(plain);
-    }));
-    replay::TraceReader r2(v2);
-    EXPECT_EQ(r2.program().dataInit, (DataImage{{5, 2}, {8, -4}}));
-    EXPECT_EQ(r2.info().dataInitSize, 2u);
+    // 5, 0, 3, 0 (addresses 5, 5, 8, 8), then reseal everything.
+    writeBytes(path, resealEnd(rewriteChunk(
+        readBytes(path), replay::ChunkType::PROGZ, [](std::string &p) {
+            std::string plain = openPlaintext(p);
+            ASSERT_EQ(plain.substr(plain.size() - 2),
+                      std::string(2, '\0'));
+            plain.resize(plain.size() - 2);
+            std::string addrs, values;
+            for (uint64_t d : {5, 0, 3, 0})
+                replay::putVarint(addrs, d);
+            for (int64_t v : {1, 2, 3, -4})
+                replay::putSvarint(values, v);
+            replay::putVarint(plain, 4);
+            replay::putVarint(plain, addrs.size());
+            plain += addrs + values;
+            p = sealPlaintext(plain);
+        })));
+    replay::TraceReader reader(path);
+    EXPECT_EQ(reader.program().dataInit, (DataImage{{5, 2}, {8, -4}}));
+    EXPECT_EQ(reader.info().dataInitSize, 2u);
 }
 
-TEST(TraceRoundTrip, EveryImageSurvivesV1AndV2)
+TEST(TraceRoundTrip, EveryImageSurvives)
 {
     TempDir dir("replay_images");
     std::vector<std::string> names = workloadNames();
@@ -792,22 +749,23 @@ TEST(TraceRoundTrip, EveryImageSurvivesV1AndV2)
         meta.workload = name;
         meta.captureCap = 100;
         meta.programName = w.program.name;
-        for (bool compress : {false, true}) {
-            const std::string path = dir.file("image.tpt");
-            replay::captureProgramTrace(w.program, meta, path, compress);
-            replay::TraceReader reader(path);
-            EXPECT_EQ(reader.program().dataInit, w.program.dataInit)
-                << name << (compress ? " v2" : " v1");
-        }
+        const std::string path = dir.file("image.tpt");
+        replay::captureProgramTrace(w.program, meta, path);
+        replay::TraceReader reader(path);
+        EXPECT_EQ(reader.program().dataInit, w.program.dataInit) << name;
     }
 }
 
-TEST(TraceFuzz, ResealedMetaAndProgMutantsParseOrFailCleanly)
+TEST(TraceFuzz, ResealedMutantsVerifyOrFailCleanly)
 {
-    // The outer chunk checksum rejects almost every stray byte, so each
-    // mutant is resealed (and, in v2, so is the plaintext digest) to
-    // reach the META and PROG decoders themselves. Nothing binds the
-    // program to the step stream, so a parsed mutant is also replayed.
+    // Each mutant edits one chunk and reseals its checksum (a PROGZ
+    // mutant edits the plaintext and reseals the codec envelope too),
+    // so it gets past the container checksums. Half of the META, PROGZ
+    // and DGST mutants leave END as it was, and END's digest must
+    // reject them. The rest, and every END mutant, are resealed
+    // through END: they reach the decoders and the re-emulation and
+    // must verify or throw TraceError. A mutant that verifies is
+    // replayed through the processor.
     TempDir dir("replay_fuzz");
     Rng rng(20261017);
     const Workload w = makeWorkload("li", 1, 0.25);
@@ -818,58 +776,203 @@ TEST(TraceFuzz, ResealedMetaAndProgMutantsParseOrFailCleanly)
     meta.programName = w.program.name;
     const ProcessorConfig base = ProcessorConfig::forModel("base");
 
-    for (bool compress : {false, true}) {
-        const std::string good = dir.file("good.tpt");
-        replay::captureProgramTrace(w.program, meta, good, compress);
-        const std::string bytes = readBytes(good);
-        const replay::ChunkType prog = compress ? replay::ChunkType::PROGZ
-                                                : replay::ChunkType::PROG;
-        // v2 PROG mutants edit the PROGZ plaintext and reseal it; open
-        // the envelope once (this rewrite only reads the payload).
-        std::string prog_plain;
-        if (compress) {
-            rewriteChunk(bytes, prog, [&](std::string &p) {
-                prog_plain = openPlaintext(p);
+    const std::string good = dir.file("good.tpt");
+    replay::captureProgramTrace(w.program, meta, good);
+    const std::string bytes = readBytes(good);
+    // Open the PROGZ envelope once (this rewrite only reads it).
+    std::string prog_plain;
+    rewriteChunk(bytes, replay::ChunkType::PROGZ, [&](std::string &p) {
+        prog_plain = openPlaintext(p);
+    });
+
+    const replay::ChunkType targets[] = {
+        replay::ChunkType::META, replay::ChunkType::PROGZ,
+        replay::ChunkType::DGST, replay::ChunkType::END};
+    int stale_end = 0, parsed = 0, replayed = 0;
+    for (int i = 0; i < 300; ++i) {
+        const replay::ChunkType type = targets[i % 4];
+        const bool through_end =
+            type == replay::ChunkType::END || (i / 4) % 2 == 1;
+        std::string mutant =
+            rewriteChunk(bytes, type, [&](std::string &p) {
+                if (type == replay::ChunkType::PROGZ) {
+                    std::string plain = prog_plain;
+                    mutateBytes(plain, rng);
+                    p = sealPlaintext(plain);
+                } else {
+                    mutateBytes(p, rng);
+                }
             });
-        }
-        int parsed = 0, clean = 0;
-        for (int i = 0; i < 300; ++i) {
-            const bool in_meta = i % 2 == 0;
-            const std::string mutant = rewriteChunk(
-                bytes, in_meta ? replay::ChunkType::META : prog,
-                [&](std::string &p) {
-                    if (compress && !in_meta) {
-                        std::string plain = prog_plain;
-                        mutateBytes(plain, rng);
-                        p = sealPlaintext(plain);
-                    } else {
-                        mutateBytes(p, rng);
-                    }
-                });
-            const std::string path = dir.file("mutant.tpt");
-            writeBytes(path, mutant);
-            std::shared_ptr<const replay::TraceReader> reader;
-            try {
-                reader = std::make_shared<const replay::TraceReader>(path);
-            } catch (const replay::TraceError &) {
-                continue;
+        if (through_end && type != replay::ChunkType::END)
+            mutant = resealEnd(mutant);
+        const std::string path = dir.file("mutant.tpt");
+        writeBytes(path, mutant);
+        std::shared_ptr<const replay::TraceReader> reader;
+        try {
+            reader = std::make_shared<const replay::TraceReader>(path);
+        } catch (const replay::TraceError &e) {
+            if (!through_end) {
+                ++stale_end;
+                EXPECT_NE(std::string(e.what()).find("END digest mismatch"),
+                          std::string::npos)
+                    << "mutant " << i << ": " << e.what();
             }
-            ++parsed;
-            ASSERT_TRUE(sortedUnique(reader->program().dataInit))
-                << "mutant " << i << (compress ? " v2" : " v1");
-            ScopedErrorCapture capture;
-            try {
-                runConfig(reader->program(), base, 2000,
-                          std::make_unique<replay::ReplaySource>(reader));
-                ++clean;
-            } catch (const SimError &) {
-            } catch (const replay::TraceError &) {
-            }
+            continue;
         }
-        // Resealing must reach the decoders: some mutants parse, and
-        // the META-only edits among them replay cleanly.
-        EXPECT_GT(parsed, 0) << (compress ? "v2" : "v1");
-        EXPECT_GT(clean, 0) << (compress ? "v2" : "v1");
+        ASSERT_TRUE(through_end) << "mutant " << i << " beat a stale END";
+        ++parsed;
+        ASSERT_TRUE(sortedUnique(reader->program().dataInit))
+            << "mutant " << i;
+        ScopedErrorCapture capture;
+        try {
+            runConfig(reader->program(), base, 2000,
+                      std::make_unique<replay::ReplaySource>(reader));
+            ++replayed;
+        } catch (const SimError &) {
+        } catch (const replay::TraceError &) {
+        }
+    }
+    // Both paths are exercised: stale ENDs are caught, and the META-only
+    // edits resealed through END verify and replay cleanly.
+    EXPECT_GT(stale_end, 0);
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(replayed, 0);
+}
+
+// ---------------------------------------------------------------------
+// Verification by re-emulation: divergence, bounded work, registers.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** li; a 3000-iteration two-instruction loop; `addi r4, r0, imm`
+ *  first executed at step 6001, in digest chunk 1; halt. */
+Program
+lateImmediate(int64_t imm)
+{
+    ProgramBuilder b("late");
+    b.li(3, 3000);
+    const auto top = b.newLabel();
+    b.bind(top);
+    b.addi(3, 3, -1);
+    b.bne(3, 0, top);
+    b.addi(4, 0, imm);
+    b.halt();
+    return b.finish();
+}
+
+/** Expect parsing path to throw a TraceError whose text holds needle. */
+void
+expectRejected(const std::string &path, const std::string &needle)
+{
+    try {
+        replay::TraceReader reader(path);
+        ADD_FAILURE() << "reader accepted " << path;
+    } catch (const replay::TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << "got '" << e.what() << "'";
+    }
+}
+
+} // anonymous namespace
+
+TEST(TraceVerify, ChangedImmediateNamesFirstDivergentChunk)
+{
+    // Splice the PROGZ chunk of a program that differs in one executed
+    // immediate into a trace, and reseal END: every checksum and digest
+    // of the container holds, and only re-emulation finds the change.
+    TempDir dir("replay_diverge");
+    replay::TraceMeta meta;
+    meta.programName = "late";
+    const std::string path = dir.file("late.tpt");
+    const std::string other = dir.file("other.tpt");
+    replay::captureProgramTrace(lateImmediate(42), meta, path);
+    replay::captureProgramTrace(lateImmediate(43), meta, other);
+    {
+        replay::TraceReader reader(path);
+        EXPECT_EQ(reader.info().totalSteps, 6003u);
+        EXPECT_EQ(reader.info().digests, 2u);
+    }
+
+    const std::string bytes = readBytes(path);
+    const std::string donor = readBytes(other);
+    const size_t at = findChunk(bytes, replay::ChunkType::PROGZ);
+    const size_t donor_at = findChunk(donor, replay::ChunkType::PROGZ);
+    const size_t len = findChunk(bytes, replay::ChunkType::DGST) - at;
+    const size_t donor_len =
+        findChunk(donor, replay::ChunkType::DGST) - donor_at;
+    std::string spliced = bytes.substr(0, at) +
+        donor.substr(donor_at, donor_len) + bytes.substr(at + len);
+    writeBytes(path, resealEnd(spliced));
+    expectRejected(path, "digest chunk 1 (steps 4096..6002) differs");
+}
+
+TEST(TraceVerify, EndClaimBeyondDigestChainRejectedBeforeEmulation)
+{
+    // `spin: jmp spin` never halts, so emulating the claimed steps
+    // would not finish: the claim must fail on the chain's length.
+    TempDir dir("replay_overclaim");
+    Program spin;
+    spin.name = "spin";
+    spin.code.push_back({Opcode::JMP, 0, 0, 0, 0});
+    replay::TraceMeta meta;
+    meta.programName = spin.name;
+    meta.captureCap = replay::stepsPerDigest;
+    const std::string good = dir.file("spin.tpt");
+    replay::captureProgramTrace(spin, meta, good);
+    const std::string bytes = readBytes(good);
+
+    for (uint64_t claim : {uint64_t{replay::stepsPerDigest} + 1,
+                           uint64_t{1} << 62}) {
+        const std::string path = dir.file("claim.tpt");
+        writeBytes(path, rewriteChunk(bytes, replay::ChunkType::END,
+                                      [claim](std::string &p) {
+                                          std::string total;
+                                          replay::putU64(total, claim);
+                                          p.replace(0, 8, total);
+                                      }));
+        expectRejected(path, "END claims " + std::to_string(claim) +
+                                 " steps but the digest chain covers at "
+                                 "most 4096");
+    }
+}
+
+TEST(TraceVerify, OutOfRangeRegisterRejected)
+{
+    // Hand-built PROGZ plaintexts: `add r3, r0, r0; halt`, with one
+    // register field set to 100. The emulator's register file and the
+    // rename map have numArchRegs entries.
+    TempDir dir("replay_register");
+    replay::TraceMeta meta;
+    meta.programName = "tiny";
+    const std::string good = dir.file("tiny.tpt");
+    replay::captureProgramTrace(tinyProgram(), meta, good);
+    const std::string bytes = readBytes(good);
+
+    for (int field = 0; field < 3; ++field) {
+        uint8_t regs[3] = {3, 0, 0};    // rd, rs1, rs2
+        regs[field] = 100;
+        std::string plain;
+        replay::putVarint(plain, 0);    // entry
+        replay::putVarint(plain, 2);    // instructions
+        plain.push_back(static_cast<char>(Opcode::ADD));
+        plain.push_back(static_cast<char>(Opcode::HALT));
+        for (uint8_t r : regs) {
+            plain.push_back(static_cast<char>(r));
+            plain.push_back('\0');
+        }
+        replay::putVarint(plain, 2);    // imm stream: two zeros
+        plain += std::string(2, '\0');
+        replay::putVarint(plain, 0);    // data words
+        replay::putVarint(plain, 0);    // address stream
+        const std::string path = dir.file("reg.tpt");
+        writeBytes(path, resealEnd(rewriteChunk(
+                             bytes, replay::ChunkType::PROGZ,
+                             [&](std::string &p) {
+                                 p = sealPlaintext(plain);
+                             })));
+        expectRejected(path, "register 100");
     }
 }
 
@@ -951,33 +1054,26 @@ TEST(TraceStoreTest, ExceptionBeforeFinalizeLeavesNothingBehind)
 {
     // The destructor path under stack unwinding: an exception thrown
     // anywhere between TraceWriter construction and finalize() (e.g.
-    // an emulator fault inside captureWorkloadTrace) must remove the
-    // .tmp.<pid>.<seq> staging file, in both container versions.
+    // an emulator fault inside captureWorkloadTrace) must leave no
+    // file, staged or final.
     TempDir dir("writer_throw");
-    for (bool compress : {true, false}) {
-        const std::string path = dir.file("thrown.tpt");
-        const Program prog = tinyProgram();
-        bool caught = false;
-        try {
-            replay::TraceMeta meta;
-            meta.workload = "tiny";
-            replay::TraceWriter writer(path, meta, prog, compress);
-            Emulator emu(prog);
-            writer.append(emu.step());
-            writer.append(emu.step());
-            throw std::runtime_error("capture failed mid-stream");
-        } catch (const std::runtime_error &) {
-            caught = true;
-        }
-        EXPECT_TRUE(caught);
-        EXPECT_FALSE(fs::exists(path));
-        size_t entries = 0;
-        for (const auto &e : fs::directory_iterator(dir.path())) {
-            (void)e;
-            ++entries;
-        }
-        EXPECT_EQ(entries, 0u) << "compress=" << compress;
+    const std::string path = dir.file("thrown.tpt");
+    const Program prog = tinyProgram();
+    bool caught = false;
+    try {
+        replay::TraceMeta meta;
+        meta.workload = "tiny";
+        replay::TraceWriter writer(path, meta, prog);
+        Emulator emu(prog);
+        writer.append(emu.step());
+        writer.append(emu.step());
+        throw std::runtime_error("capture failed mid-stream");
+    } catch (const std::runtime_error &) {
+        caught = true;
     }
+    EXPECT_TRUE(caught);
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_TRUE(fs::is_empty(dir.path()));
 }
 
 TEST(TraceStoreTest, CachePinsLiveReadersAcrossEviction)
@@ -994,8 +1090,8 @@ TEST(TraceStoreTest, CachePinsLiveReadersAcrossEviction)
     const std::string held_path = store.tracePath("li", 1, 0.1, 400);
 
     // Push more distinct traces than the bound through the cache while
-    // the first reader stays referenced (as a StepCursor-bearing
-    // ReplaySource would during a simulation).
+    // the first reader stays referenced (as a ReplaySource would during
+    // a simulation).
     for (uint64_t seed = 2; seed <= 5; ++seed)
         store.ensure("li", seed, 0.1, 400);
 
@@ -1065,21 +1161,18 @@ TEST(TraceStoreTest, KilledCaptureLeavesNoTraceFile)
     ASSERT_GE(pid, 0);
     if (pid == 0) {
         // Child: start a capture and die mid-stream, as a SIGKILL'd
-        // sweep worker would. Everything so far sits in a temp file;
-        // the final path must never appear.
+        // sweep worker would. Nothing is written before finalize(); the
+        // final path must never appear.
         const Workload w = makeWorkload("compress", 1, 0.25);
         replay::TraceMeta meta;
         meta.workload = "compress";
-        meta.captureCap = 100000;
         replay::TraceWriter writer(path, meta, w.program);
         Emulator emu(w.program);
-        uint64_t n = 0;
-        emu.setStepObserver([&](const StepResult &s) {
-            writer.append(s);
-            if (++n == 5000)
+        while (!emu.halted()) {
+            writer.append(emu.step());
+            if (writer.steps() == 5000)
                 raise(SIGKILL);
-        });
-        emu.run(meta.captureCap);
+        }
         _exit(0);   // not reached
     }
     int status = 0;

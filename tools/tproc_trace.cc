@@ -4,25 +4,21 @@
  *
  * Usage:
  *   tproc-trace record (--workload=W | --all) [--seed=S] [--scale=X]
- *               [--insts=N] [--no-compress] (--out=FILE | --dir=DIR)
+ *               [--insts=N] (--out=FILE | --dir=DIR)
  *   tproc-trace info FILE...
  *   tproc-trace verify FILE...
- *   tproc-trace compress [--v1] [--out=FILE] FILE...
  *   tproc-trace stats FILE...
  *
  * `record` captures the architectural execution of a named workload
- * (program + full step stream) into a trace file; with --dir the file
- * lands under the TraceStore naming scheme the sweep harness's
- * --trace-dir mode looks up. Captures write the compressed version-2
- * container unless --no-compress asks for version 1. `info` prints a
- * parsed trace's metadata. `verify` walks every chunk checksum and
- * step record; its exit status is the number of files that failed
- * (capped at 125), which is what the CI golden job gates on.
- * `compress` rewrites traces (either version) as version 2 — or back
- * to version 1 with --v1 — in place unless --out names the (single)
- * destination; the step stream digest is preserved bit for bit, so a
- * recompressed trace replays identically. `stats` prints per-chunk
- * codec/size/ratio accounting. Usage errors exit 126.
+ * (the program plus the digest chain of its execution) into a trace
+ * file; with --dir the file lands under the TraceStore naming scheme
+ * the sweep harness's --trace-dir mode looks up. `info` prints a
+ * parsed trace's metadata. `verify` checks every chunk checksum and
+ * END's digest and re-emulates the program against the digest chain;
+ * its exit status is the number of files that failed (capped at 125),
+ * which is what the CI golden job gates on. Every reader verifies, so
+ * `info` and `stats` reject what `verify` rejects. `stats` prints
+ * per-chunk codec/size/ratio accounting. Usage errors exit 126.
  */
 
 #include <cstdint>
@@ -48,11 +44,10 @@ void
 usage(std::ostream &os)
 {
     os << "usage: tproc-trace record (--workload=W | --all) [--seed=S]\n"
-          "                   [--scale=X] [--insts=N] [--no-compress]\n"
+          "                   [--scale=X] [--insts=N]\n"
           "                   (--out=FILE | --dir=DIR)\n"
           "       tproc-trace info FILE...\n"
           "       tproc-trace verify FILE...\n"
-          "       tproc-trace compress [--v1] [--out=FILE] FILE...\n"
           "       tproc-trace stats FILE...\n";
 }
 
@@ -64,7 +59,6 @@ recordMain(int argc, char **argv)
     uint64_t seed = 1;
     double scale = 1.0;
     uint64_t insts = UINT64_MAX;
-    bool compress = true;
     std::string out_path;
     std::string dir;
 
@@ -98,8 +92,6 @@ recordMain(int argc, char **argv)
                 usage(std::cerr);
                 return 126;
             }
-        } else if (std::strcmp(argv[i], "--no-compress") == 0) {
-            compress = false;
         } else if (parseArg(argv[i], "--out", v)) {
             out_path = v;
         } else if (parseArg(argv[i], "--dir", v)) {
@@ -127,7 +119,6 @@ recordMain(int argc, char **argv)
             replay::CaptureResult r;
             if (!dir.empty()) {
                 replay::TraceStore store(dir);
-                store.setCompressCaptures(compress);
                 auto ensured = store.ensure(name, seed, scale, insts);
                 r.path = store.tracePath(name, seed, scale, insts);
                 r.steps = ensured.reader->info().totalSteps;
@@ -140,8 +131,7 @@ recordMain(int argc, char **argv)
                 }
             } else {
                 r = replay::captureWorkloadTrace(name, seed, scale,
-                                                insts, out_path,
-                                                compress);
+                                                insts, out_path);
             }
             std::cerr << name << ": recorded " << r.steps
                       << " steps to " << r.path
@@ -162,10 +152,7 @@ printInfo(const std::string &path, const replay::TraceInfo &info)
     TextTable t;
     t.header({"field", "value"});
     t.row({"file", path});
-    t.row({"version", std::to_string(info.version) +
-                          (info.version >= replay::traceVersion2
-                               ? " (compressed)"
-                               : " (raw)")});
+    t.row({"version", std::to_string(info.version)});
     t.row({"bytes", std::to_string(info.fileBytes)});
     t.row({"workload", info.meta.workload});
     t.row({"program", info.meta.programName});
@@ -179,7 +166,7 @@ printInfo(const std::string &path, const replay::TraceInfo &info)
     t.row({"clean halt", info.cleanHalt ? "yes" : "no (hit cap)"});
     t.row({"code insts", std::to_string(info.codeSize)});
     t.row({"data words", std::to_string(info.dataInitSize)});
-    t.row({"step chunks", std::to_string(info.stepChunks)});
+    t.row({"digests", std::to_string(info.digests)});
     if (info.totalSteps) {
         t.row({"bytes/step",
                fmtDouble(static_cast<double>(info.fileBytes) /
@@ -215,8 +202,8 @@ infoOrVerifyMain(int argc, char **argv, bool full_verify)
         if (replay::TraceReader::verify(path, &error, &info)) {
             if (full_verify) {
                 std::cout << path << ": OK (v" << info.version << ", "
-                          << info.totalSteps << " steps, "
-                          << info.stepChunks << " chunks)\n";
+                          << info.totalSteps << " steps re-emulated, "
+                          << info.digests << " digests)\n";
             } else {
                 printInfo(path, info);
                 if (files.size() > 1)
@@ -233,18 +220,7 @@ infoOrVerifyMain(int argc, char **argv, bool full_verify)
 std::string
 chunkTypeName(replay::ChunkType t)
 {
-    switch (t) {
-      case replay::ChunkType::PROG:
-        return "PROG";
-      case replay::ChunkType::PROGZ:
-        return "PROGZ";
-      case replay::ChunkType::STEPS:
-        return "STEPS";
-      case replay::ChunkType::STPZ:
-        return "STPZ";
-      default:
-        return "chunk" + std::to_string(static_cast<int>(t));
-    }
+    return t == replay::ChunkType::PROGZ ? "PROGZ" : "DGST";
 }
 
 /** Per-chunk codec/size/ratio accounting for `tproc-trace stats`. */
@@ -309,82 +285,6 @@ statsMain(int argc, char **argv)
     return failed > 125 ? 125 : failed;
 }
 
-/**
- * Rewrite traces in the requested container version. In place (via
- * the writer's temp+rename, so an interrupted rewrite leaves the
- * original untouched) unless --out names the single destination. The
- * step stream and its END digest survive bit for bit, so the rewrite
- * is replay-neutral by construction.
- */
-int
-compressMain(int argc, char **argv)
-{
-    std::string out_path;
-    bool to_v2 = true;
-    std::vector<std::string> files;
-    for (int i = 2; i < argc; ++i) {
-        std::string v;
-        if (parseArg(argv[i], "--out", v)) {
-            out_path = v;
-        } else if (std::strcmp(argv[i], "--v1") == 0) {
-            to_v2 = false;
-        } else if (argv[i][0] == '-') {
-            std::cerr << "tproc-trace compress: unknown argument '"
-                      << argv[i] << "'\n";
-            usage(std::cerr);
-            return 126;
-        } else {
-            files.push_back(argv[i]);
-        }
-    }
-    if (files.empty() || (!out_path.empty() && files.size() != 1)) {
-        std::cerr << "tproc-trace compress: need trace files (exactly "
-                     "one with --out)\n";
-        usage(std::cerr);
-        return 126;
-    }
-
-    int failed = 0;
-    for (const auto &path : files) {
-        const std::string dest = out_path.empty() ? path : out_path;
-        try {
-            replay::TraceReader reader(path);
-            const size_t old_bytes = reader.info().fileBytes;
-            replay::TraceWriter writer(dest, reader.meta(),
-                                       reader.program(), to_v2);
-            replay::StepCursor cursor(reader);
-            StepResult s;
-            while (cursor.next(s))
-                writer.append(s);
-            writer.finalize();
-
-            replay::TraceInfo out_info;
-            std::string error;
-            if (!replay::TraceReader::verify(dest, &error, &out_info)) {
-                std::cerr << "tproc-trace compress: " << dest
-                          << " failed verification after rewrite: "
-                          << error << '\n';
-                ++failed;
-                continue;
-            }
-            std::cerr << path << ": v" << reader.info().version
-                      << " (" << old_bytes << " bytes) -> " << dest
-                      << ": v" << out_info.version << " ("
-                      << out_info.fileBytes << " bytes, "
-                      << fmtDouble(static_cast<double>(old_bytes) /
-                                       static_cast<double>(
-                                           out_info.fileBytes),
-                                   2)
-                      << "x)\n";
-        } catch (const std::exception &e) {
-            std::cerr << "tproc-trace compress: " << path << ": "
-                      << e.what() << '\n';
-            ++failed;
-        }
-    }
-    return failed > 125 ? 125 : failed;
-}
-
 } // namespace
 
 int
@@ -401,8 +301,6 @@ main(int argc, char **argv)
         return infoOrVerifyMain(argc, argv, /*full_verify=*/false);
     if (std::strcmp(argv[1], "verify") == 0)
         return infoOrVerifyMain(argc, argv, /*full_verify=*/true);
-    if (std::strcmp(argv[1], "compress") == 0)
-        return compressMain(argc, argv);
     if (std::strcmp(argv[1], "stats") == 0)
         return statsMain(argc, argv);
     std::cerr << "tproc-trace: unknown subcommand '" << argv[1] << "'\n";
