@@ -357,8 +357,8 @@ class JsonParser
     [[noreturn]] void
     fail(const std::string &what) const
     {
-        throw JsonParseError("json: " + what + " at byte " +
-                             std::to_string(pos));
+        throw std::runtime_error("json: " + what + " at byte " +
+                                 std::to_string(pos));
     }
 
     void
@@ -402,8 +402,9 @@ class JsonParser
     {
         skipSpace();
         switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[':
+            return parseContainer();
           case '"': return JsonValue::makeString(parseString());
           case 't':
             if (consume("true"))
@@ -420,6 +421,20 @@ class JsonParser
           default:
             return parseNumber();
         }
+    }
+
+    /** An object or array, one nesting level below its parent. */
+    JsonValue
+    parseContainer()
+    {
+        if (depth == maxJsonDepth) {
+            fail("nesting deeper than " + std::to_string(maxJsonDepth) +
+                 " levels");
+        }
+        ++depth;
+        JsonValue v = peek() == '{' ? parseObject() : parseArray();
+        --depth;
+        return v;
     }
 
     JsonValue
@@ -551,6 +566,7 @@ class JsonParser
 
     const std::string &text;
     size_t pos = 0;
+    int depth = 0;
 };
 
 } // namespace
@@ -559,19 +575,6 @@ JsonValue
 parseJson(const std::string &text)
 {
     return JsonParser(text).parse();
-}
-
-bool
-tryParseJson(const std::string &text, JsonValue &out, std::string *error)
-{
-    try {
-        out = parseJson(text);
-        return true;
-    } catch (const std::exception &e) {
-        if (error)
-            *error = e.what();
-        return false;
-    }
 }
 
 StatDict

@@ -125,12 +125,12 @@ std::string jsonEscape(const std::string &s);
 std::string jsonNumber(double v);
 
 /**
- * Minimal JSON document: just enough to read the sweep artifacts this
- * codebase writes (shard result files, journals, merged summaries) back
- * in. Objects preserve key order so a parse/serialize round trip of a
- * StatDict is bit-identical. Accessors throw std::runtime_error on a
- * kind mismatch so malformed artifacts surface as reportable errors
- * rather than silent zeros.
+ * Minimal JSON document: just enough to read the documents this
+ * codebase writes (sweep results, BENCH reports, golden snapshots,
+ * telemetry) back in. Objects preserve key order so a parse/serialize
+ * round trip of a StatDict is bit-identical. Accessors throw
+ * std::runtime_error on a kind mismatch so malformed artifacts surface
+ * as reportable errors rather than silent zeros.
  */
 class JsonValue
 {
@@ -183,27 +183,18 @@ class JsonValue
 };
 
 /**
- * What parseJson throws on malformed input: syntactically broken JSON
- * (a torn journal tail, truncated artifact, non-JSON garbage). Derives
- * from std::runtime_error, so existing broad handlers keep working;
- * catch this type specifically to treat "could not even parse" apart
- * from "parsed fine but semantically invalid" (the accessors below
- * throw plain std::runtime_error for those).
+ * Nesting depth parseJson accepts. The deepest document this codebase
+ * writes (tproc-metrics-v1) nests 6 levels; the bound keeps a file of
+ * brackets from recursing the parser off the stack.
  */
-struct JsonParseError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
+constexpr int maxJsonDepth = 64;
 
 /**
- * Parse one JSON document. Throws JsonParseError (with a byte offset)
- * on malformed input or trailing garbage.
+ * Parse one JSON document. Throws std::runtime_error (with a byte
+ * offset) on malformed input, trailing garbage, or nesting deeper than
+ * maxJsonDepth.
  */
 JsonValue parseJson(const std::string &text);
-
-/** As parseJson, but returns false instead of throwing. */
-bool tryParseJson(const std::string &text, JsonValue &out,
-                  std::string *error = nullptr);
 
 /** Rebuild a StatDict from a JSON object of name -> number. */
 StatDict statDictFromJson(const JsonValue &v);

@@ -56,6 +56,20 @@ evalBranch(Opcode op, int64_t a, int64_t b)
     }
 }
 
+std::unique_ptr<SparseMemory::Page>
+SparseMemory::newPage(Addr addr)
+{
+    if (pages.size() > maxPages) {
+        // Leave no empty slot behind for read() to dereference.
+        pages.erase(addr >> pageBits);
+        throw MemoryBudgetError(
+            "data memory exceeds its page budget of " +
+            std::to_string(maxPages) + " pages (" +
+            std::to_string(maxPages * sizeof(Page) >> 20) + " MiB)");
+    }
+    return std::make_unique<Page>();
+}
+
 Emulator::Emulator(const Program &prog_) : prog(prog_), curPc(prog_.entry)
 {
     mem.load(prog.dataInit);

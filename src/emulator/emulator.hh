@@ -11,6 +11,7 @@
 
 #include <array>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "emulator/arch_source.hh"
@@ -18,6 +19,13 @@
 
 namespace tproc
 {
+
+/** What SparseMemory throws when a program touches more than
+ *  SparseMemory::maxPages pages. */
+struct MemoryBudgetError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
 
 /**
  * Sparse word-addressed data memory. Unwritten words read as zero.
@@ -29,12 +37,18 @@ namespace tproc
  * one contiguous run of the image. Only write() and load() create
  * pages: read() changes no state and returns 0 for any unwritten word,
  * including the garbage addresses wrong-path loads compute.
+ *
+ * A memory holds at most maxPages pages (16 MiB). Every workload in
+ * the repo touches at most 110, but a program from a trace file can
+ * scatter a few bytes of image or a short store loop over millions of
+ * pages; creating a page beyond the budget throws MemoryBudgetError.
  */
 class SparseMemory
 {
   public:
     static constexpr int pageBits = 9;
     static constexpr Addr pageWords = Addr{1} << pageBits;
+    static constexpr size_t maxPages = 4096;
 
     int64_t
     read(Addr addr) const
@@ -75,9 +89,13 @@ class SparseMemory
     {
         auto &page = pages[addr >> pageBits];
         if (!page)
-            page = std::make_unique<Page>();
+            page = newPage(addr);
         return *page;
     }
+
+    /** A fresh page for addr, whose (still empty) slot the directory
+     *  already holds; throws MemoryBudgetError beyond maxPages. */
+    std::unique_ptr<Page> newPage(Addr addr);
 
     std::unordered_map<Addr, std::unique_ptr<Page>> pages;
 };

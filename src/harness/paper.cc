@@ -542,7 +542,7 @@ writePaperJson(std::ostream &os, const PaperResult &r)
        << "  \"points\": [";
     for (size_t i = 0; i < r.points.size(); ++i) {
         os << (i ? "," : "") << "\n";
-        writeResultObject(os, r.points[i], 4, /*deterministicOnly=*/true);
+        writeResultObject(os, r.points[i], 4);
     }
     os << "\n  ],\n  \"table2\": [";
     for (size_t i = 0; i < r.table2.size(); ++i) {

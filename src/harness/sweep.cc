@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -41,6 +42,26 @@ fmtSeconds(double s)
         std::snprintf(buf, sizeof(buf), "%.1fs", s);
     }
     return buf;
+}
+
+/**
+ * An integer field of a result document. The writers print uint64_t
+ * values, which parse to doubles; anything negative, fractional,
+ * non-finite or beyond 64 bits is a damaged document, not a value to
+ * cast (the cast is undefined out of range).
+ */
+uint64_t
+checkedU64(double v, const char *what)
+{
+    // UINT64_MAX (a point's "no limit") prints as 18446744073709551615,
+    // which rounds to 2^64 as a double.
+    constexpr double two64 = 18446744073709551616.0;
+    if (!(v >= 0.0) || v > two64 || v != std::floor(v)) {
+        throw std::runtime_error(std::string("'") + what + "' is " +
+                                 jsonNumber(v) +
+                                 ", not an unsigned 64-bit integer");
+    }
+    return v == two64 ? UINT64_MAX : static_cast<uint64_t>(v);
 }
 
 } // namespace
@@ -118,7 +139,7 @@ statsFromDict(const StatDict &d)
                 std::string("stats dict is missing counter '") + name +
                 "'");
         }
-        return static_cast<uint64_t>(d.get(name));
+        return checkedU64(d.get(name), name);
     };
     ProcessorStats s;
     s.cycles = u64("cycles");
@@ -175,8 +196,7 @@ mergeResults(const std::vector<SweepResult> &results)
 }
 
 void
-writeResultObject(std::ostream &os, const SweepResult &r, int indent,
-                  bool deterministicOnly)
+writeResultObject(std::ostream &os, const SweepResult &r, int indent)
 {
     const std::string pad(indent, ' ');
     const std::string in(indent + 2, ' ');
@@ -191,94 +211,45 @@ writeResultObject(std::ostream &os, const SweepResult &r, int indent,
        << in << "\"seed\": " << r.point.seed << ",\n"
        << in << "\"max_insts\": " << r.point.maxInsts << ",\n"
        << in << "\"ok\": " << (r.ok ? "true" : "false") << ",\n"
-       << in << "\"error\": \"" << jsonEscape(r.error) << "\",\n";
-    if (!deterministicOnly) {
-        os << in << "\"wall_seconds\": " << jsonNumber(r.wallSeconds)
-           << ",\n"
-           << in << "\"attempts\": " << r.attempts << ",\n";
-    }
-    os << in << "\"ipc\": " << jsonNumber(r.stats.ipc()) << ",\n"
+       << in << "\"error\": \"" << jsonEscape(r.error) << "\",\n"
+       << in << "\"ipc\": " << jsonNumber(r.stats.ipc()) << ",\n"
        << in << "\"stats\": ";
     statsToDict(r.stats).writeJson(os, indent + 2);
     os << "\n" << pad << "}";
 }
 
+namespace
+{
+
+/** The inverse of writeResultObject. Throws std::runtime_error. */
 SweepResult
 resultFromJson(const JsonValue &v)
 {
     SweepResult r;
-    r.point.index = static_cast<uint64_t>(v.at("index").asNumber());
+    r.point.index = checkedU64(v.at("index").asNumber(), "index");
     r.point.workload = v.at("workload").asString();
     r.point.model = v.at("model").asString();
-    r.point.seed = static_cast<uint64_t>(v.at("seed").asNumber());
-    r.point.maxInsts =
-        static_cast<uint64_t>(v.numberOr("max_insts", 0));
+    r.point.seed = checkedU64(v.at("seed").asNumber(), "seed");
+    r.point.maxInsts = checkedU64(v.at("max_insts").asNumber(), "max_insts");
     // label() of a reread point must reproduce the original label even
     // for <config> points, so carry it verbatim.
-    r.point.labelOverride = v.stringOr("label", "");
+    r.point.labelOverride = v.at("label").asString();
     r.ok = v.at("ok").asBool();
-    r.error = v.stringOr("error", "");
-    r.wallSeconds = v.numberOr("wall_seconds", 0.0);
-    r.attempts = static_cast<unsigned>(v.numberOr("attempts", 0));
+    r.error = v.at("error").asString();
     r.stats = statsFromDict(statDictFromJson(v.at("stats")));
     return r;
 }
 
-// The three per-point serializations live side by side on purpose:
-// writeResultObject (pretty, artifacts), writeResultJsonLine (compact,
-// journal), and resultFromJson (the shared inverse). A field added to
-// one must be added to all three.
-void
-writeResultJsonLine(std::ostream &os, const SweepResult &r)
-{
-    os << "{\"index\": " << r.point.index << ", \"workload\": \""
-       << jsonEscape(r.point.workload) << "\", \"model\": \""
-       << jsonEscape(r.point.useConfig ? "<config>" : r.point.model)
-       << "\", \"label\": \"" << jsonEscape(r.point.label())
-       << "\", \"seed\": " << r.point.seed << ", \"max_insts\": "
-       << r.point.maxInsts << ", \"ok\": " << (r.ok ? "true" : "false")
-       << ", \"error\": \"" << jsonEscape(r.error)
-       << "\", \"wall_seconds\": " << jsonNumber(r.wallSeconds)
-       << ", \"attempts\": " << r.attempts << ", \"ipc\": "
-       << jsonNumber(r.stats.ipc()) << ", \"stats\": {";
-    const StatDict stats = statsToDict(r.stats);
-    const auto &entries = stats.entries();
-    for (size_t i = 0; i < entries.size(); ++i) {
-        os << (i ? ", " : "") << '"' << jsonEscape(entries[i].name)
-           << "\": " << jsonNumber(entries[i].value);
-    }
-    os << "}}";
-}
-
-void
-writeResultsJson(std::ostream &os, const std::vector<SweepResult> &results)
-{
-    os << "[";
-    for (size_t i = 0; i < results.size(); ++i) {
-        os << (i ? "," : "") << "\n";
-        writeResultObject(os, results[i], 2, /*deterministicOnly=*/false);
-    }
-    if (!results.empty())
-        os << '\n';
-    os << "]\n";
-}
+} // namespace
 
 std::vector<SweepResult>
 readResultsJson(std::istream &is)
 {
     std::ostringstream buf;
     buf << is.rdbuf();
-    JsonValue doc = parseJson(buf.str());
-
-    // Accept either a bare results array (shard artifact) or a merged
-    // artifact object carrying its points under "points".
-    const JsonValue *array = &doc;
-    if (doc.isObject())
-        array = &doc.at("points");
-
+    const JsonValue doc = parseJson(buf.str());
     std::vector<SweepResult> results;
-    results.reserve(array->asArray().size());
-    for (const auto &v : array->asArray())
+    for (const auto &v : doc.at("points").asArray())
         results.push_back(resultFromJson(v));
     return results;
 }
@@ -305,7 +276,7 @@ writeMergedJson(std::ostream &os, std::vector<SweepResult> results)
     os << ",\n  \"points\": [";
     for (size_t i = 0; i < results.size(); ++i) {
         os << (i ? "," : "") << "\n";
-        writeResultObject(os, results[i], 4, /*deterministicOnly=*/true);
+        writeResultObject(os, results[i], 4);
     }
     if (!results.empty())
         os << "\n  ";
@@ -405,7 +376,6 @@ SweepEngine::runPoint(const SweepPoint &p)
         r.error = "unknown error";
     }
     r.wallSeconds = secondsSince(t0);
-    r.attempts = 1;
     return r;
 }
 
@@ -441,15 +411,7 @@ SweepEngine::run(const std::vector<SweepPoint> &points)
             size_t i = next.fetch_add(1);
             if (i >= points.size())
                 return;
-            // Microreboot loop: a failed point gets up to opts.retries
-            // clean re-runs before its failure stands.
-            SweepResult r = runPoint(points[i]);
-            while (!r.ok && r.attempts <= opts.retries) {
-                unsigned attempts = r.attempts;
-                r = runPoint(points[i]);
-                r.attempts += attempts;
-            }
-            results[i] = std::move(r);
+            results[i] = runPoint(points[i]);
             size_t d = done.fetch_add(1) + 1;
             if (opts.progress || opts.onResult) {
                 std::lock_guard<std::mutex> lock(reportMutex);

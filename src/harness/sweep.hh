@@ -3,12 +3,13 @@
  * Parallel sweep engine: fan (workload x configuration) simulation
  * points across worker threads.
  *
- * Each SweepPoint is an isolated, retryable unit of work in the
- * microreboot spirit: it constructs its own workload from an explicit
- * (name, seed, scale) triple and its own ProcessorConfig, so results are
- * bit-identical regardless of thread count or scheduling order, and a
- * point that panics is reported as a failed result instead of taking the
- * whole batch down.
+ * Each SweepPoint is an isolated unit of work: it constructs its own
+ * workload from an explicit (name, seed, scale) triple and its own
+ * ProcessorConfig, so results are bit-identical regardless of thread
+ * count or scheduling order, and a point that panics is reported as a
+ * failed result instead of taking the whole batch down. The simulation
+ * is deterministic, so a failed point is not re-run: it would fail the
+ * same way again.
  */
 
 #ifndef TPROC_HARNESS_SWEEP_HH
@@ -58,7 +59,7 @@ struct SweepPoint
      * explicit config carries its own). Like traceDir below, this is an
      * execution detail, not part of the point's identity: any value
      * leaves stats bit-identical (test_metrics- and CI-enforced) and
-     * it is never serialized into journals or artifacts. The sampled
+     * it is never serialized into result documents. The sampled
      * series rides back on SweepResult::series and only leaves the
      * process through --metrics-json (docs/metrics.md).
      */
@@ -81,8 +82,8 @@ struct SweepPoint
     /**
      * Position in the full (unsharded) point grid. crossPoints assigns
      * it; shardPoints preserves it, so a point carries the same index,
-     * seed, and therefore results no matter which shard ran it. Journal
-     * records and merged artifacts are keyed and ordered by it.
+     * seed, and therefore results no matter which shard ran it. Result
+     * documents are keyed and ordered by it.
      */
     uint64_t index = 0;
 
@@ -96,20 +97,18 @@ struct SweepResult
     ProcessorStats stats;
     bool ok = false;
     std::string error;
-    double wallSeconds = 0.0;
 
-    /** Simulation attempts consumed producing this result (>= 1 once
-     *  run; retries bump it). */
-    unsigned attempts = 0;
+    /** Wall time of the point: a timing fact for progress lines and
+     *  speed probes, never serialized into a result document. */
+    double wallSeconds = 0.0;
 
     /**
      * Windowed telemetry sampled during the run (empty/disabled unless
      * the point asked for it). In-memory transport only: deliberately
-     * NOT part of the result serializations (writeResultObject,
-     * writeResultJsonLine, resultFromJson — the "add to all three"
-     * rule does not apply), so journals, shard artifacts, and merged
-     * artifacts stay byte-identical with metrics on or off. Metrics
-     * leave the process exclusively via the --metrics-json document.
+     * NOT part of the result serialization (writeResultObject and its
+     * inverse in readResultsJson), so result documents stay
+     * byte-identical with metrics on or off. Metrics leave the process
+     * exclusively via the --metrics-json document.
      */
     IntervalSeries series;
 };
@@ -124,39 +123,28 @@ ProcessorStats statsFromDict(const StatDict &d);
 StatDict mergeResults(const std::vector<SweepResult> &results);
 
 /**
- * One pretty-printed per-point JSON object, indented by indent spaces.
- * The deterministic fields come first and are byte-stable across runs;
- * wall_seconds and attempts are timing / scheduling facts, left out
- * when deterministicOnly is set (canonical artifacts).
+ * One pretty-printed per-point JSON object, indented by indent spaces:
+ * the point's identity, its outcome and its stats. Every field is
+ * deterministic, so the bytes are stable across runs and schedulers.
  */
-void writeResultObject(std::ostream &os, const SweepResult &r, int indent,
-                       bool deterministicOnly);
-
-/** Serialize results as a JSON array (one object per point). */
-void writeResultsJson(std::ostream &os,
-                      const std::vector<SweepResult> &results);
+void writeResultObject(std::ostream &os, const SweepResult &r, int indent);
 
 /**
- * Parse a results array previously written by writeResultsJson (a shard
- * artifact) or the "points" array of a merged artifact back into
- * results. Stats survive the round trip bit for bit; throws
- * std::runtime_error on malformed input.
+ * Parse the "points" array of a result document (writeMergedJson, or
+ * any document whose points writeResultObject wrote) back into
+ * results. Stats survive the round trip bit for bit, so re-serializing
+ * what this returns reproduces the document. Throws std::runtime_error
+ * on malformed input, including an integer field that is negative,
+ * fractional, non-finite or beyond 64 bits.
  */
 std::vector<SweepResult> readResultsJson(std::istream &is);
 
-/** Rebuild one result from its parsed JSON object (a writeResultsJson
- *  array element or a journal line). Throws std::runtime_error. */
-SweepResult resultFromJson(const JsonValue &v);
-
-/** Serialize one result as a single-line JSON object — the journal
- *  record format; resultFromJson is its inverse. */
-void writeResultJsonLine(std::ostream &os, const SweepResult &r);
-
 /**
- * Serialize the canonical merged artifact: results sorted by grid
- * index, only deterministic fields (no wall-clock), plus the summed
- * StatDict and point counts. A serial unsharded run and any
- * shard-then-merge of the same grid produce bit-identical bytes.
+ * Serialize the canonical result document, the one format a sweep's
+ * results take (tproc-sweep --json, shard artifacts, merge output):
+ * results sorted by grid index plus the summed StatDict and point
+ * counts. A serial unsharded run and any shard-then-merge of the same
+ * grid produce bit-identical bytes.
  */
 void writeMergedJson(std::ostream &os, std::vector<SweepResult> results);
 
@@ -198,12 +186,8 @@ class SweepEngine
         /** Destination for progress lines; null means std::cerr. */
         std::ostream *progressStream = nullptr;
 
-        /** Extra attempts for a failed point before its failure stands
-         *  (microreboot-style: each retry is a clean re-run). */
-        unsigned retries = 0;
-
-        /** Called once per finished point (after retries), from worker
-         *  threads but never concurrently. Journal hook. */
+        /** Called once per finished point, from worker threads but
+         *  never concurrently. */
         std::function<void(const SweepResult &)> onResult;
     };
 

@@ -307,6 +307,11 @@ TraceReader::decodeProgram(ByteCursor c)
     // Each entry costs >= 1 address byte and >= 1 value byte.
     if (data_count > addr_len || data_count > c.remaining())
         throw TraceError("PROGZ data count exceeds chunk size");
+    if (data_count > SparseMemory::maxPages * SparseMemory::pageWords) {
+        throw TraceError("PROGZ data image of " +
+                         std::to_string(data_count) +
+                         " words exceeds the data-memory page budget");
+    }
     prog.dataInit.reserve(static_cast<size_t>(
         std::min<uint64_t>(data_count, maxUpfrontReserve)));
     Addr addr = 0;
@@ -457,7 +462,13 @@ TraceReader::TraceReader(const std::string &path)
                          std::to_string(dg.records) + " digests for " +
                          std::to_string(inf.totalSteps) + " steps");
     }
-    verifyExecution(digests, path);
+    // An image or a store loop that overruns the data-memory page
+    // budget makes a bad file, like any other verification failure.
+    try {
+        verifyExecution(digests, path);
+    } catch (const MemoryBudgetError &e) {
+        throw TraceError(path + ": " + e.what());
+    }
 }
 
 void

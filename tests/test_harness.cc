@@ -1,17 +1,22 @@
 /**
  * @file
- * Sweep-engine tests: the StatDict merge/serialize layer, parallel
- * results bit-identical to serial runs, merged stats equality, and
- * per-point fault isolation.
+ * Sweep-engine tests: the StatDict merge/serialize layer, the JSON
+ * reader (including its nesting bound), parallel results bit-identical
+ * to serial runs, merged stats equality, per-point fault isolation,
+ * and the result document: its round trip, shard-merge identity, its
+ * integer checks, and a seeded mutator that every damaged copy must
+ * either survive or fail cleanly.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "common/stats.hh"
 #include "harness/sweep.hh"
 
@@ -91,6 +96,91 @@ TEST(StatDict, JsonExport)
 
     EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     EXPECT_EQ(jsonNumber(400000), "400000");
+}
+
+TEST(Json, ParsesScalarsArraysObjects)
+{
+    JsonValue v = parseJson(
+        " {\"a\": 1.5, \"b\": [1, -2, 3e2], \"s\": \"x\\n\\\"y\", "
+        "\"t\": true, \"f\": false, \"n\": null, \"o\": {\"k\": 7}} ");
+    ASSERT_TRUE(v.isObject());
+    EXPECT_EQ(v.at("a").asNumber(), 1.5);
+    ASSERT_EQ(v.at("b").asArray().size(), 3u);
+    EXPECT_EQ(v.at("b").asArray()[1].asNumber(), -2);
+    EXPECT_EQ(v.at("b").asArray()[2].asNumber(), 300);
+    EXPECT_EQ(v.at("s").asString(), "x\n\"y");
+    EXPECT_TRUE(v.at("t").asBool());
+    EXPECT_FALSE(v.at("f").asBool());
+    EXPECT_TRUE(v.at("n").isNull());
+    EXPECT_EQ(v.at("o").at("k").asNumber(), 7);
+    EXPECT_EQ(v.numberOr("absent", -1), -1);
+    EXPECT_EQ(v.stringOr("absent", "d"), "d");
+    EXPECT_EQ(v.find("absent"), nullptr);
+    EXPECT_THROW(v.at("absent"), std::runtime_error);
+    EXPECT_THROW(v.at("a").asString(), std::runtime_error);
+}
+
+TEST(Json, RejectsMalformedInput)
+{
+    EXPECT_THROW(parseJson("{\"a\": }"), std::runtime_error);
+    EXPECT_THROW(parseJson("[1, 2"), std::runtime_error);
+    EXPECT_THROW(parseJson("{\"a\": 1} trailing"), std::runtime_error);
+    EXPECT_THROW(parseJson("\"unterminated"), std::runtime_error);
+    EXPECT_THROW(parseJson("tru"), std::runtime_error);
+    EXPECT_THROW(parseJson(""), std::runtime_error);
+    EXPECT_THROW(parseJson("{"), std::runtime_error);
+    EXPECT_THROW(parseJson("nope"), std::runtime_error);
+    EXPECT_EQ(parseJson("{\"x\": 2}").at("x").asNumber(), 2);
+}
+
+TEST(Json, StatDictRoundTripIsExact)
+{
+    StatDict d;
+    d.set("cycles", 123456789);
+    d.set("ipc", 2.3456789012345678);
+    d.set("zero", 0);
+    std::ostringstream os;
+    d.writeJson(os);
+    StatDict back = statDictFromJson(parseJson(os.str()));
+    EXPECT_EQ(back, d);
+
+    // And the re-serialization is byte-identical: merge artifacts
+    // depend on parse/print being a fixed point.
+    std::ostringstream os2;
+    back.writeJson(os2);
+    EXPECT_EQ(os2.str(), os.str());
+}
+
+TEST(Json, NestingBeyondTheBoundFailsWithAnOffset)
+{
+    auto nested = [](int depth, char open, const std::string &inner,
+                     char close) {
+        std::string s;
+        for (int i = 0; i < depth; ++i)
+            s += open == '{' ? std::string("{\"k\": ") : std::string("[");
+        s += inner;
+        s += std::string(static_cast<size_t>(depth), close);
+        return s;
+    };
+    EXPECT_EQ(parseJson(nested(maxJsonDepth, '[', "1", ']')).kind(),
+              JsonValue::Kind::Array);
+    EXPECT_EQ(parseJson(nested(maxJsonDepth, '{', "1", '}')).kind(),
+              JsonValue::Kind::Object);
+    for (char open : {'[', '{'}) {
+        const char close = open == '[' ? ']' : '}';
+        try {
+            parseJson(nested(maxJsonDepth + 1, open, "1", close));
+            ADD_FAILURE() << "accepted " << maxJsonDepth + 1 << " levels";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("nesting deeper than 64 "
+                                                 "levels at byte"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // A file of brackets fails as cleanly as any other bad input,
+    // instead of recursing the parser off the stack.
+    EXPECT_THROW(parseJson(std::string(200000, '[')), std::runtime_error);
 }
 
 TEST(ScopedErrorCapture, TurnsFatalIntoException)
@@ -304,7 +394,7 @@ TEST(SweepJson, ResultsRoundTripBitExactly)
     auto results = runWith(2, points);
 
     std::ostringstream os;
-    harness::writeResultsJson(os, results);
+    harness::writeMergedJson(os, results);
     std::istringstream is(os.str());
     auto back = harness::readResultsJson(is);
 
@@ -319,7 +409,7 @@ TEST(SweepJson, ResultsRoundTripBitExactly)
 
     // Re-serializing the parsed results reproduces the bytes.
     std::ostringstream os2;
-    harness::writeResultsJson(os2, back);
+    harness::writeMergedJson(os2, back);
     EXPECT_EQ(os2.str(), os.str());
 }
 
@@ -332,14 +422,14 @@ TEST(SweepMerge, ShardedMergeBitIdenticalToSerial)
     std::ostringstream ref;
     harness::writeMergedJson(ref, serial);
 
-    // Run each shard separately (its own engine, its own artifact),
+    // Run each shard separately (its own engine, its own document),
     // round-trip through JSON as CI does, then merge.
     std::vector<harness::SweepResult> collected;
     for (unsigned s = 0; s < 3; ++s) {
         auto slice = harness::shardPoints(grid, s, 3);
         auto results = runWith(2, slice);
         std::ostringstream artifact;
-        harness::writeResultsJson(artifact, results);
+        harness::writeMergedJson(artifact, results);
         std::istringstream is(artifact.str());
         auto parsed = harness::readResultsJson(is);
         collected.insert(collected.end(), parsed.begin(), parsed.end());
@@ -347,19 +437,6 @@ TEST(SweepMerge, ShardedMergeBitIdenticalToSerial)
     std::ostringstream merged;
     harness::writeMergedJson(merged, collected);
     EXPECT_EQ(merged.str(), ref.str());
-}
-
-TEST(SweepEngine, RetriesBumpAttemptsAndFailureStands)
-{
-    std::vector<harness::SweepPoint> points =
-        harness::crossPoints({"nonesuch"}, {"base"}, 1, 1000, true);
-    harness::SweepEngine::Options opts;
-    opts.threads = 1;
-    opts.retries = 2;
-    auto results = harness::SweepEngine(opts).run(points);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_EQ(results[0].attempts, 3u);
 }
 
 TEST(SweepEngine, OnResultSeesEveryPoint)
@@ -385,16 +462,182 @@ TEST(SweepEngine, ResultsJsonIsWellFormed)
     points[0].scale = 0.25;
     auto results = runWith(1, points);
     std::ostringstream os;
-    harness::writeResultsJson(os, results);
+    harness::writeMergedJson(os, results);
     const std::string json = os.str();
     EXPECT_NE(json.find("\"workload\": \"compress\""), std::string::npos);
     EXPECT_NE(json.find("\"ok\": true"), std::string::npos);
     EXPECT_NE(json.find("\"stats\": {"), std::string::npos);
+    // Wall-clock facts stay out of the document.
+    EXPECT_EQ(json.find("wall_seconds"), std::string::npos);
     // Balanced braces/brackets (cheap well-formedness check).
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
     EXPECT_EQ(std::count(json.begin(), json.end(), '['),
               std::count(json.begin(), json.end(), ']'));
+}
+
+namespace
+{
+
+/** A small result document without simulating: an ok point whose
+ *  counters are all distinct, a failed point with an escaped error,
+ *  and an unlimited (UINT64_MAX) instruction budget. */
+std::string
+smallDocument()
+{
+    std::vector<harness::SweepResult> results(2);
+    results[0].point.workload = "compress";
+    results[0].point.model = "FG+MLB-RET";
+    results[0].point.seed = 7;
+    results[0].point.maxInsts = 20000;
+    results[0].ok = true;
+    StatDict d = harness::statsToDict(results[0].stats);
+    for (size_t i = 0; i < d.entries().size(); ++i)
+        d.set(d.entries()[i].name, static_cast<double>(1000 + 37 * i));
+    results[0].stats = harness::statsFromDict(d);
+    results[1].point.index = 1;
+    results[1].point.workload = "gen:all:3";
+    results[1].point.labelOverride = "gen:all:3/base(fg,ntb)";
+    results[1].error = "retire verify: \"pc\" mismatch\n\tat 0x40";
+    std::ostringstream os;
+    harness::writeMergedJson(os, results);
+    return os.str();
+}
+
+/** read, then write: the document a reader-writer pass produces. */
+std::string
+rewrite(const std::string &doc)
+{
+    std::istringstream is(doc);
+    std::ostringstream os;
+    harness::writeMergedJson(os, harness::readResultsJson(is));
+    return os.str();
+}
+
+/** doc with the first `"key": <value>` after `after` given value. */
+std::string
+withValue(std::string doc, const std::string &after,
+          const std::string &key, const std::string &value)
+{
+    const size_t at = doc.find("\"" + key + "\": ", doc.find(after));
+    EXPECT_NE(at, std::string::npos) << key;
+    const size_t from = at + key.size() + 4;
+    doc.replace(from, doc.find_first_of(",\n", from) - from, value);
+    return doc;
+}
+
+} // namespace
+
+TEST(SweepJson, UnlimitedInstructionBudgetRoundTrips)
+{
+    // UINT64_MAX prints as 18446744073709551615 and parses to 2^64.
+    const std::string doc = withValue(smallDocument(), "\"points\"",
+                                      "max_insts", "18446744073709551615");
+    std::istringstream is(doc);
+    const auto back = harness::readResultsJson(is);
+    ASSERT_EQ(back.size(), 2u);
+    EXPECT_EQ(back[0].point.maxInsts, UINT64_MAX);
+    EXPECT_EQ(rewrite(doc), doc);
+    EXPECT_EQ(rewrite(smallDocument()), smallDocument());
+}
+
+TEST(SweepJson, IntegerFieldsAreChecked)
+{
+    // Damaged integer fields. A plain cast would wrap ("index": -1
+    // would merge as point 18446744073709551615) or be undefined
+    // ("cycles": 1e999), so each must fail, naming its field.
+    const struct
+    {
+        const char *key;
+        const char *value;
+    } bad[] = {
+        {"index", "-1"},          {"cycles", "1e999"},
+        {"seed", "1.5"},          {"seed", "-0.5"},
+        {"max_insts", "1e20"},    {"retiredInsts", "-1e999"},
+        {"index", "18446744073709555000"},
+    };
+    for (const auto &b : bad) {
+        const std::string doc =
+            withValue(smallDocument(), "\"points\"", b.key, b.value);
+        std::istringstream is(doc);
+        try {
+            harness::readResultsJson(is);
+            ADD_FAILURE() << b.key << " = " << b.value << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(b.key), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(SweepJson, MutatedDocumentsReadOrFailCleanly)
+{
+    // Seeded byte flips, truncations and splices of a small document;
+    // a third of the splices swap one value for a slice of the document
+    // or a hostile number. A mutant either reads, and then one more
+    // write/read pass is a fixed point (nothing read was wrapped or
+    // rounded), or throws std::runtime_error; anything else (a crash,
+    // a sanitizer report, another exception type) fails.
+    const std::string doc = smallDocument();
+    const std::string alphabet = "0123456789-+.eE\"\\{}[],: \n";
+    const char *const tokens[] = {
+        "-1", "-0", "1.5", "1e999", "-1e999", "1e20", "\"7\"", "null",
+        "18446744073709551615", "18446744073709551616", "9007199254740993",
+    };
+    std::vector<size_t> values;     // where each member's value starts
+    for (size_t at = doc.find("\": "); at != std::string::npos;
+         at = doc.find("\": ", at + 1)) {
+        values.push_back(at + 3);
+    }
+    Rng rng(20261018);
+    int survived = 0, rejected = 0;
+    for (int i = 0; i < 3000; ++i) {
+        std::string m = doc;
+        const size_t at = rng.below(m.size());
+        switch (i % 4) {
+          case 0:
+            for (uint64_t n = 1 + rng.below(3); n > 0; --n) {
+                m[rng.below(m.size())] = rng.chance(0.5)
+                    ? alphabet[rng.below(alphabet.size())]
+                    : static_cast<char>(rng.below(256));
+            }
+            break;
+          case 1:
+            m.resize(at);
+            break;
+          case 2: {
+            const size_t from = values[rng.below(values.size())];
+            const size_t len = m.find_first_of(",\n", from) - from;
+            m.replace(from, len,
+                      rng.chance(0.5)
+                          ? std::string(tokens[rng.below(std::size(tokens))])
+                          : doc.substr(values[rng.below(values.size())],
+                                       1 + rng.below(16)));
+            break;
+          }
+          default: {
+            const size_t from = rng.below(m.size());
+            const size_t len = rng.below(m.size() - from + 1);
+            const size_t cut = rng.below(m.size() - at + 1);
+            m = m.substr(0, at) + doc.substr(from, len) +
+                m.substr(at + cut);
+            break;
+          }
+        }
+        std::string once;
+        try {
+            once = rewrite(m);
+        } catch (const std::runtime_error &) {
+            ++rejected;
+            continue;
+        }
+        ++survived;
+        ASSERT_TRUE(rewrite(once) == once)
+            << "mutant " << i << " read back differently:\n" << m;
+    }
+    // Both outcomes are exercised.
+    EXPECT_GT(survived, 300);
+    EXPECT_GT(rejected, 300);
 }
 
 } // namespace tproc

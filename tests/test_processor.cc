@@ -211,4 +211,33 @@ TEST(Processor, OverflowingArithmeticWrapsLikeTheEmulator)
         EXPECT_EQ(runModel(p, model).retiredInsts, p.size()) << model;
 }
 
+TEST(Processor, StoreLoopStopsAtThePageBudget)
+{
+    // One store per data-memory page, for one page more than the
+    // budget. Without the budget a loop like this, from a trace file,
+    // allocates 4 KiB per iteration for as long as it runs.
+    ProgramBuilder b("pages");
+    b.li(4, SparseMemory::maxPages + 1);
+    const auto top = b.newLabel();
+    b.bind(top);
+    b.st(4, 3, 0);          // mem[r3] <- r4
+    b.addi(3, 3, SparseMemory::pageWords);
+    b.addi(4, 4, -1);
+    b.bne(4, 0, top);
+    b.halt();
+    const Program p = b.finish();
+
+    Emulator e(p);
+    EXPECT_THROW(e.run(UINT64_MAX), MemoryBudgetError);
+    EXPECT_EQ(e.memory().pageCount(), SparseMemory::maxPages);
+    // The refused page was never created, and the last one holds the
+    // last store that fit.
+    const Addr refused = SparseMemory::maxPages * SparseMemory::pageWords;
+    EXPECT_EQ(e.memory().read(refused), 0);
+    EXPECT_EQ(e.memory().read(refused - SparseMemory::pageWords), 2);
+
+    for (const char *model : {"base", "FG+MLB-RET"})
+        EXPECT_THROW(runModel(p, model), MemoryBudgetError) << model;
+}
+
 } // namespace tproc

@@ -4,8 +4,8 @@
  * capture-once/replay-many store, the differential contract (replaying
  * a recorded trace through the full timing processor is bit-identical
  * to live emulation for every seed workload), negative cases for
- * truncated, corrupted, resealed and divergent files, capture
- * atomicity under SIGKILL, and the golden-statistics helpers.
+ * truncated, corrupted, resealed, divergent and oversized files,
+ * capture atomicity under SIGKILL, and the golden-statistics helpers.
  */
 
 #include <gtest/gtest.h>
@@ -976,6 +976,58 @@ TEST(TraceVerify, OutOfRangeRegisterRejected)
     }
 }
 
+TEST(TraceVerify, ImagesBeyondThePageBudgetRejected)
+{
+    // Hand-built PROGZ plaintexts: `halt` over a data image whose words
+    // lie on distinct pages. 20,000 words 512 apart take a few bytes
+    // each in the file but 80 MB of pages to load: verification stops
+    // at the page budget. An image with more words than the budget's
+    // pages can hold is refused before the decoder stores it.
+    TempDir dir("replay_pages");
+    replay::TraceMeta meta;
+    meta.programName = "tiny";
+    const std::string good = dir.file("tiny.tpt");
+    replay::captureProgramTrace(tinyProgram(), meta, good);
+    const std::string bytes = readBytes(good);
+
+    const struct
+    {
+        uint64_t words;
+        Addr stride;
+        const char *needle;
+    } cases[] = {
+        {20000, SparseMemory::pageWords,
+         "data memory exceeds its page budget of 4096 pages (16 MiB)"},
+        {SparseMemory::maxPages * SparseMemory::pageWords + 1, 1,
+         "PROGZ data image of 2097153 words exceeds the data-memory page "
+         "budget"},
+    };
+    for (const auto &c : cases) {
+        std::string plain;
+        replay::putVarint(plain, 0);    // entry
+        replay::putVarint(plain, 1);    // instructions
+        plain.push_back(static_cast<char>(Opcode::HALT));
+        plain += std::string(3, '\0');  // rd, rs1, rs2
+        replay::putVarint(plain, 1);    // imm stream: one zero
+        plain.push_back('\0');
+        replay::putVarint(plain, c.words);
+        std::string addrs;
+        for (uint64_t i = 0; i < c.words; ++i)
+            replay::putVarint(addrs, c.stride);
+        replay::putVarint(plain, addrs.size());
+        plain += addrs;
+        for (uint64_t i = 0; i < c.words; ++i)
+            replay::putSvarint(plain, 1);
+        const std::string path = dir.file("pages.tpt");
+        writeBytes(path, resealEnd(rewriteChunk(
+                             bytes, replay::ChunkType::PROGZ,
+                             [&](std::string &p) {
+                                 p = sealPlaintext(plain);
+                             })));
+        expectRejected(path, c.needle);
+    }
+}
+
 // ---------------------------------------------------------------------
 // TraceStore: capture-once, recapture-on-corruption, kill atomicity.
 // ---------------------------------------------------------------------
@@ -1192,43 +1244,6 @@ TEST(TraceStoreTest, KilledCaptureLeavesNoTraceFile)
     EXPECT_TRUE(replay::TraceStore::validFor(
         store.tracePath("compress", 1, 0.25, 2000), "compress", 1, 0.25,
         2000, &why))
-        << why;
-}
-
-TEST(TraceStoreTest, ResumedSweepPointRecoversFromKillDebris)
-{
-    // The harness resume x capture interaction: a sweep worker
-    // SIGKILL'd mid-capture leaves, at worst, a stale writer temp file
-    // and/or a truncated final file (e.g. hand-copied). A resumed run
-    // of the same point must never replay short off either — it
-    // recaptures and produces stats bit-identical to live emulation.
-    TempDir dir("store_resume");
-    harness::SweepPoint p;
-    p.workload = "jpeg";
-    p.model = "base";
-    p.seed = 1;
-    p.scale = 0.25;
-    p.maxInsts = 5000;
-
-    auto live = harness::SweepEngine::runPoint(p);
-    ASSERT_TRUE(live.ok) << live.error;
-
-    replay::TraceStore store(dir.path());
-    const std::string path = store.tracePath("jpeg", 1, 0.25, 5000);
-    writeBytes(path + ".tmp.12345.0", "half-written capture debris");
-    writeBytes(path, std::string(replay::traceMagic,
-                                 sizeof(replay::traceMagic)) +
-                         "torn mid-write");
-    replay::TraceStore::dropCache();
-
-    p.traceDir = dir.path();
-    auto resumed = harness::SweepEngine::runPoint(p);
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    EXPECT_EQ(harness::statsToDict(live.stats),
-              harness::statsToDict(resumed.stats));
-    std::string why;
-    EXPECT_TRUE(replay::TraceStore::validFor(path, "jpeg", 1, 0.25,
-                                             5000, &why))
         << why;
 }
 

@@ -6,12 +6,11 @@
  *
  * Sweep usage:
  *   tproc-sweep [--workloads=a,b,...] [--models=a,b,...] [--insts=N]
- *               [--seed=S] [--threads=T] [--shard=I/N]
- *               [--resume=FILE] [--retries=R] [--json=FILE]
- *               [--merged-json=FILE] [--trace-dir=DIR] [--golden=DIR]
- *               [--write-golden=DIR] [--metrics-json=FILE]
- *               [--metrics-interval=N] [--no-verify] [--quiet]
- *               [--generate=N] [--pattern-mix=SPEC]
+ *               [--seed=S] [--threads=T] [--shard=I/N] [--json=FILE]
+ *               [--trace-dir=DIR] [--golden=DIR] [--write-golden=DIR]
+ *               [--metrics-json=FILE] [--metrics-interval=N]
+ *               [--no-verify] [--quiet] [--generate=N]
+ *               [--pattern-mix=SPEC]
  *
  * Merge usage:
  *   tproc-sweep merge [--out=FILE] shard0.json shard1.json ...
@@ -21,8 +20,8 @@
  * comes from --pattern-mix (default "all"), the data seed from --seed.
  * Generated points are ordinary SweepPoints — identity is the name
  * plus seed — so they compose with
- * --shard/--resume/--trace-dir/--golden/--metrics-json unchanged, and
- * two runs with the same flags are bit-identical.
+ * --shard/--trace-dir/--golden/--metrics-json unchanged, and two runs
+ * with the same flags are bit-identical.
  *
  * An unknown workload name, generator pattern, or pattern-mix spec is
  * reported with the valid names and exits 2 (the usage convention
@@ -39,28 +38,26 @@
  * counter drift; --write-golden=DIR (re)generates the snapshots when a
  * behavioural change is intentional.
  *
+ * --json=FILE writes the canonical result document: every point's
+ * identity, outcome and stats, sorted by grid index, plus their sum.
  * --shard=I/N runs the stable 1/N slice of the point grid owned by
  * 0-based shard I, with the same per-point indices and seeds as the
- * unsharded run. --resume=FILE journals every finished point to FILE
- * (JSON lines, flushed per record) and, when FILE already has records,
- * skips completed points and retries failed ones — a failure whose
- * journaled attempts already reached 1 + --retries stands instead of
- * being re-run.
- * `merge` folds shard artifacts (--json files) into one merged JSON
- * that is bit-identical to --merged-json of a serial unsharded run.
+ * unsharded run. `merge` folds result documents (the shards' --json
+ * files) into one that is bit-identical to --json of a serial
+ * unsharded run.
  *
  * --metrics-json=FILE writes a tproc-metrics-v1 telemetry document
  * (per-point interval series + phase wall-time attribution — see
  * docs/metrics.md) and implies --metrics-interval=4096 unless one is
- * given. Sampling is a pure observer: stats, artifacts, journals, and
+ * given. Sampling is a pure observer: stats, result documents and
  * golden comparisons are bit-identical with it on or off.
  *
  * Defaults: all eight workloads, models base + FG+MLB-RET, 400000
- * instructions, seed 1, hardware-concurrency threads, 1 retry,
- * progress on. Exit status is the number of ultimately-failed points
- * (capped at 125); 126 flags a usage or artifact error, except an
- * unwritable --metrics-json destination which exits 2 (checked up
- * front, matching tproc-bench's usage convention — see docs/cli.md).
+ * instructions, seed 1, hardware-concurrency threads, progress on.
+ * Exit status is the number of failed points (capped at 125); 126
+ * flags a usage or artifact error, except an unwritable --metrics-json
+ * destination which exits 2 (checked up front, matching tproc-bench's
+ * usage convention — see docs/cli.md).
  */
 
 #include <algorithm>
@@ -68,7 +65,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,7 +75,6 @@
 #include "core/config.hh"
 #include "core/runner.hh"
 #include "harness/golden.hh"
-#include "harness/journal.hh"
 #include "harness/metrics.hh"
 #include "harness/sweep.hh"
 #include "tools/cli.hh"
@@ -98,9 +93,7 @@ usage(std::ostream &os)
 {
     os << "usage: tproc-sweep [--workloads=a,b,...] [--models=a,b,...]\n"
           "                   [--insts=N] [--seed=S] [--threads=T]\n"
-          "                   [--shard=I/N] [--resume=FILE] "
-          "[--retries=R]\n"
-          "                   [--json=FILE] [--merged-json=FILE]\n"
+          "                   [--shard=I/N] [--json=FILE]\n"
           "                   [--trace-dir=DIR] [--golden=DIR]\n"
           "                   [--write-golden=DIR] "
           "[--metrics-json=FILE]\n"
@@ -127,9 +120,7 @@ printFailureSummary(const std::vector<harness::SweepResult> &results)
             continue;
         std::cerr << "  point " << r.point.index << " "
                   << r.point.label() << " (seed " << r.point.seed
-                  << "): " << r.error << "  [" << r.attempts
-                  << (r.attempts == 1 ? " attempt]" : " attempts]")
-                  << '\n';
+                  << "): " << r.error << '\n';
     }
     return failed;
 }
@@ -237,14 +228,11 @@ main(int argc, char **argv)
     uint64_t insts = 400000;
     uint64_t seed = 1;
     unsigned threads = 0;
-    unsigned retries = 1;
     unsigned shard = 0;
     unsigned shard_count = 0;
     bool verify = true;
     bool quiet = false;
     std::string json_path;
-    std::string merged_path;
-    std::string resume_path;
     std::string trace_dir;
     std::string golden_dir;
     std::string write_golden_dir;
@@ -275,9 +263,6 @@ main(int argc, char **argv)
         } else if (parseArg(argv[i], "--threads", v)) {
             if (!cli::parseU32(v, threads))
                 return badNumber("--threads", v);
-        } else if (parseArg(argv[i], "--retries", v)) {
-            if (!cli::parseU32(v, retries))
-                return badNumber("--retries", v);
         } else if (parseArg(argv[i], "--metrics-json", v)) {
             metrics_path = v;
         } else if (parseArg(argv[i], "--metrics-interval", v)) {
@@ -292,12 +277,8 @@ main(int argc, char **argv)
                 usage(std::cerr);
                 return 126;
             }
-        } else if (parseArg(argv[i], "--resume", v)) {
-            resume_path = v;
         } else if (parseArg(argv[i], "--json", v)) {
             json_path = v;
-        } else if (parseArg(argv[i], "--merged-json", v)) {
-            merged_path = v;
         } else if (parseArg(argv[i], "--trace-dir", v)) {
             trace_dir = v;
         } else if (parseArg(argv[i], "--golden", v)) {
@@ -393,7 +374,7 @@ main(int argc, char **argv)
         harness::crossPoints(workloads, models, seed, insts, verify);
     // Replay mode is a per-point execution detail: indices, seeds, and
     // stats are identical to a live run, so it composes with sharding
-    // and resume untouched.
+    // untouched.
     if (!trace_dir.empty()) {
         for (auto &p : grid)
             p.traceDir = trace_dir;
@@ -406,64 +387,9 @@ main(int argc, char **argv)
         shard_count ? harness::shardPoints(grid, shard, shard_count)
                     : grid;
 
-    // Resume: reuse journaled work, run only what is missing or worth
-    // retrying; every newly finished point is journaled as it lands.
-    std::vector<harness::SweepResult> reused;
-    std::unique_ptr<harness::SweepJournal> journal;
-    if (!resume_path.empty()) {
-        harness::ResumePlan plan;
-        bool had_records = false;
-        try {
-            // load() throws on a journal whose lines parse but do not
-            // decode (schema drift, edits): that must refuse the
-            // resume, not silently re-run points. Torn tail lines are
-            // merely counted and surface as a warning via the plan.
-            size_t skipped = 0;
-            auto records =
-                harness::SweepJournal::load(resume_path, &skipped);
-            had_records = !records.empty();
-            plan = harness::planResume(points, records, retries + 1,
-                                       skipped);
-        } catch (const std::exception &e) {
-            std::cerr << "tproc-sweep: " << e.what() << '\n';
-            return 126;
-        }
-        if (plan.skippedLines) {
-            std::cerr << "tproc-sweep: warning: dropped "
-                      << plan.skippedLines << " unreadable journal line"
-                      << (plan.skippedLines == 1 ? "" : "s")
-                      << " (interrupted write?); those points will "
-                         "re-run\n";
-        }
-        if (had_records) {
-            std::cerr << "resume: reusing " << plan.completed
-                      << " completed point"
-                      << (plan.completed == 1 ? "" : "s") << ", retrying "
-                      << plan.retried << ", keeping " << plan.exhausted
-                      << " exhausted failure"
-                      << (plan.exhausted == 1 ? "" : "s") << ", "
-                      << plan.pending.size() << " to run\n";
-        }
-        reused = std::move(plan.reused);
-        points = std::move(plan.pending);
-        try {
-            journal =
-                std::make_unique<harness::SweepJournal>(resume_path);
-        } catch (const std::exception &e) {
-            std::cerr << "tproc-sweep: " << e.what() << '\n';
-            return 126;
-        }
-    }
-
     harness::SweepEngine::Options opts;
     opts.threads = threads;
     opts.progress = !quiet;
-    opts.retries = retries;
-    if (journal) {
-        opts.onResult = [&journal](const harness::SweepResult &r) {
-            journal->append(r);
-        };
-    }
     harness::SweepEngine engine(opts);
 
     if (!quiet) {
@@ -480,13 +406,7 @@ main(int argc, char **argv)
                   << seed << (verify ? ", verified" : "") << "\n";
     }
 
-    auto results = engine.run(points);
-    results.insert(results.end(), reused.begin(), reused.end());
-    std::sort(results.begin(), results.end(),
-              [](const harness::SweepResult &a,
-                 const harness::SweepResult &b) {
-                  return a.point.index < b.point.index;
-              });
+    const auto results = engine.run(points);
 
     TextTable table;
     table.header({"point", "result"});
@@ -587,20 +507,9 @@ main(int argc, char **argv)
                       << '\n';
             return 126;
         }
-        harness::writeResultsJson(out, results);
-        if (!quiet)
-            std::cerr << "wrote " << json_path << '\n';
-    }
-    if (!merged_path.empty()) {
-        std::ofstream out(merged_path);
-        if (!out) {
-            std::cerr << "tproc-sweep: cannot write " << merged_path
-                      << '\n';
-            return 126;
-        }
         harness::writeMergedJson(out, results);
         if (!quiet)
-            std::cerr << "wrote " << merged_path << '\n';
+            std::cerr << "wrote " << json_path << '\n';
     }
     if (!metrics_path.empty()) {
         try {
