@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -584,6 +585,20 @@ statDictFromJson(const JsonValue &v)
     for (const auto &kv : v.asObject())
         d.set(kv.first, kv.second.asNumber());
     return d;
+}
+
+uint64_t
+checkedU64(double v, const char *what)
+{
+    // UINT64_MAX (a point's "no limit") prints as 18446744073709551615,
+    // which rounds to 2^64 as a double.
+    constexpr double two64 = 18446744073709551616.0;
+    if (!(v >= 0.0) || v > two64 || v != std::floor(v)) {
+        throw std::runtime_error(std::string("'") + what + "' is " +
+                                 jsonNumber(v) +
+                                 ", not an unsigned 64-bit integer");
+    }
+    return v == two64 ? UINT64_MAX : static_cast<uint64_t>(v);
 }
 
 void

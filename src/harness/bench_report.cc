@@ -1,6 +1,8 @@
 #include "harness/bench_report.hh"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -464,15 +466,28 @@ diffBenchReports(const JsonValue &a, const JsonValue &b)
 BenchReportOptions
 optionsFromReport(const JsonValue &report)
 {
+    // The integers accept what the matching tproc-bench flags accept.
     const JsonValue &config = report.at("config");
     BenchReportOptions opts;
-    opts.insts = static_cast<uint64_t>(config.at("insts").asNumber());
-    opts.seed = static_cast<uint64_t>(config.at("seed").asNumber());
+    opts.insts = checkedU64(config.at("insts").asNumber(), "insts");
+    opts.seed = checkedU64(config.at("seed").asNumber(), "seed");
     opts.model = config.at("model").asString();
-    opts.reps = static_cast<int>(config.at("reps").asNumber());
+    const uint64_t reps = checkedU64(config.at("reps").asNumber(), "reps");
+    if (reps < 1 || reps > uint64_t{INT_MAX}) {
+        throw std::runtime_error("'reps' is " + std::to_string(reps) +
+                                 ", not a count from 1 to " +
+                                 std::to_string(INT_MAX));
+    }
+    opts.reps = static_cast<int>(reps);
     opts.verify = config.at("verify").asBool();
-    opts.benchIndex =
-        static_cast<unsigned>(report.at("bench_index").asNumber());
+    const uint64_t index =
+        checkedU64(report.at("bench_index").asNumber(), "bench_index");
+    if (index > UINT32_MAX) {
+        throw std::runtime_error("'bench_index' is " +
+                                 std::to_string(index) +
+                                 ", beyond 32 bits");
+    }
+    opts.benchIndex = static_cast<unsigned>(index);
     return opts;
 }
 

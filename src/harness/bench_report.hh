@@ -118,7 +118,10 @@ std::vector<std::string> diffBenchReports(const JsonValue &a,
  * Rebuild the options a report was generated with from its "config"
  * block, so a checker re-runs at exactly the checked-in identity.
  * Keys it does not read (the pe_thread_list of BENCH_1/BENCH_2) are
- * ignored. Throws std::runtime_error on a malformed block.
+ * ignored. Integers are read as the matching flags parse them: insts
+ * and seed unsigned 64-bit, reps from 1 to INT_MAX, bench_index within
+ * 32 bits. Throws std::runtime_error, naming the field, on a malformed
+ * block.
  */
 BenchReportOptions optionsFromReport(const JsonValue &report);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -42,26 +41,6 @@ fmtSeconds(double s)
         std::snprintf(buf, sizeof(buf), "%.1fs", s);
     }
     return buf;
-}
-
-/**
- * An integer field of a result document. The writers print uint64_t
- * values, which parse to doubles; anything negative, fractional,
- * non-finite or beyond 64 bits is a damaged document, not a value to
- * cast (the cast is undefined out of range).
- */
-uint64_t
-checkedU64(double v, const char *what)
-{
-    // UINT64_MAX (a point's "no limit") prints as 18446744073709551615,
-    // which rounds to 2^64 as a double.
-    constexpr double two64 = 18446744073709551616.0;
-    if (!(v >= 0.0) || v > two64 || v != std::floor(v)) {
-        throw std::runtime_error(std::string("'") + what + "' is " +
-                                 jsonNumber(v) +
-                                 ", not an unsigned 64-bit integer");
-    }
-    return v == two64 ? UINT64_MAX : static_cast<uint64_t>(v);
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 #include "replay/capture.hh"
 
 #include "common/hires_timer.hh"
-#include "emulator/emulator.hh"
 #include "workloads/workloads.hh"
 
 namespace tproc::replay
@@ -15,25 +14,15 @@ captureCapFor(uint64_t max_insts)
     return max_insts + captureSlack;
 }
 
-CaptureResult
+std::shared_ptr<const TraceReader>
 captureProgramTrace(const Program &prog, const TraceMeta &meta,
                     const std::string &path)
 {
     auto capture_phase = PhaseTimers::global().scope("capture");
-    TraceWriter writer(path, meta, prog);
-    Emulator emu(prog);
-    while (!emu.halted() && writer.steps() < meta.captureCap)
-        writer.append(emu.step());
-    writer.finalize();
-
-    CaptureResult r;
-    r.path = path;
-    r.steps = writer.steps();
-    r.halted = emu.halted();
-    return r;
+    return TraceReader::capture(prog, meta, path);
 }
 
-CaptureResult
+std::shared_ptr<const TraceReader>
 captureWorkloadTrace(const std::string &workload, uint64_t seed,
                      double scale, uint64_t max_insts,
                      const std::string &path)

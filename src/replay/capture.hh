@@ -9,6 +9,7 @@
 #define TPROC_REPLAY_CAPTURE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "program/program.hh"
@@ -28,34 +29,30 @@ constexpr uint64_t captureSlack = 4096;
 /** maxInsts + captureSlack, saturating at UINT64_MAX ("run to HALT"). */
 uint64_t captureCapFor(uint64_t max_insts);
 
-/** Outcome of a capture. */
-struct CaptureResult
-{
-    std::string path;
-    uint64_t steps = 0;
-    bool halted = false;        //!< program reached HALT before the cap
-};
-
 /**
- * Emulate prog for up to meta.captureCap steps, recording every step
- * to path (atomically: temp file + rename). Throws TraceError on I/O
- * failure.
+ * Capture prog into a trace file at path (TraceReader::capture: the
+ * decoded program emulated for up to meta.captureCap steps, written
+ * atomically) and return the reader a parse of that file would
+ * produce, counted as one "capture" phase. Throws TraceError when the
+ * program cannot be stored or on I/O failure.
  */
-CaptureResult captureProgramTrace(const Program &prog,
-                                  const TraceMeta &meta,
-                                  const std::string &path);
+std::shared_ptr<const TraceReader>
+captureProgramTrace(const Program &prog, const TraceMeta &meta,
+                    const std::string &path);
 
 /**
  * Capture a named workload (makeWorkload identity): builds the program
  * from (workload, seed, scale) and records captureCapFor(max_insts)
  * steps. The resulting file carries everything replay needs — the
  * program itself and the digests its re-emulation must reproduce — so
- * later runs skip workload generation entirely.
+ * later runs skip workload generation entirely. TraceStore::ensure,
+ * `tproc-trace record` and the explorer's capture-on-failure all
+ * capture through here.
  */
-CaptureResult captureWorkloadTrace(const std::string &workload,
-                                   uint64_t seed, double scale,
-                                   uint64_t max_insts,
-                                   const std::string &path);
+std::shared_ptr<const TraceReader>
+captureWorkloadTrace(const std::string &workload, uint64_t seed,
+                     double scale, uint64_t max_insts,
+                     const std::string &path);
 
 } // namespace tproc::replay
 

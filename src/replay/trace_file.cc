@@ -182,54 +182,43 @@ checkedReg(char byte, size_t inst, const char *field)
     return r;
 }
 
-} // anonymous namespace
-
-// ---------------------------------------------------------------------
-// TraceWriter.
-// ---------------------------------------------------------------------
-
-TraceWriter::TraceWriter(std::string path, const TraceMeta &meta,
-                         const Program &prog)
-    : finalPath(std::move(path)), bytes(traceMagic, sizeof(traceMagic))
+/** An execution as a trace records it. */
+struct Execution
 {
-    putU32(bytes, traceVersion);
-    appendChunk(bytes, ChunkType::META, 0, encodeMeta(meta));
-    appendChunk(bytes, ChunkType::PROGZ, 0, encodeProgram(prog));
-}
+    std::vector<uint64_t> digests;  //!< one per stepsPerDigest steps
+    uint64_t steps = 0;
+    bool halted = false;            //!< the program reached its HALT
+};
 
-void
-TraceWriter::append(const StepResult &s)
+/**
+ * Emulate prog for up to max_steps steps, or to its HALT, folding each
+ * stepsPerDigest-step chunk into one digest (the last chunk whatever
+ * remains). Capture writes the result; a parse compares it with DGST
+ * and END.
+ */
+Execution
+emulate(const Program &prog, uint64_t max_steps)
 {
-    digest = stepDigest(digest, s);
-    if (s.halted)
-        sawHalt = true;
-    if (++totalSteps % stepsPerDigest == 0) {
-        digests.push_back(digest);
-        digest = 0;
+    Execution run;
+    Emulator emu(prog);
+    while (run.steps < max_steps && !emu.halted()) {
+        const uint64_t chunk_end =
+            run.steps + std::min<uint64_t>(max_steps - run.steps,
+                                           stepsPerDigest);
+        uint64_t h = 0;
+        for (; run.steps < chunk_end && !emu.halted(); ++run.steps)
+            h = stepDigest(h, emu.step());
+        run.digests.push_back(h);
     }
+    run.halted = emu.halted();
+    return run;
 }
 
+/** Write bytes to a temp file beside path and rename it onto path. */
 void
-TraceWriter::finalize()
+writeAtomically(const std::string &path, const std::string &bytes)
 {
-    if (finalized)
-        throw TraceError("trace writer finalized twice");
-    finalized = true;
-    if (totalSteps % stepsPerDigest)
-        digests.push_back(digest);
-
-    std::string chain;
-    for (uint64_t d : digests)
-        putU64(chain, d);
-    appendChunk(bytes, ChunkType::DGST,
-                static_cast<uint32_t>(digests.size()), chain);
-    std::string end;
-    putU64(end, totalSteps);
-    end.push_back(sawHalt ? 1 : 0);
-    putU64(end, fnv1a(bytes.data(), bytes.size()));
-    appendChunk(bytes, ChunkType::END, 0, end);
-
-    const std::string tmp_path = uniqueTmpPath(finalPath);
+    const std::string tmp_path = uniqueTmpPath(path);
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out)
         throw TraceError("cannot create trace file " + tmp_path);
@@ -239,10 +228,64 @@ TraceWriter::finalize()
         std::remove(tmp_path.c_str());
         throw TraceError("I/O error writing trace " + tmp_path);
     }
-    if (std::rename(tmp_path.c_str(), finalPath.c_str()) != 0) {
+    if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
         std::remove(tmp_path.c_str());
-        throw TraceError("cannot rename " + tmp_path + " to " + finalPath);
+        throw TraceError("cannot rename " + tmp_path + " to " + path);
     }
+}
+
+} // anonymous namespace
+
+// ---------------------------------------------------------------------
+// Capture.
+// ---------------------------------------------------------------------
+
+std::shared_ptr<const TraceReader>
+TraceReader::capture(const Program &program, const TraceMeta &meta,
+                     const std::string &path)
+{
+    std::string bytes(traceMagic, sizeof(traceMagic));
+    putU32(bytes, traceVersion);
+    const std::string meta_payload = encodeMeta(meta);
+    const std::string progz = encodeProgram(program);
+    appendChunk(bytes, ChunkType::META, 0, meta_payload);
+    appendChunk(bytes, ChunkType::PROGZ, 0, progz);
+
+    // Read back what was encoded, and emulate that: the reader holds
+    // what a parse of the file decodes, and the digests are the ones a
+    // parse reproduces.
+    std::shared_ptr<TraceReader> r(new TraceReader());
+    Execution run;
+    try {
+        r->decodeMeta(ByteCursor(meta_payload.data(), meta_payload.size()));
+        r->decodeProgz(ByteCursor(progz.data(), progz.size()));
+        run = emulate(r->prog, meta.captureCap);
+    } catch (const TraceError &e) {
+        throw TraceError(path + ": " + e.what());
+    } catch (const MemoryBudgetError &e) {
+        throw TraceError(path + ": " + e.what());
+    }
+
+    std::string chain;
+    for (uint64_t d : run.digests)
+        putU64(chain, d);
+    appendChunk(bytes, ChunkType::DGST,
+                static_cast<uint32_t>(run.digests.size()), chain);
+    std::string end;
+    putU64(end, run.steps);
+    end.push_back(run.halted ? 1 : 0);
+    putU64(end, fnv1a(bytes.data(), bytes.size()));
+    appendChunk(bytes, ChunkType::END, 0, end);
+    writeAtomically(path, bytes);
+
+    TraceInfo &inf = r->inf;
+    inf.version = traceVersion;
+    inf.totalSteps = run.steps;
+    inf.cleanHalt = run.halted;
+    inf.fileBytes = bytes.size();
+    inf.digests = run.digests.size();
+    inf.chunkStats.push_back({ChunkType::DGST, 0, chain.size(), chain.size()});
+    return r;
 }
 
 // ---------------------------------------------------------------------
@@ -262,11 +305,35 @@ TraceReader::decodeMeta(ByteCursor c)
 }
 
 void
+TraceReader::decodeProgz(ByteCursor z)
+{
+    const size_t stored = z.remaining();
+    const uint8_t codec = z.u8();
+    const uint64_t plain_len = z.varint();
+    const uint64_t plain_fnv = z.u64();
+    if (plain_len > maxPlainTraceBytes)
+        throw TraceError("PROGZ claims an implausible plaintext size");
+    const size_t comp_len = z.remaining();
+    const std::string plain =
+        codecDecompress(codec, z.take(comp_len), comp_len,
+                        static_cast<size_t>(plain_len));
+    if (fnv1a(plain.data(), plain.size()) != plain_fnv)
+        throw TraceError("PROGZ plaintext checksum mismatch");
+    decodeProgram(ByteCursor(plain.data(), plain.size()));
+    inf.chunkStats.push_back({ChunkType::PROGZ, codec, stored, plain.size()});
+}
+
+void
 TraceReader::decodeProgram(ByteCursor c)
 {
     prog.entry = static_cast<Addr>(c.varint());
     prog.name = inf.meta.programName;
     const uint64_t code_size = c.varint();
+    if (code_size > maxTraceCode) {
+        throw TraceError("PROGZ program of " + std::to_string(code_size) +
+                         " instructions exceeds the code budget of " +
+                         std::to_string(maxTraceCode) + " instructions");
+    }
     // Four fixed plane bytes + >= 1 imm byte per instruction follow.
     if (code_size > c.remaining() / 5)
         throw TraceError("PROGZ code count exceeds chunk size");
@@ -280,8 +347,7 @@ TraceReader::decodeProgram(ByteCursor c)
         throw TraceError("PROGZ imm stream exceeds chunk size");
     ByteCursor ic(c.take(static_cast<size_t>(imm_len)),
                   static_cast<size_t>(imm_len));
-    prog.code.reserve(static_cast<size_t>(
-        std::min<uint64_t>(code_size, maxUpfrontReserve)));
+    prog.code.reserve(nc);
     for (size_t i = 0; i < nc; ++i) {
         Instruction inst;
         const auto op = static_cast<uint8_t>(ops[i]);
@@ -418,22 +484,7 @@ TraceReader::TraceReader(const std::string &path)
 
     try {
         decodeMeta(ByteCursor(chunks[0].payload, chunks[0].len));
-
-        ByteCursor z(chunks[1].payload, chunks[1].len);
-        const uint8_t codec = z.u8();
-        const uint64_t plain_len = z.varint();
-        const uint64_t plain_fnv = z.u64();
-        if (plain_len > maxPlainTraceBytes)
-            throw TraceError("PROGZ claims an implausible plaintext size");
-        const size_t comp_len = z.remaining();
-        const std::string plain =
-            codecDecompress(codec, z.take(comp_len), comp_len,
-                            static_cast<size_t>(plain_len));
-        if (fnv1a(plain.data(), plain.size()) != plain_fnv)
-            throw TraceError("PROGZ plaintext checksum mismatch");
-        decodeProgram(ByteCursor(plain.data(), plain.size()));
-        inf.chunkStats.push_back(
-            {ChunkType::PROGZ, codec, chunks[1].len, plain.size()});
+        decodeProgz(ByteCursor(chunks[1].payload, chunks[1].len));
     } catch (const TraceError &e) {
         throw TraceError(path + ": " + e.what());
     }
@@ -475,38 +526,33 @@ void
 TraceReader::verifyExecution(const std::vector<uint64_t> &digests,
                              const std::string &path) const
 {
-    Emulator emu(prog);
-    uint64_t step = 0;
+    const Execution run = emulate(prog, inf.totalSteps);
+    // The chunks re-emulation ran in full: a halt before END's step
+    // count cuts short the chunk it falls in.
+    const size_t whole = run.steps == inf.totalSteps
+        ? run.digests.size()
+        : static_cast<size_t>(run.steps / stepsPerDigest);
     for (size_t c = 0; c < digests.size(); ++c) {
-        const uint64_t first = step;
+        if (c < whole && run.digests[c] == digests[c])
+            continue;
+        const uint64_t first = uint64_t{c} * stepsPerDigest;
         const uint64_t last =
             std::min<uint64_t>(first + stepsPerDigest, inf.totalSteps);
-        auto differs = [&](const std::string &why) {
-            return TraceError(path + ": digest chunk " +
-                              std::to_string(c) + " (steps " +
-                              std::to_string(first) + ".." +
-                              std::to_string(last - 1) + ") differs: " +
-                              why);
-        };
-        uint64_t h = 0;
-        for (; step < last; ++step) {
-            if (emu.halted()) {
-                throw differs("the program halts after " +
-                              std::to_string(step) + " steps");
-            }
-            h = stepDigest(h, emu.step());
-        }
-        if (h != digests[c]) {
-            throw differs("re-emulating the program does not reproduce "
-                          "the captured execution");
-        }
+        throw TraceError(
+            path + ": digest chunk " + std::to_string(c) + " (steps " +
+            std::to_string(first) + ".." + std::to_string(last - 1) +
+            ") differs: " +
+            (c < whole ? std::string("re-emulating the program does not "
+                                     "reproduce the captured execution")
+                       : "the program halts after " +
+                     std::to_string(run.steps) + " steps"));
     }
-    if (emu.halted() != inf.cleanHalt) {
+    if (run.halted != inf.cleanHalt) {
         throw TraceError(path + ": END says the execution " +
                          (inf.cleanHalt ? "halts" : "runs on") +
                          " after " + std::to_string(inf.totalSteps) +
                          " steps, but the program " +
-                         (emu.halted() ? "halts" : "runs on"));
+                         (run.halted ? "halts" : "runs on"));
     }
 }
 

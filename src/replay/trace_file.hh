@@ -47,19 +47,25 @@
  * addresses (an address delta of zero) and normalise the decoded image
  * with normalizeDataImage(), so the last entry for an address wins.
  *
- * TraceWriter builds the file in memory and writes it to a temp file
- * renamed into place in finalize(), so an interrupted capture leaves no
- * file at the final path.
+ * A program holds at most maxTraceCode instructions; a PROGZ chunk
+ * that claims more is refused before the decoder stores any of it.
+ *
+ * TraceReader::capture() is the only writer. It decodes the PROGZ it
+ * encoded with the reader's own decoder and emulates the decoded
+ * program through the loop a parse verifies with, so the execution it
+ * records is the one a parse re-emulates. It writes a temp file and
+ * renames it into place, so an interrupted capture leaves no file at
+ * the final path.
  */
 
 #ifndef TPROC_REPLAY_TRACE_FILE_HH
 #define TPROC_REPLAY_TRACE_FILE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "emulator/arch_source.hh"
 #include "program/program.hh"
 #include "replay/trace_format.hh"
 
@@ -102,40 +108,11 @@ struct TraceInfo
 };
 
 /**
- * Records one execution of prog into a trace file. Steps are folded
- * into the digest chain as they are appended; nothing touches the file
- * system until finalize(), which writes a temp file
- * ("<path>.tmp.<pid>.<seq>") and renames it onto path. A writer
- * destroyed (or killed) before finalize() leaves nothing behind.
- * Throws TraceError on I/O failure.
+ * Code budget: the most instructions a trace's program may hold,
+ * 16 MiB of Instruction (the size of the data-memory page budget). The
+ * largest program the repo builds has under 1,000.
  */
-class TraceWriter
-{
-  public:
-    TraceWriter(std::string path, const TraceMeta &meta,
-                const Program &prog);
-
-    TraceWriter(const TraceWriter &) = delete;
-    TraceWriter &operator=(const TraceWriter &) = delete;
-
-    /** Record one architectural step. */
-    void append(const StepResult &s);
-
-    /** Steps recorded so far. */
-    uint64_t steps() const { return totalSteps; }
-
-    /** Seal the file: DGST and END, then write and rename into place. */
-    void finalize();
-
-  private:
-    std::string finalPath;
-    std::string bytes;          //!< header, META and PROGZ so far
-    std::vector<uint64_t> digests;
-    uint64_t digest = 0;        //!< of the current partial chunk
-    uint64_t totalSteps = 0;
-    bool sawHalt = false;
-    bool finalized = false;
-};
+constexpr uint64_t maxTraceCode = uint64_t{1} << 20;
 
 /**
  * The parsed, verified, immutable form of a trace file. The
@@ -155,6 +132,23 @@ class TraceReader
   public:
     explicit TraceReader(const std::string &path);
 
+    /**
+     * Capture prog into a trace file at path, and return the reader a
+     * parse of that file would produce. The capture is its own
+     * verification: it encodes META and PROGZ, decodes that PROGZ with
+     * the reader's decoder, emulates the decoded program for up to
+     * meta.captureCap steps (or to its HALT) through the loop a parse
+     * re-emulates with, and writes DGST and END to a temp file renamed
+     * onto path, so nothing appears at path before the whole file.
+     * Throws TraceError naming path when the program cannot be stored
+     * (over the code budget, an out-of-range register, a data image or
+     * store loop beyond the page budget) or on I/O failure; path is
+     * then left untouched.
+     */
+    static std::shared_ptr<const TraceReader>
+    capture(const Program &prog, const TraceMeta &meta,
+            const std::string &path);
+
     const TraceInfo &info() const { return inf; }
     const TraceMeta &meta() const { return inf.meta; }
     const Program &program() const { return prog; }
@@ -168,7 +162,10 @@ class TraceReader
                        TraceInfo *info = nullptr);
 
   private:
+    TraceReader() = default;
+
     void decodeMeta(ByteCursor cur);
+    void decodeProgz(ByteCursor cur);
     void decodeProgram(ByteCursor cur);
     void verifyExecution(const std::vector<uint64_t> &digests,
                          const std::string &path) const;

@@ -6,7 +6,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <filesystem>
+#include <future>
 #include <mutex>
 #include <unordered_map>
 
@@ -23,7 +25,10 @@ namespace
 /**
  * Process-wide cache of parsed traces keyed by path. Readers are
  * immutable, so concurrent sweep points share one parsed instance and
- * a 16-point sweep over 8 workloads parses 8 files, not 16. Bounded
+ * a 16-point sweep over 8 workloads parses 8 files, not 16: a capture
+ * caches the reader it returns, and points that miss the cache while
+ * a file is being parsed wait for that parse instead of starting their
+ * own. Bounded
  * (oldest-first) so a long-lived process sweeping many workloads
  * cannot hold every trace in memory forever — but eviction never
  * drops a reader some live replay still references (use_count > 1):
@@ -42,6 +47,10 @@ struct ReaderCache
     std::unordered_map<std::string, std::shared_ptr<const TraceReader>>
         byPath;
     std::deque<std::string> order;      //!< insertion order for eviction
+    /** Parses under way, by path: a miss on one of these waits on it. */
+    std::unordered_map<std::string,
+                       std::shared_future<std::shared_ptr<const TraceReader>>>
+        parsing;
 
     void
     put(const std::string &path, std::shared_ptr<const TraceReader> r)
@@ -149,33 +158,68 @@ acceptable(const TraceInfo &info, const std::string &workload,
 }
 
 /**
- * Cached or freshly parsed reader accepted for the identity, or null.
- * The TraceReader constructor checks every chunk checksum and END's
- * digest and re-emulates the program against the digest chain, so no
- * separate verify walk is needed here.
+ * The cached reader for path, or else a parse of the file. Callers
+ * that miss the cache while a parse of path is under way wait for it
+ * and share its reader, or its TraceError. The TraceReader constructor
+ * checks every chunk checksum and END's digest and re-emulates the
+ * program against the digest chain, so this is the one verification.
  */
+std::shared_ptr<const TraceReader>
+cachedOrParsed(const std::string &path)
+{
+    auto &cache = readerCache();
+    std::unique_lock<std::mutex> lock(cache.mutex);
+    if (auto hit = cache.get(path))
+        return hit;
+    auto pending = cache.parsing.find(path);
+    if (pending != cache.parsing.end()) {
+        const auto parse = pending->second;
+        lock.unlock();
+        return parse.get();
+    }
+    std::promise<std::shared_ptr<const TraceReader>> promise;
+    cache.parsing.emplace(path, promise.get_future().share());
+    lock.unlock();
+
+    std::shared_ptr<const TraceReader> reader;
+    std::exception_ptr failure;
+    try {
+        // A missing file is no parse (a cold store's first lookup).
+        std::error_code ec;
+        if (!std::filesystem::exists(path, ec))
+            throw TraceError("no trace file at " + path);
+        auto parse_phase = PhaseTimers::global().scope("parse");
+        reader = std::make_shared<const TraceReader>(path);
+    } catch (...) {
+        failure = std::current_exception();
+    }
+    lock.lock();
+    if (!failure)
+        cache.put(path, reader);
+    cache.parsing.erase(path);
+    lock.unlock();
+    if (failure) {
+        promise.set_exception(failure);
+        std::rethrow_exception(failure);
+    }
+    promise.set_value(reader);
+    return reader;
+}
+
+/** The reader for path accepted for the identity, or null with the
+ *  reason in why. */
 std::shared_ptr<const TraceReader>
 openFor(const std::string &path, const std::string &workload,
         uint64_t seed, double scale, uint64_t max_insts,
         std::string *why)
 {
-    auto &cache = readerCache();
     std::shared_ptr<const TraceReader> reader;
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        reader = cache.get(path);
-    }
-    if (!reader) {
-        try {
-            auto parse_phase = PhaseTimers::global().scope("parse");
-            reader = std::make_shared<const TraceReader>(path);
-        } catch (const TraceError &e) {
-            if (why)
-                *why = e.what();
-            return nullptr;
-        }
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        cache.put(path, reader);
+    try {
+        reader = cachedOrParsed(path);
+    } catch (const TraceError &e) {
+        if (why)
+            *why = e.what();
+        return nullptr;
     }
     if (!acceptable(reader->info(), workload, seed, scale, max_insts,
                     why)) {
@@ -290,13 +334,18 @@ TraceStore::ensure(const std::string &workload, uint64_t seed,
     }
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    captureWorkloadTrace(workload, seed, scale, max_insts, path);
+    // The capture verifies itself and returns the reader a parse of
+    // the new file would produce: cache it rather than parse the file.
+    r.reader = captureWorkloadTrace(workload, seed, scale, max_insts, path);
     r.captured = true;
-    r.reader = openFor(path, workload, seed, scale, max_insts, &why);
-    if (!r.reader) {
+    if (!acceptable(r.reader->info(), workload, seed, scale, max_insts,
+                    &why)) {
         throw TraceError("freshly captured trace " + path +
                          " failed validation: " + why);
     }
+    auto &cache = readerCache();
+    std::lock_guard<std::mutex> cacheLock(cache.mutex);
+    cache.put(path, r.reader);
     return r;
 }
 

@@ -42,11 +42,14 @@ class TraceStore
      * file is missing, corrupt, or does not cover max_insts. Captures
      * are serialized process-wide and land atomically (temp + rename),
      * so concurrent sweep points record a workload exactly once and a
-     * killed capture leaves no file behind. Parsed traces are held in
-     * a process-wide cache, so a sweep parses (and so verifies by
-     * re-emulation) each trace file once no matter how many points
-     * replay it (the capture-once/parse-once/replay-many fast path).
-     * Throws TraceError when the trace cannot be produced.
+     * killed capture leaves no file behind. A capture verifies itself
+     * and its reader goes straight into a process-wide cache, so a
+     * trace this call records is never parsed. A file already on disk
+     * is parsed (and so verified by re-emulation) once per cache
+     * lifetime, however many points replay it: points that miss the
+     * cache while it is being parsed wait for that one parse, and a
+     * failed parse reaches each of them. Throws TraceError when the
+     * trace cannot be produced.
      */
     EnsureResult ensure(const std::string &workload, uint64_t seed,
                         double scale, uint64_t max_insts);

@@ -269,6 +269,7 @@ parsePatternMix(const std::string &mix)
             shares.push_back({&p, 1});
         return shares;
     }
+    uint64_t total = 0;     // the weighted draw's bound must not wrap
     size_t pos = 0;
     while (pos <= mix.size()) {
         size_t plus = mix.find('+', pos);
@@ -287,6 +288,9 @@ parsePatternMix(const std::string &mix)
             if (weight == 0)
                 badMix(mix, "weight must be >= 1");
         }
+        if (weight > UINT64_MAX - total)
+            badMix(mix, "weights sum past 2^64 - 1");
+        total += weight;
         const WorkloadPattern *p = findPattern(term);
         if (!p)
             badMix(mix, "unknown pattern '" + term + "'");

@@ -132,9 +132,11 @@ struct PatternShare
 };
 
 /**
- * Parse a pattern-mix spec against the builtin library.
- * @throw UnknownWorkloadError on an unknown pattern name or malformed
- * spec (the message lists the valid pattern names).
+ * Parse a pattern-mix spec against the builtin library. The weights
+ * sum to at most 2^64 - 1, the bound of the generator's weighted draw.
+ * @throw UnknownWorkloadError on an unknown pattern name, a malformed
+ * spec or weights that sum past that (the message lists the valid
+ * pattern names).
  */
 std::vector<PatternShare> parsePatternMix(const std::string &mix);
 

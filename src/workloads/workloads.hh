@@ -8,8 +8,9 @@
  * branch profile from Table 5: the fraction of FGCI-embeddable branches
  * and their region sizes, the share of other forward branches, the share
  * and predictability of backward (loop) branches, and the overall
- * misprediction rate. DESIGN.md discusses why this substitution preserves
- * the evaluation's behaviour.
+ * misprediction rate. docs/workloads.md describes the analogs, the
+ * pattern kernels they are built from, and the generator that samples
+ * the same kernels.
  */
 
 #ifndef TPROC_WORKLOADS_WORKLOADS_HH

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/random.hh"
 #include "common/stats.hh"
 #include "harness/bench_report.hh"
 
@@ -141,6 +144,139 @@ TEST(BenchReport, OptionsRecoverableFromReport)
     EXPECT_EQ(old_opts.insts, 100000u);
     EXPECT_EQ(old_opts.reps, 3);
     EXPECT_EQ(old_opts.benchIndex, 2u);
+}
+
+TEST(BenchReport, OptionsRejectOutOfRangeIntegers)
+{
+    // A plain cast turned "insts": -1 into 2^64 - 1 instructions (a run
+    // that never ends), 1e999 into 0, and "reps": 1e12 into INT_MIN.
+    const struct
+    {
+        const char *field;
+        const char *value;
+    } cases[] = {
+        {"insts", "-1"},         {"insts", "1e999"},
+        {"insts", "1.5"},        {"seed", "-1e999"},
+        {"reps", "1e12"},        {"reps", "0"},
+        {"reps", "2147483648"},  {"bench_index", "4294967296"},
+        {"bench_index", "-2"},
+    };
+    for (const auto &c : cases) {
+        const std::string field = c.field;
+        std::string doc =
+            R"({"bench_index": 4, "config": {"insts": 100000, "seed": 1,
+                "model": "base", "reps": 3, "verify": true}})";
+        const size_t at = doc.find("\"" + field + "\": ") + field.size() + 4;
+        doc.replace(at, doc.find_first_of(",}", at) - at, c.value);
+        try {
+            harness::optionsFromReport(parseJson(doc));
+            ADD_FAILURE() << field << " = " << c.value << " was read";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("'" + field + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(BenchReport, MutatedReportsReadOrFailCleanly)
+{
+    // Seeded byte flips, truncations and splices of a report; a third
+    // of the splices swap one value, often a config integer, for a
+    // slice of the report or a hostile number. A mutant either parses
+    // or throws std::runtime_error. One that parses either yields
+    // options whose integers are the document's own numbers, with reps
+    // at least 1, or throws std::runtime_error; and it diffs against
+    // the report it came from either way round. Anything else (a
+    // crash, a sanitizer report, another exception type) fails.
+    std::ostringstream os;
+    writeJson(os, tinyReport());
+    const std::string doc = os.str();
+    const std::string alphabet = "0123456789-+.eE\"\\{}[],: \n";
+    const char *const tokens[] = {
+        "-1", "-0", "0", "1.5", "1e999", "-1e999", "1e12", "1e20",
+        "\"7\"", "null", "2147483648", "4294967296",
+        "18446744073709551615", "18446744073709551616",
+        "9007199254740993",
+    };
+    std::vector<size_t> values, config_values;
+    for (size_t at = doc.find("\": "); at != std::string::npos;
+         at = doc.find("\": ", at + 1)) {
+        values.push_back(at + 3);
+    }
+    for (const char *key : {"\"insts\": ", "\"seed\": ", "\"reps\": ",
+                            "\"bench_index\": "}) {
+        const size_t at = doc.find(key);
+        ASSERT_NE(at, std::string::npos) << key;
+        config_values.push_back(at + std::strlen(key));
+    }
+    Rng rng(20261021);
+    int parsed = 0, rejected = 0, read = 0;
+    for (int i = 0; i < 2000; ++i) {
+        std::string m = doc;
+        const size_t at = rng.below(m.size());
+        switch (i % 4) {
+          case 0:
+            for (uint64_t n = 1 + rng.below(3); n > 0; --n) {
+                m[rng.below(m.size())] = rng.chance(0.5)
+                    ? alphabet[rng.below(alphabet.size())]
+                    : static_cast<char>(rng.below(256));
+            }
+            break;
+          case 1:
+            m.resize(at);
+            break;
+          case 2: {
+            const std::vector<size_t> &pick =
+                rng.chance(0.5) ? config_values : values;
+            const size_t from = pick[rng.below(pick.size())];
+            const size_t len = m.find_first_of(",\n", from) - from;
+            m.replace(from, len,
+                      rng.chance(0.5)
+                          ? std::string(tokens[rng.below(std::size(tokens))])
+                          : doc.substr(values[rng.below(values.size())],
+                                       1 + rng.below(16)));
+            break;
+          }
+          default: {
+            const size_t from = rng.below(m.size());
+            const size_t len = rng.below(m.size() - from + 1);
+            const size_t cut = rng.below(m.size() - at + 1);
+            m = m.substr(0, at) + doc.substr(from, len) +
+                m.substr(at + cut);
+            break;
+          }
+        }
+        JsonValue v;
+        try {
+            v = parseJson(m);
+        } catch (const std::runtime_error &) {
+            ++rejected;
+            continue;
+        }
+        ++parsed;
+        try {
+            const harness::BenchReportOptions opts =
+                harness::optionsFromReport(v);
+            ++read;
+            const JsonValue &cfg = v.at("config");
+            ASSERT_GE(opts.reps, 1) << m;
+            ASSERT_EQ(static_cast<double>(opts.insts),
+                      cfg.at("insts").asNumber());
+            ASSERT_EQ(static_cast<double>(opts.seed),
+                      cfg.at("seed").asNumber());
+            ASSERT_EQ(opts.reps, cfg.at("reps").asNumber());
+            ASSERT_EQ(opts.benchIndex, v.at("bench_index").asNumber());
+        } catch (const std::runtime_error &) {
+            ++rejected;
+        }
+        harness::diffBenchReports(tinyReport(), v);
+        harness::diffBenchReports(v, tinyReport());
+    }
+    // Every outcome is exercised.
+    EXPECT_GT(parsed, 300);
+    EXPECT_GT(read, 100);
+    EXPECT_GT(rejected, 300);
 }
 
 TEST(BenchReport, AttachBaselineComputesSpeedup)

@@ -13,11 +13,13 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "harness/sweep.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
@@ -133,6 +135,85 @@ TEST(Generator, OverflowingWeightAndIndexAreRejected)
     EXPECT_THROW(validateGeneratedName("gen:fgci:" + big),
                  UnknownWorkloadError);
     validateGeneratedName("gen:fgci:18446744073709551615");    // 2^64-1
+
+    // Weights that each fit but sum past 2^64 - 1 wrapped the draw's
+    // bound, to zero here: a division by zero when the program was
+    // built.
+    EXPECT_THROW(validateGeneratedName(
+                     "gen:fgci*18446744073709551615+loops:0"),
+                 UnknownWorkloadError);
+    EXPECT_EQ(parsePatternMix("fgci*18446744073709551614+loops").size(),
+              2u);
+}
+
+TEST(Generator, MutatedMixesParseOrFailCleanly)
+{
+    // Seeded byte flips, truncations, splices and hostile weights of a
+    // few valid specs. A mutant either parses into shares that name a
+    // pattern, weigh at least 1 and sum within 64 bits, or throws
+    // UnknownWorkloadError; anything else (a crash, a sanitizer report,
+    // another exception type) fails.
+    const std::vector<std::string> specs = {
+        "all", "fgci*3+loops", "fgci+noisy*2+loops*40", "dispatch+memory",
+        "regions*7+steady+forward*1"};
+    const std::string alphabet = "+*0123456789abcdefgilnoprsty ";
+    const char *const tokens[] = {
+        "*0", "*", "+", "**", "++", "*-1", "*2", "*18446744073709551615",
+        "*18446744073709551616", "*99999999999999999999", "+all", "+loops",
+        "+noisy*18446744073709551614",
+    };
+    Rng rng(20261019);
+    int parsed = 0, rejected = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string &doc = specs[rng.below(specs.size())];
+        std::string m = doc;
+        const size_t at = rng.below(m.size() + 1);
+        switch (i % 4) {
+          case 0:
+            for (uint64_t n = 1 + rng.below(3); n > 0 && !m.empty(); --n) {
+                m[rng.below(m.size())] = rng.chance(0.8)
+                    ? alphabet[rng.below(alphabet.size())]
+                    : static_cast<char>(rng.below(256));
+            }
+            break;
+          case 1:
+            m.resize(at);
+            break;
+          case 2: {
+            // At the end of a term, where a weight or a term may go.
+            size_t end = m.find('+', at);
+            if (end == std::string::npos)
+                end = m.size();
+            m.insert(end, tokens[rng.below(std::size(tokens))]);
+            break;
+          }
+          default: {
+            const std::string &other = specs[rng.below(specs.size())];
+            const size_t from = rng.below(other.size());
+            m.insert(at, other.substr(from, 1 + rng.below(12)));
+            break;
+          }
+        }
+        std::vector<PatternShare> shares;
+        try {
+            shares = parsePatternMix(m);
+        } catch (const UnknownWorkloadError &) {
+            ++rejected;
+            continue;
+        }
+        ++parsed;
+        ASSERT_FALSE(shares.empty()) << m;
+        uint64_t total = 0;
+        for (const PatternShare &s : shares) {
+            ASSERT_NE(s.pattern, nullptr) << m;
+            ASSERT_GE(s.weight, 1u) << m;
+            ASSERT_LE(s.weight, UINT64_MAX - total) << m;
+            total += s.weight;
+        }
+    }
+    // Both outcomes are exercised (most mutants break a name).
+    EXPECT_GT(parsed, 150);
+    EXPECT_GT(rejected, 1500);
 }
 
 TEST(Generator, UnknownWorkloadErrorListsTheMenu)

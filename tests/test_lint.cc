@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/random.hh"
 #include "lint/lexer.hh"
 #include "lint/linter.hh"
 #include "lint/rules.hh"
@@ -325,6 +327,85 @@ TEST(LintBaseline, MalformedEntryThrows)
                  std::runtime_error);
     EXPECT_THROW(Baseline::parse("[nonesuch-rule] a.cc: x\n"),
                  std::runtime_error);
+}
+
+TEST(LintBaseline, MutatedBaselinesParseOrFailCleanly)
+{
+    // Seeded byte flips, truncations, splices and duplicated lines of a
+    // baseline with comments, blank lines and several rules' entries.
+    // A mutant either parses, and then holds no more entries than it
+    // has lines, each one a known rule's "[rule] path: context" key
+    // that nothing has matched yet, or throws std::runtime_error;
+    // anything else (a crash, a sanitizer report, another exception
+    // type) fails.
+    std::vector<Finding> findings;
+    for (const char *src :
+         {"panic(\"boom\");\n", "int v = atoi(s);\n",
+          "std::unordered_map<int, int> m;\nfor (auto &kv : m) {}\n"}) {
+        const FileLint fl = lint("src/core/x.cc", src);
+        findings.insert(findings.end(), fl.findings.begin(),
+                        fl.findings.end());
+    }
+    ASSERT_GE(findings.size(), 3u);
+    const std::string doc = "# tproc-lint baseline\n\n# why\n" +
+        Baseline::write(findings) + "\n  \t# indented comment\n";
+    ASSERT_EQ(Baseline::parse(doc).size(), findings.size());
+
+    const std::string alphabet = "[]:# \t\n-abcdnoprstu";
+    Rng rng(20261020);
+    int parsed = 0, rejected = 0;
+    for (int i = 0; i < 3000; ++i) {
+        std::string m = doc;
+        const size_t at = rng.below(m.size() + 1);
+        switch (i % 4) {
+          case 0:
+            for (uint64_t n = 1 + rng.below(3); n > 0; --n) {
+                m[rng.below(m.size())] = rng.chance(0.8)
+                    ? alphabet[rng.below(alphabet.size())]
+                    : static_cast<char>(rng.below(256));
+            }
+            break;
+          case 1:
+            m.resize(at);
+            break;
+          case 2: {
+            const size_t from = rng.below(doc.size());
+            m.insert(at, doc.substr(from, 1 + rng.below(48)));
+            break;
+          }
+          default: {
+            // A whole line repeated elsewhere.
+            const size_t start = doc.rfind('\n', rng.below(doc.size()));
+            const size_t from = start == std::string::npos ? 0 : start + 1;
+            const size_t end = doc.find('\n', from);
+            m.insert(at, doc.substr(from, end - from + 1));
+            break;
+          }
+        }
+        std::unique_ptr<Baseline> b;
+        try {
+            b = std::make_unique<Baseline>(Baseline::parse(m));
+        } catch (const std::runtime_error &) {
+            ++rejected;
+            continue;
+        }
+        ++parsed;
+        const std::vector<std::string> entries = b->unused();
+        ASSERT_EQ(entries.size(), b->size());
+        ASSERT_LE(entries.size(),
+                  static_cast<size_t>(std::count(m.begin(), m.end(), '\n')) +
+                      1);
+        for (const std::string &e : entries) {
+            ASSERT_EQ(e[0], '[') << e;
+            const size_t close = e.find("] ");
+            ASSERT_NE(close, std::string::npos) << e;
+            ASSERT_TRUE(knownRule(e.substr(1, close - 1))) << e;
+            ASSERT_NE(e.find(": ", close), std::string::npos) << e;
+        }
+    }
+    // Both outcomes are exercised.
+    EXPECT_GT(parsed, 300);
+    EXPECT_GT(rejected, 300);
 }
 
 // ---------------------------------------------------------- fix

@@ -1,11 +1,13 @@
 /**
  * @file
- * Trace capture/replay tests: the binary container round trip, the
- * capture-once/replay-many store, the differential contract (replaying
- * a recorded trace through the full timing processor is bit-identical
- * to live emulation for every seed workload), negative cases for
- * truncated, corrupted, resealed, divergent and oversized files,
- * capture atomicity under SIGKILL, and the golden-statistics helpers.
+ * Trace capture/replay tests: the binary container round trip, capture
+ * as its own verification (the reader a capture returns equals a parse
+ * of its file), the capture-once/parse-once/replay-many store, the
+ * differential contract (replaying a recorded trace through the full
+ * timing processor is bit-identical to live emulation for every seed
+ * workload), negative cases for truncated, corrupted, resealed,
+ * divergent and oversized files, capture atomicity under exceptions
+ * and SIGKILL, and the golden-statistics helpers.
  */
 
 #include <gtest/gtest.h>
@@ -15,13 +17,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/hires_timer.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/runner.hh"
@@ -204,8 +209,8 @@ TEST(TraceRoundTrip, TinyProgramToHalt)
     meta.workload = "tiny";
     meta.programName = prog.name;
     auto cap = replay::captureProgramTrace(prog, meta, path);
-    EXPECT_TRUE(cap.halted);
-    EXPECT_EQ(cap.steps, 6u);
+    EXPECT_TRUE(cap->info().cleanHalt);
+    EXPECT_EQ(cap->info().totalSteps, 6u);
 
     auto reader = std::make_shared<const replay::TraceReader>(path);
     EXPECT_EQ(reader->info().version, replay::traceVersion);
@@ -238,7 +243,7 @@ TEST(TraceRoundTrip, WorkloadProgramAndStreamSurvive)
     meta.captureCap = cap;
     meta.programName = w.program.name;
     auto res = replay::captureProgramTrace(w.program, meta, path);
-    EXPECT_EQ(res.steps, cap);
+    EXPECT_EQ(res->info().totalSteps, cap);
 
     replay::TraceReader reader(path);
     const Program &p = reader.program();
@@ -265,6 +270,96 @@ TEST(TraceRoundTrip, CaptureCapSaturates)
               1000 + replay::captureSlack);
     EXPECT_EQ(replay::captureCapFor(UINT64_MAX), UINT64_MAX);
     EXPECT_EQ(replay::captureCapFor(UINT64_MAX - 1), UINT64_MAX);
+}
+
+// ---------------------------------------------------------------------
+// Capture is the verification: the reader a capture returns is the one
+// a parse of the file it wrote produces.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+void
+expectSameTrace(const replay::TraceReader &captured,
+                const replay::TraceReader &parsed, const std::string &label)
+{
+    const Program &a = captured.program();
+    const Program &b = parsed.program();
+    EXPECT_EQ(a.name, b.name) << label;
+    EXPECT_EQ(a.entry, b.entry) << label;
+    EXPECT_TRUE(a.code == b.code) << label;
+    EXPECT_EQ(a.dataInit, b.dataInit) << label;
+
+    const replay::TraceInfo &x = captured.info();
+    const replay::TraceInfo &y = parsed.info();
+    EXPECT_EQ(x.meta.workload, y.meta.workload) << label;
+    EXPECT_EQ(x.meta.seed, y.meta.seed) << label;
+    EXPECT_EQ(x.meta.scale, y.meta.scale) << label;
+    EXPECT_EQ(x.meta.captureCap, y.meta.captureCap) << label;
+    EXPECT_EQ(x.meta.programName, y.meta.programName) << label;
+    EXPECT_EQ(x.version, y.version) << label;
+    EXPECT_EQ(x.totalSteps, y.totalSteps) << label;
+    EXPECT_EQ(x.cleanHalt, y.cleanHalt) << label;
+    EXPECT_EQ(x.codeSize, y.codeSize) << label;
+    EXPECT_EQ(x.dataInitSize, y.dataInitSize) << label;
+    EXPECT_EQ(x.fileBytes, y.fileBytes) << label;
+    EXPECT_EQ(x.digests, y.digests) << label;
+    ASSERT_EQ(x.chunkStats.size(), y.chunkStats.size()) << label;
+    for (size_t i = 0; i < x.chunkStats.size(); ++i) {
+        EXPECT_EQ(x.chunkStats[i].type, y.chunkStats[i].type) << label;
+        EXPECT_EQ(x.chunkStats[i].codec, y.chunkStats[i].codec) << label;
+        EXPECT_EQ(x.chunkStats[i].storedBytes, y.chunkStats[i].storedBytes)
+            << label;
+        EXPECT_EQ(x.chunkStats[i].plainBytes, y.chunkStats[i].plainBytes)
+            << label;
+    }
+}
+
+} // anonymous namespace
+
+TEST(TraceCapture, ReaderEqualsAParseOfItsFile)
+{
+    TempDir dir("replay_capture");
+    std::vector<std::string> names = workloadNames();
+    for (const char *mix : {"fgci", "noisy", "loops"})
+        names.push_back(generatedName(mix, 0));
+    const ProcessorConfig cfg = ProcessorConfig::forModel("FG+MLB-RET");
+    for (const std::string &name : names) {
+        const std::string path = dir.file("capture.tpt");
+        const auto captured =
+            replay::captureWorkloadTrace(name, 1, 1.0, 20000, path);
+        const auto parsed = std::make_shared<const replay::TraceReader>(path);
+        expectSameTrace(*captured, *parsed, name);
+
+        const ProcessorStats from_capture =
+            runConfig(captured->program(), cfg, 20000,
+                      std::make_unique<replay::ReplaySource>(captured));
+        const ProcessorStats from_parse =
+            runConfig(parsed->program(), cfg, 20000,
+                      std::make_unique<replay::ReplaySource>(parsed));
+        EXPECT_EQ(harness::statsToDict(from_capture),
+                  harness::statsToDict(from_parse))
+            << name;
+    }
+}
+
+TEST(TraceCapture, UnsortedImageNormalisedAsAParseWould)
+{
+    // The image is stored in the order the program holds it, address
+    // deltas wrapping backwards; capture reads it back through the
+    // decoder, which normalises it (last entry for an address wins).
+    TempDir dir("replay_capture_image");
+    Program prog = tinyProgram();
+    prog.dataInit = {{8, 1}, {5, 2}, {8, 3}, {5, -4}, {3, 7}};
+    replay::TraceMeta meta;
+    meta.programName = prog.name;
+    const std::string path = dir.file("image.tpt");
+    const auto captured = replay::captureProgramTrace(prog, meta, path);
+    EXPECT_EQ(captured->program().dataInit,
+              (DataImage{{3, 7}, {5, -4}, {8, 3}}));
+    EXPECT_EQ(captured->info().dataInitSize, 3u);
+    expectSameTrace(*captured, replay::TraceReader(path), "image");
 }
 
 // ---------------------------------------------------------------------
@@ -908,6 +1003,58 @@ TEST(TraceVerify, ChangedImmediateNamesFirstDivergentChunk)
     expectRejected(path, "digest chunk 1 (steps 4096..6002) differs");
 }
 
+TEST(TraceVerify, EarlyHaltAndHaltFlagMismatchNamed)
+{
+    // The same 3000-iteration loop, then `addi; halt` in the captured
+    // program but `halt` at once in the spliced one: the first 4096
+    // steps agree, and re-emulation halts inside digest chunk 1.
+    TempDir dir("replay_halt");
+    auto program = [](bool extra) {
+        ProgramBuilder b("halt");
+        b.li(3, 3000);
+        const auto top = b.newLabel();
+        b.bind(top);
+        b.addi(3, 3, -1);
+        b.bne(3, 0, top);
+        if (extra)
+            b.addi(4, 0, 1);
+        b.halt();
+        return b.finish();
+    };
+    replay::TraceMeta meta;
+    meta.programName = "halt";
+    const std::string path = dir.file("halt.tpt");
+    const std::string other = dir.file("early.tpt");
+    const auto full = replay::captureProgramTrace(program(true), meta, path);
+    const auto early =
+        replay::captureProgramTrace(program(false), meta, other);
+    ASSERT_EQ(early->info().totalSteps + 1, full->info().totalSteps);
+
+    const std::string bytes = readBytes(path);
+    const std::string donor = readBytes(other);
+    const size_t at = findChunk(bytes, replay::ChunkType::PROGZ);
+    const size_t donor_at = findChunk(donor, replay::ChunkType::PROGZ);
+    const size_t len = findChunk(bytes, replay::ChunkType::DGST) - at;
+    const size_t donor_len =
+        findChunk(donor, replay::ChunkType::DGST) - donor_at;
+    writeBytes(path, resealEnd(bytes.substr(0, at) +
+                               donor.substr(donor_at, donor_len) +
+                               bytes.substr(at + len)));
+    expectRejected(path, "digest chunk 1 (steps 4096.." +
+                             std::to_string(full->info().totalSteps - 1) +
+                             ") differs: the program halts after " +
+                             std::to_string(early->info().totalSteps) +
+                             " steps");
+
+    // A capture that stopped at its cap, with END's halt flag set.
+    meta.captureCap = 5000;
+    replay::captureProgramTrace(program(true), meta, path);
+    writeBytes(path, rewriteChunk(readBytes(path), replay::ChunkType::END,
+                                  [](std::string &p) { p[8] = 1; }));
+    expectRejected(path, "END says the execution halts after 5000 steps, "
+                         "but the program runs on");
+}
+
 TEST(TraceVerify, EndClaimBeyondDigestChainRejectedBeforeEmulation)
 {
     // `spin: jmp spin` never halts, so emulating the claimed steps
@@ -1028,9 +1175,164 @@ TEST(TraceVerify, ImagesBeyondThePageBudgetRejected)
     }
 }
 
+TEST(TraceVerify, CodeBeyondTheBudgetRejected)
+{
+    // A hand-built PROGZ of 4M NOPs and a halt: LZ runs (the token
+    // stream codec.hh describes) store it in a few dozen bytes, and it
+    // would decode to 64 MiB of Instruction. The decoder refuses the
+    // count before it stores any.
+    TempDir dir("replay_code");
+    replay::TraceMeta meta;
+    meta.programName = "tiny";
+    const std::string good = dir.file("tiny.tpt");
+    replay::captureProgramTrace(tinyProgram(), meta, good);
+
+    const uint64_t n = (uint64_t{4} << 20) + 1;
+    std::string count;
+    replay::putVarint(count, n);
+    std::string plain = '\0' + count;  // entry 0, n instructions
+    plain.append(n - 1, static_cast<char>(Opcode::NOP));
+    plain.push_back(static_cast<char>(Opcode::HALT));
+    plain.append(3 * n, '\0');          // rd, rs1, rs2
+    plain += count;                     // imm stream: n zeros
+    plain.append(n, '\0');
+    plain.append(2, '\0');              // no data words, no addresses
+    static_assert(static_cast<int>(Opcode::NOP) == 0, "runs of zeros");
+    std::string tokens;
+    auto literal = [&tokens](const std::string &bytes) {
+        replay::putVarint(tokens, uint64_t{bytes.size()} << 1);
+        tokens += bytes;
+    };
+    auto zeros = [&tokens](uint64_t len) {   // a distance-1 match
+        replay::putVarint(tokens, (len - replay::lzMinMatch) << 1 | 1);
+        replay::putVarint(tokens, 1);
+    };
+    literal('\0' + count + '\0');
+    zeros(n - 2);
+    literal(std::string("\1\0", 2));
+    zeros(3 * n - 1);
+    literal(count + '\0');
+    zeros(n - 1);
+    literal(std::string(2, '\0'));
+    std::string payload;
+    payload.push_back(static_cast<char>(replay::CodecId::LZ));
+    replay::putVarint(payload, plain.size());
+    replay::putU64(payload, replay::fnv1a(plain.data(), plain.size()));
+    payload += tokens;
+    EXPECT_LT(payload.size(), 64u);
+
+    const std::string path = dir.file("nops.tpt");
+    writeBytes(path, resealEnd(rewriteChunk(readBytes(good),
+                                            replay::ChunkType::PROGZ,
+                                            [&](std::string &p) {
+                                                p = payload;
+                                            })));
+    expectRejected(path, "PROGZ program of 4194305 instructions exceeds "
+                         "the code budget of 1048576 instructions");
+
+    // Capture decodes what it encodes, so a program over the budget
+    // fails there and leaves no file.
+    Program big;
+    big.name = "big";
+    big.code.assign(replay::maxTraceCode, Instruction{});
+    big.code.push_back({Opcode::HALT, 0, 0, 0, 0});
+    const std::string big_path = dir.file("big.tpt");
+    try {
+        replay::captureProgramTrace(big, meta, big_path);
+        ADD_FAILURE() << "captured a program over the code budget";
+    } catch (const replay::TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find("exceeds the code budget"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(fs::exists(big_path));
+}
+
 // ---------------------------------------------------------------------
-// TraceStore: capture-once, recapture-on-corruption, kill atomicity.
+// TraceStore: capture-once, parse-once, recapture-on-corruption, kill
+// atomicity.
 // ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Entries phase name gained in PhaseTimers::global() since before. */
+uint64_t
+phaseCount(const std::vector<PhaseStat> &before, const std::string &name)
+{
+    for (const PhaseStat &p :
+         PhaseTimers::diff(PhaseTimers::global().snapshot(), before)) {
+        if (p.name == name)
+            return p.count;
+    }
+    return 0;
+}
+
+} // anonymous namespace
+
+TEST(TraceStoreTest, CaptureIsNotParsedThenDropParsesOnce)
+{
+    TempDir dir("store_phases");
+    replay::TraceStore store(dir.path());
+    replay::TraceStore::dropCache();
+
+    auto before = PhaseTimers::global().snapshot();
+    auto fresh = store.ensure("li", 1, 1.0, 20000);
+    EXPECT_TRUE(fresh.captured);
+    EXPECT_EQ(phaseCount(before, "capture"), 1u);
+    EXPECT_EQ(phaseCount(before, "parse"), 0u);
+
+    // Served from the cache: neither phase runs.
+    before = PhaseTimers::global().snapshot();
+    EXPECT_EQ(store.ensure("li", 1, 1.0, 20000).reader, fresh.reader);
+    EXPECT_EQ(phaseCount(before, "capture"), 0u);
+    EXPECT_EQ(phaseCount(before, "parse"), 0u);
+
+    replay::TraceStore::dropCache();
+    before = PhaseTimers::global().snapshot();
+    auto reread = store.ensure("li", 1, 1.0, 20000);
+    EXPECT_FALSE(reread.captured);
+    EXPECT_EQ(phaseCount(before, "capture"), 0u);
+    EXPECT_EQ(phaseCount(before, "parse"), 1u);
+    expectSameTrace(*fresh.reader, *reread.reader, "li");
+    replay::TraceStore::dropCache();
+}
+
+TEST(TraceStoreTest, RacingEnsuresShareOneParse)
+{
+    // Four threads released together miss the cache on one trace on
+    // disk: one of them parses it, and the others wait for that parse.
+    TempDir dir("store_race");
+    replay::TraceStore store(dir.path());
+    store.ensure("go", 1, 1.0, 20000);
+    replay::TraceStore::dropCache();
+
+    constexpr int threads = 4;
+    std::atomic<int> waiting{threads};
+    std::vector<replay::TraceStore::EnsureResult> got(threads);
+    const auto before = PhaseTimers::global().snapshot();
+    {
+        std::vector<std::thread> pool;
+        for (int t = 0; t < threads; ++t) {
+            pool.emplace_back([&, t]() {
+                waiting.fetch_sub(1);
+                while (waiting.load() > 0)
+                    std::this_thread::yield();
+                got[t] = store.ensure("go", 1, 1.0, 20000);
+            });
+        }
+        for (auto &th : pool)
+            th.join();
+    }
+    EXPECT_EQ(phaseCount(before, "parse"), 1u);
+    EXPECT_EQ(phaseCount(before, "capture"), 0u);
+    for (const auto &r : got) {
+        ASSERT_TRUE(r.reader);
+        EXPECT_FALSE(r.captured);
+        EXPECT_EQ(r.reader, got[0].reader);
+    }
+    replay::TraceStore::dropCache();
+}
 
 TEST(TraceStoreTest, CaptureOnceThenReplayFromDisk)
 {
@@ -1079,51 +1381,53 @@ TEST(TraceStoreTest, CorruptTraceIsRecaptured)
         << why;
 }
 
-TEST(TraceStoreTest, AbandonedWriterLeavesNothingBehind)
+TEST(TraceStoreTest, AbandonedWriteLeavesNothingBehind)
 {
+    // The one point where a capture has bytes on disk before it
+    // finishes: the temp file, when the rename onto the final path
+    // fails (here the path is a directory). The capture throws and
+    // removes its temp file.
     TempDir dir("writer_abandon");
-    const std::string path = dir.file("abandoned.tpt");
-    const Program prog = tinyProgram();
-    {
-        replay::TraceMeta meta;
-        meta.workload = "tiny";
-        replay::TraceWriter writer(path, meta, prog);
-        Emulator emu(prog);
-        writer.append(emu.step());
-        writer.append(emu.step());
-        // No finalize: destructor must clean up the temp file.
-    }
-    EXPECT_FALSE(fs::exists(path));
+    const std::string path = dir.file("taken.tpt");
+    fs::create_directories(path);
+    replay::TraceMeta meta;
+    meta.workload = "tiny";
+    EXPECT_THROW(replay::captureProgramTrace(tinyProgram(), meta, path),
+                 replay::TraceError);
+    EXPECT_TRUE(fs::is_directory(path));
+    EXPECT_TRUE(fs::is_empty(path));
     size_t entries = 0;
     for (const auto &e : fs::directory_iterator(dir.path())) {
         (void)e;
         ++entries;
     }
-    EXPECT_EQ(entries, 0u);
+    EXPECT_EQ(entries, 1u);
 }
 
-TEST(TraceStoreTest, ExceptionBeforeFinalizeLeavesNothingBehind)
+TEST(TraceStoreTest, ExceptionMidCaptureLeavesNothingBehind)
 {
-    // The destructor path under stack unwinding: an exception thrown
-    // anywhere between TraceWriter construction and finalize() (e.g.
-    // an emulator fault inside captureWorkloadTrace) must leave no
-    // file, staged or final.
+    // A store loop that walks one page further each iteration throws
+    // MemoryBudgetError some 12,000 steps into the capture's emulation:
+    // the capture fails with a TraceError naming the budget and leaves
+    // no file, staged or final.
     TempDir dir("writer_throw");
     const std::string path = dir.file("thrown.tpt");
-    const Program prog = tinyProgram();
-    bool caught = false;
+    ProgramBuilder b("pages");
+    const auto top = b.newLabel();
+    b.bind(top);
+    b.addi(3, 3, static_cast<int64_t>(SparseMemory::pageWords));
+    b.st(3, 3, 0);
+    b.jmp(top);
+    replay::TraceMeta meta;
+    meta.programName = "pages";
     try {
-        replay::TraceMeta meta;
-        meta.workload = "tiny";
-        replay::TraceWriter writer(path, meta, prog);
-        Emulator emu(prog);
-        writer.append(emu.step());
-        writer.append(emu.step());
-        throw std::runtime_error("capture failed mid-stream");
-    } catch (const std::runtime_error &) {
-        caught = true;
+        replay::captureProgramTrace(b.finish(), meta, path);
+        ADD_FAILURE() << "capture ran past the page budget";
+    } catch (const replay::TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find("page budget"),
+                  std::string::npos)
+            << e.what();
     }
-    EXPECT_TRUE(caught);
     EXPECT_FALSE(fs::exists(path));
     EXPECT_TRUE(fs::is_empty(dir.path()));
 }
@@ -1209,34 +1513,45 @@ TEST(TraceStoreTest, KilledCaptureLeavesNoTraceFile)
     TempDir dir("store_kill");
     const std::string path = dir.file("killed.tpt");
 
+    int ready[2];
+    ASSERT_EQ(pipe(ready), 0);
     const pid_t pid = fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-        // Child: start a capture and die mid-stream, as a SIGKILL'd
-        // sweep worker would. Nothing is written before finalize(); the
-        // final path must never appear.
-        const Workload w = makeWorkload("compress", 1, 0.25);
+        // Child: capture a loop that never halts, under a cap it would
+        // take hours to reach, as a SIGKILL'd sweep worker would be
+        // mid-capture. Nothing is written before the emulation ends.
+        close(ready[0]);
+        Program spin;
+        spin.name = "spin";
+        spin.code.push_back({Opcode::JMP, 0, 0, 0, 0});
         replay::TraceMeta meta;
-        meta.workload = "compress";
-        replay::TraceWriter writer(path, meta, w.program);
-        Emulator emu(w.program);
-        while (!emu.halted()) {
-            writer.append(emu.step());
-            if (writer.steps() == 5000)
-                raise(SIGKILL);
-        }
+        meta.programName = spin.name;
+        meta.captureCap = uint64_t{1} << 40;
+        const char go = 1;
+        if (write(ready[1], &go, 1) != 1)
+            _exit(1);
+        replay::captureProgramTrace(spin, meta, path);
         _exit(0);   // not reached
     }
+    // Kill and reap the child before any assertion can return.
+    close(ready[1]);
+    char go = 0;
+    const bool started = read(ready[0], &go, 1) == 1;
+    close(ready[0]);
+    usleep(100 * 1000);     // well into the emulation
+    kill(pid, SIGKILL);
     int status = 0;
     ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(started);
     ASSERT_TRUE(WIFSIGNALED(status));
     ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-    // Either no file at the final path (the rename never ran)...
+    // No file at the final path, and no temp file either.
     EXPECT_FALSE(fs::exists(path));
+    EXPECT_TRUE(fs::is_empty(dir.path()));
 
-    // ...and whatever temp debris the kill left behind neither blocks
-    // nor pollutes a fresh capture of the same identity.
+    // A fresh capture of an identity in the same directory succeeds.
     replay::TraceStore store(dir.path());
     auto ensured = store.ensure("compress", 1, 0.25, 2000);
     EXPECT_TRUE(ensured.captured);

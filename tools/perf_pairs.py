@@ -53,7 +53,8 @@ QUARTILES = "statistics.quantiles(method='inclusive')"
 TRACED = (("core.cycles", "{:,.0f}"), ("core.construct_ms", "{:.2f}"),
           ("core.cycle_self_ns", "{:.0f}"), ("workloads.build_s", "{:.3f}"),
           ("workloads.share", "{:.3f}"), ("emulator.share", "{:.3f}"),
-          ("replay.parse_s", "{:.3f}"), ("harness.share", "{:.3f}"))
+          ("replay.capture_s", "{:.3f}"), ("replay.parse_s", "{:.3f}"),
+          ("replay.ensure_hit_ratio", "{:.4f}"), ("harness.share", "{:.3f}"))
 
 
 def quartiles(xs):
@@ -223,7 +224,8 @@ def self_test():
         values = {"core.cycles": cycles, "core.construct_ms": construct,
                   "core.cycle_self_ns": 1116.4, "workloads.build_s": 0.0874,
                   "workloads.share": share, "emulator.share": 0.0123,
-                  "replay.parse_s": 0.0, "harness.share": 0.0091}
+                  "replay.capture_s": 0.0, "replay.parse_s": 0.0,
+                  "replay.ensure_hit_ratio": 0.0, "harness.share": 0.0091}
         return {"failed": 0, "metrics": {k: {"value": v}
                                          for k, v in values.items()}}
 

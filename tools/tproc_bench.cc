@@ -19,8 +19,10 @@
  * unless one is given. Telemetry never changes the report's non-timing
  * fields, so it composes with --check.
  *
- * Exit status: 0 clean; 1 divergence, identity-gate failure, or a
- * failed simulation point; 2 usage error (bad numbers and unwritable
+ * Exit status: 0 clean; 1 divergence, identity-gate failure, a failed
+ * simulation point, or a --check file that cannot be read (its config
+ * integers are range-checked before anything runs, and the error
+ * names the field); 2 usage error (bad numbers and unwritable
  * --metrics-json destinations included — both are checked up front).
  */
 
@@ -49,7 +51,7 @@ usage(std::ostream &os)
        << "  --insts=N             retired-inst limit per run (100000)\n"
        << "  --seed=N              workload seed (1)\n"
        << "  --model=NAME          processor model (base)\n"
-       << "  --reps=N              wall-time reps, best kept (3)\n"
+       << "  --reps=N              wall-time reps (>= 1), best kept (3)\n"
        << "  --index=N             BENCH_<n> sequence number (1)\n"
        << "  --no-verify           skip golden-model verification\n"
        << "  --baseline=FILE       embed FILE's summary as the baseline\n"
@@ -124,7 +126,7 @@ main(int argc, char **argv)
         } else if (cli::parseArg(argv[i], "--model", v)) {
             opts.model = v;
         } else if (cli::parseArg(argv[i], "--reps", v)) {
-            if (!cli::parseInt(v, opts.reps))
+            if (!cli::parseInt(v, opts.reps) || opts.reps == 0)
                 return badNumber("--reps", v);
         } else if (cli::parseArg(argv[i], "--index", v)) {
             if (!cli::parseU32(v, opts.benchIndex))

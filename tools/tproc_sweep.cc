@@ -55,9 +55,10 @@
  * Defaults: all eight workloads, models base + FG+MLB-RET, 400000
  * instructions, seed 1, hardware-concurrency threads, progress on.
  * Exit status is the number of failed points (capped at 125); 126
- * flags a usage or artifact error, except an unwritable --metrics-json
- * destination which exits 2 (checked up front, matching tproc-bench's
- * usage convention — see docs/cli.md).
+ * flags a usage or artifact error, except an unwritable --json or
+ * --metrics-json destination, which exits 2 before any point runs
+ * (checked up front, matching tproc-bench's usage convention — see
+ * docs/cli.md).
  */
 
 #include <algorithm>
@@ -354,9 +355,15 @@ main(int argc, char **argv)
         }
     }
 
-    // An unwritable telemetry destination is a usage error up front
-    // (exit 2, the metrics-emitting convention shared with tproc-bench
-    // — docs/cli.md), not a lost-results fopen error after the sweep.
+    // An unwritable result or telemetry destination is a usage error
+    // up front (exit 2, the convention shared with tproc-bench —
+    // docs/cli.md), not a lost-results error after the sweep.
+    if (!json_path.empty() && !cli::checkWritable(json_path)) {
+        std::cerr << "tproc-sweep: cannot write --json path '" << json_path
+                  << "'\n";
+        usage(std::cerr);
+        return 2;
+    }
     if (!metrics_path.empty()) {
         if (!cli::checkWritable(metrics_path)) {
             std::cerr << "tproc-sweep: cannot write --metrics-json path '"

@@ -12,7 +12,10 @@
  * `record` captures the architectural execution of a named workload
  * (the program plus the digest chain of its execution) into a trace
  * file; with --dir the file lands under the TraceStore naming scheme
- * the sweep harness's --trace-dir mode looks up. `info` prints a
+ * the sweep harness's --trace-dir mode looks up. The capture is its
+ * own verification (it emulates the program it decodes from the
+ * file's PROGZ), so `record` emulates each workload once and never
+ * parses the file it wrote. `info` prints a
  * parsed trace's metadata. `verify` checks every chunk checksum and
  * END's digest and re-emulates the program against the digest chain;
  * its exit status is the number of files that failed (capped at 125),
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -116,26 +120,27 @@ recordMain(int argc, char **argv)
         all ? workloadNames() : std::vector<std::string>{workload};
     for (const auto &name : names) {
         try {
-            replay::CaptureResult r;
+            std::string path = out_path;
+            std::shared_ptr<const replay::TraceReader> reader;
             if (!dir.empty()) {
                 replay::TraceStore store(dir);
                 auto ensured = store.ensure(name, seed, scale, insts);
-                r.path = store.tracePath(name, seed, scale, insts);
-                r.steps = ensured.reader->info().totalSteps;
-                r.halted = ensured.reader->info().cleanHalt;
+                path = store.tracePath(name, seed, scale, insts);
+                reader = ensured.reader;
                 if (!ensured.captured) {
                     std::cerr << name << ": valid trace already at "
-                              << r.path << " (" << r.steps
+                              << path << " (" << reader->info().totalSteps
                               << " steps), kept\n";
                     continue;
                 }
             } else {
-                r = replay::captureWorkloadTrace(name, seed, scale,
-                                                insts, out_path);
+                reader = replay::captureWorkloadTrace(name, seed, scale,
+                                                      insts, path);
             }
-            std::cerr << name << ": recorded " << r.steps
-                      << " steps to " << r.path
-                      << (r.halted ? " (ran to HALT)" : " (hit cap)")
+            std::cerr << name << ": recorded "
+                      << reader->info().totalSteps << " steps to " << path
+                      << (reader->info().cleanHalt ? " (ran to HALT)"
+                                                   : " (hit cap)")
                       << '\n';
         } catch (const std::exception &e) {
             std::cerr << "tproc-trace record: " << name << ": "
