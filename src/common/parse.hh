@@ -51,17 +51,6 @@ parseU32(const std::string &v, unsigned &out)
     return true;
 }
 
-/** Strict decimal parse into a non-negative int. */
-inline bool
-parseInt(const std::string &v, int &out)
-{
-    uint64_t x;
-    if (!parseU64(v, x) || x > 0x7fffffffULL)
-        return false;
-    out = static_cast<int>(x);
-    return true;
-}
-
 /**
  * Environment-variable override: leaves `out` untouched when `name`
  * is unset, parses strictly when set. @return false only when the

@@ -8,59 +8,10 @@
 #include <cstring>
 #include <ostream>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace tproc
 {
-
-void
-StatGroup::add(const std::string &stat_name, const uint64_t *counter)
-{
-    entries.push_back({stat_name, name + '.' + stat_name, counter,
-                       nullptr});
-}
-
-void
-StatGroup::add(const std::string &stat_name, const double *counter)
-{
-    entries.push_back({stat_name, name + '.' + stat_name, nullptr,
-                       counter});
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &e : entries) {
-        os << e.fullName << ' ';
-        if (e.u64)
-            os << *e.u64;
-        else
-            os << *e.f64;
-        os << '\n';
-    }
-}
-
-void
-StatGroup::snapshot(StatDict &into) const
-{
-    // fullName is composed once at add() time, so repeated snapshots
-    // do not re-concatenate (and re-allocate) the qualified names.
-    for (const auto &e : entries) {
-        double v = e.u64 ? static_cast<double>(*e.u64) : *e.f64;
-        into.set(e.fullName, v);
-    }
-}
-
-StatDict::Counter
-StatDict::counter(std::string_view name)
-{
-    std::string key(name);
-    auto it = index.find(key);
-    if (it != index.end())
-        return Counter(this, it->second);
-    index.emplace(std::move(key), order.size());
-    order.push_back({std::string(name), 0.0});
-    return Counter(this, order.size() - 1);
-}
 
 void
 StatDict::set(const std::string &name, double value)
@@ -255,25 +206,11 @@ JsonValue::at(const std::string &key) const
     return *v;
 }
 
-double
-JsonValue::numberOr(const std::string &key, double dflt) const
-{
-    const JsonValue *v = find(key);
-    return v && v->k == Kind::Number ? v->numVal : dflt;
-}
-
 std::string
 JsonValue::stringOr(const std::string &key, const std::string &dflt) const
 {
     const JsonValue *v = find(key);
     return v && v->k == Kind::String ? v->strVal : dflt;
-}
-
-bool
-JsonValue::boolOr(const std::string &key, bool dflt) const
-{
-    const JsonValue *v = find(key);
-    return v && v->k == Kind::Bool ? v->boolVal : dflt;
 }
 
 JsonValue
@@ -448,9 +385,17 @@ class JsonParser
             ++pos;
             return obj;
         }
+        // A repeated key would be read as its first copy by find() and
+        // as its last by statDictFromJson(); no writer emits one.
+        std::unordered_set<std::string> keys;
         for (;;) {
             skipSpace();
+            const size_t key_at = pos;
             std::string key = parseString();
+            if (!keys.insert(key).second) {
+                pos = key_at;
+                fail("repeated key '" + key + "'");
+            }
             skipSpace();
             expect(':');
             obj.set(std::move(key), parseValue());

@@ -1,7 +1,8 @@
 /**
  * @file
- * Lightweight statistics helpers: named scalar counters grouped per
- * component, plus table-formatting utilities used by the bench drivers.
+ * Lightweight statistics helpers: the mergeable StatDict of named
+ * counters, a minimal JSON reader and writer for the documents the
+ * tools exchange, and the table formatting the paper driver prints.
  */
 
 #ifndef TPROC_COMMON_STATS_HH
@@ -11,7 +12,6 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -37,56 +37,6 @@ struct Stat
 class StatDict
 {
   public:
-    /**
-     * A typed handle to one counter, resolved once and bumped many
-     * times without re-hashing the name. Handles are stable across
-     * further insertions (they hold an index, not a pointer), but are
-     * invalidated if the owning dict is destroyed or moved — resolve
-     * them once at construction of the component that bumps them.
-     */
-    class Counter
-    {
-      public:
-        Counter() = default;
-
-        double
-        operator+=(double delta)
-        {
-            return d->order[idx].value += delta;
-        }
-
-        Counter &
-        operator++()
-        {
-            d->order[idx].value += 1.0;
-            return *this;
-        }
-
-        double
-        operator=(double value)
-        {
-            return d->order[idx].value = value;
-        }
-
-        double value() const { return d->order[idx].value; }
-        const std::string &name() const { return d->order[idx].name; }
-        bool valid() const { return d != nullptr; }
-
-      private:
-        friend class StatDict;
-        Counter(StatDict *d_, size_t idx_) : d(d_), idx(idx_) {}
-
-        StatDict *d = nullptr;
-        size_t idx = 0;
-    };
-
-    /**
-     * Resolve (creating at zero if absent) a counter handle. The name
-     * is hashed exactly once here; all subsequent bumps through the
-     * handle are a single indexed add.
-     */
-    Counter counter(std::string_view name);
-
     /** Set (or overwrite) a value. */
     void set(const std::string &name, double value);
 
@@ -126,7 +76,7 @@ std::string jsonNumber(double v);
 
 /**
  * Minimal JSON document: just enough to read the documents this
- * codebase writes (sweep results, BENCH reports, golden snapshots,
+ * codebase writes (sweep results, paper documents, golden snapshots,
  * telemetry) back in. Objects preserve key order so a parse/serialize
  * round trip of a StatDict is bit-identical. Accessors throw
  * std::runtime_error on a kind mismatch so malformed artifacts surface
@@ -156,11 +106,9 @@ class JsonValue
     /** Object member by key; throws std::runtime_error if absent. */
     const JsonValue &at(const std::string &key) const;
 
-    /** Convenience: member as number/string/bool with a default. */
-    double numberOr(const std::string &key, double dflt) const;
+    /** Member as a string; dflt if absent or not a string. */
     std::string stringOr(const std::string &key,
                          const std::string &dflt) const;
-    bool boolOr(const std::string &key, bool dflt) const;
 
     static JsonValue makeNull() { return JsonValue(); }
     static JsonValue makeBool(bool v);
@@ -212,47 +160,13 @@ uint64_t checkedU64(double v, const char *what);
  * Serialize a JsonValue as pretty-printed JSON: 2-space indentation,
  * object keys in insertion order, numbers via jsonNumber. parseJson of
  * the output reproduces the value exactly, so write/parse/write is
- * bit-stable — the property the BENCH_<n>.json trajectory check relies
- * on. @param indent base indentation of the value itself.
+ * bit-stable and two runs' explorer reports compare byte for byte.
+ * @param indent base indentation of the value itself.
  */
 void writeJson(std::ostream &os, const JsonValue &v, int indent = 0);
 
 /**
- * A group of related statistics with pretty-printing. Components embed a
- * StatGroup and register references to their counters for reporting.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name_) : name(std::move(name_)) {}
-
-    /** Register a counter for reporting; returns its index. */
-    void add(const std::string &stat_name, const uint64_t *counter);
-    void add(const std::string &stat_name, const double *counter);
-
-    /** Write "group.stat value" lines to os. */
-    void dump(std::ostream &os) const;
-
-    /** Copy current counter values into a dict as "group.stat" keys. */
-    void snapshot(StatDict &into) const;
-
-    const std::string &groupName() const { return name; }
-
-  private:
-    struct Entry
-    {
-        std::string name;
-        std::string fullName;   //!< "group.stat", composed once at add()
-        const uint64_t *u64 = nullptr;
-        const double *f64 = nullptr;
-    };
-
-    std::string name;
-    std::vector<Entry> entries;
-};
-
-/**
- * Fixed-width text table builder for the bench drivers; reproduces the
+ * Fixed-width text table builder for the paper driver; reproduces the
  * paper's tables as aligned ASCII.
  */
 class TextTable

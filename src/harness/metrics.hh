@@ -1,14 +1,14 @@
 /**
  * @file
  * The tproc-metrics-v1 telemetry document: per-point interval series
- * plus process-wide phase timings, emitted by the --metrics-json flag
- * of tproc-sweep and tproc-bench.
+ * plus process-wide phase timings, emitted by tproc-sweep's
+ * --metrics-json flag.
  *
  * docs/metrics.md is the normative schema reference; this header and
- * that document must change together. The design rule mirrors the
- * bench report's timing/identity split: everything under "points" is
- * deterministic (derived from simulation counters, reproducible run to
- * run), everything under "phases" is wall-clock and host-dependent.
+ * that document must change together. The design rule splits identity
+ * from timing: everything under "points" is deterministic (derived
+ * from simulation counters, reproducible run to run), everything under
+ * "phases" is wall-clock and host-dependent.
  * Nothing in this module feeds back into simulation state, so emitting
  * a metrics document never perturbs any statistic.
  */

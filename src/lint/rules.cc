@@ -210,7 +210,7 @@ ruleNoRawParse(const LexedFile &f,
              "raw numeric parse '" + std::string(t->text) +
                  "' silently truncates or accepts trailing junk; use "
                  "the strict parsers in src/common/parse.hh "
-                 "(tproc::parseU64/parseU32/parseInt)");
+                 "(tproc::parseU64/parseU32)");
     }
 }
 

@@ -114,10 +114,16 @@ lzDecompress(const char *data, size_t n, size_t plain_len)
             if (len > plain_len - out.size())
                 throw TraceError("compressed block: match overruns "
                                  "plaintext length");
-            // Byte-at-a-time so dist < len overlap replicates (RLE).
-            size_t from = out.size() - static_cast<size_t>(dist);
-            for (uint64_t i = 0; i < len; ++i)
-                out.push_back(out[from + static_cast<size_t>(i)]);
+            // Whole-period pieces: a match closer than its length
+            // repeats its last dist bytes (a run when dist is 1), and
+            // no piece reads past the bytes already out, so each one
+            // doubles the stretch the next can copy.
+            const size_t from = out.size() - static_cast<size_t>(dist);
+            for (size_t left = static_cast<size_t>(len); left > 0;) {
+                const size_t piece = std::min(left, out.size() - from);
+                out.append(out, from, piece);
+                left -= piece;
+            }
         }
     }
     if (!c.atEnd())

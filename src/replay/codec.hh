@@ -16,8 +16,9 @@
  *                              raw bytes follow
  *             tag bit 0 set:   match of (tag >> 1) + minMatchLen bytes
  *                              at varint(distance) bytes back (>= 1;
- *                              distance < length copies overlap,
- *                              byte-at-a-time — that is the RLE case)
+ *                              distance < length copies overlap:
+ *                              byte i repeats byte i - distance —
+ *                              that is the RLE case)
  *
  * Every decoder error (token overruns the block, bad distance, stream
  * ends early or late) throws TraceError; the caller layers a plaintext

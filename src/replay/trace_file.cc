@@ -42,14 +42,6 @@ bitsDouble(uint64_t bits)
     return v;
 }
 
-/**
- * Decoded PROGZ plaintext may legitimately dwarf its compressed bytes
- * (the codec's RLE path), but a corrupt or malicious file must not
- * drive huge allocations. 256 MiB is orders of magnitude past any
- * program the generators build.
- */
-constexpr uint64_t maxPlainTraceBytes = uint64_t{1} << 28;
-
 /** Upfront reserve cap for counts read from (possibly lying) chunk
  *  payloads; vectors grow geometrically past it only as real decoded
  *  data materializes. */
@@ -311,8 +303,12 @@ TraceReader::decodeProgz(ByteCursor z)
     const uint8_t codec = z.u8();
     const uint64_t plain_len = z.varint();
     const uint64_t plain_fnv = z.u64();
-    if (plain_len > maxPlainTraceBytes)
-        throw TraceError("PROGZ claims an implausible plaintext size");
+    if (plain_len > maxPlainTraceBytes) {
+        throw TraceError("PROGZ claims an implausible plaintext size of " +
+                         std::to_string(plain_len) + " bytes (the budgets "
+                         "admit " + std::to_string(maxPlainTraceBytes) +
+                         ")");
+    }
     const size_t comp_len = z.remaining();
     const std::string plain =
         codecDecompress(codec, z.take(comp_len), comp_len,

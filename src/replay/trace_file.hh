@@ -66,6 +66,7 @@
 #include <string>
 #include <vector>
 
+#include "emulator/emulator.hh"
 #include "program/program.hh"
 #include "replay/trace_format.hh"
 
@@ -113,6 +114,19 @@ struct TraceInfo
  * largest program the repo builds has under 1,000.
  */
 constexpr uint64_t maxTraceCode = uint64_t{1} << 20;
+
+/**
+ * The longest PROGZ plaintext a program within the code budget and the
+ * data-memory page budget encodes to, with every varint at its longest:
+ * four plane bytes and an imm per instruction, an address delta and a
+ * value per data word, and five counts (entry, code size, imm stream
+ * length, data count, address stream length). About 57 MB. A PROGZ
+ * chunk that claims more is refused before it is decompressed.
+ */
+constexpr uint64_t maxPlainTraceBytes =
+    maxTraceCode * (4 + maxVarintBytes) +
+    SparseMemory::maxPages * SparseMemory::pageWords * 2 * maxVarintBytes +
+    5 * maxVarintBytes;
 
 /**
  * The parsed, verified, immutable form of a trace file. The

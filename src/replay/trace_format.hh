@@ -83,6 +83,9 @@ putU64(std::string &out, uint64_t v)
 
 /** @name Varints (LEB128) and zigzag signed mapping. */
 /// @{
+/** The longest varint ByteCursor::varint() reads: 7 bits a byte, 64. */
+constexpr uint64_t maxVarintBytes = 10;
+
 inline void
 putVarint(std::string &out, uint64_t v)
 {

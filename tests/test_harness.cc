@@ -57,29 +57,6 @@ TEST(StatDict, EqualityIsOrderSensitiveAndExact)
     EXPECT_NE(a, b);
 }
 
-TEST(StatDict, StatGroupSnapshot)
-{
-    uint64_t hits = 7;
-    double rate = 0.5;
-    StatGroup g("cache");
-    g.add("hits", &hits);
-    g.add("rate", &rate);
-
-    StatDict d;
-    g.snapshot(d);
-    EXPECT_EQ(d.get("cache.hits"), 7);
-    EXPECT_EQ(d.get("cache.rate"), 0.5);
-
-    // Snapshots are point-in-time copies that merge like any dict.
-    hits = 10;
-    g.snapshot(d);
-    EXPECT_EQ(d.get("cache.hits"), 10);
-    StatDict other;
-    other.set("cache.hits", 1);
-    d.merge(other);
-    EXPECT_EQ(d.get("cache.hits"), 11);
-}
-
 TEST(StatDict, JsonExport)
 {
     StatDict d;
@@ -113,11 +90,17 @@ TEST(Json, ParsesScalarsArraysObjects)
     EXPECT_FALSE(v.at("f").asBool());
     EXPECT_TRUE(v.at("n").isNull());
     EXPECT_EQ(v.at("o").at("k").asNumber(), 7);
-    EXPECT_EQ(v.numberOr("absent", -1), -1);
     EXPECT_EQ(v.stringOr("absent", "d"), "d");
     EXPECT_EQ(v.find("absent"), nullptr);
     EXPECT_THROW(v.at("absent"), std::runtime_error);
     EXPECT_THROW(v.at("a").asString(), std::runtime_error);
+
+    // Every kind survives the writer: write/parse/write is a fixed
+    // point, which byte comparisons of written documents rely on.
+    std::ostringstream once, twice;
+    writeJson(once, v);
+    writeJson(twice, parseJson(once.str()));
+    EXPECT_EQ(once.str(), twice.str());
 }
 
 TEST(Json, RejectsMalformedInput)
@@ -131,6 +114,23 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(parseJson("{"), std::runtime_error);
     EXPECT_THROW(parseJson("nope"), std::runtime_error);
     EXPECT_EQ(parseJson("{\"x\": 2}").at("x").asNumber(), 2);
+
+    // A repeated key fails at the repeat's offset, at any depth; the
+    // same key in sibling objects is no repeat.
+    const std::pair<const char *, const char *> repeats[] = {
+        {"{\"a\":1,\"a\":2}", "repeated key 'a' at byte 7"},
+        {"{\"o\": {\"k\": 1, \"k\": 2}}", "repeated key 'k' at byte 15"},
+    };
+    for (const auto &[text, want] : repeats) {
+        try {
+            parseJson(text);
+            ADD_FAILURE() << "accepted " << text;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(parseJson("[{\"k\": 1}, {\"k\": 2}]").asArray().size(), 2u);
 }
 
 TEST(Json, StatDictRoundTripIsExact)

@@ -497,6 +497,19 @@ TEST(TraceCodec, ChunkStatsReportCompression)
     EXPECT_EQ(stats[1].type, replay::ChunkType::DGST);
     EXPECT_EQ(stats[1].storedBytes, 8 * reader.info().digests);
     EXPECT_EQ(stats[1].plainBytes, stats[1].storedBytes);
+
+    // The codec shrinks every analog's program at least 3x (jpeg is the
+    // lowest, at about 3.05x). PROGZ holds the program, which does not
+    // depend on how long the capture ran, so a short capture will do.
+    for (const std::string &name : workloadNames()) {
+        const auto analog = replay::captureWorkloadTrace(
+            name, 1, 1.0, 100, dir.file(name + ".tpt"));
+        const replay::ChunkStat &progz = analog->info().chunkStats.at(0);
+        ASSERT_EQ(progz.type, replay::ChunkType::PROGZ) << name;
+        EXPECT_GE(progz.plainBytes, 3 * progz.storedBytes)
+            << name << ": " << progz.plainBytes << " plaintext bytes, "
+            << progz.storedBytes << " stored";
+    }
 }
 
 TEST(ReplayNegative, TruncatedFileRejected)
@@ -677,6 +690,20 @@ TEST(ReplayNegative, ProgzCorruptionsRejectedByName)
     // codec's own bounds checking can catch it).
     expectNamedError(progz([](std::string &p) { p.resize(p.size() - 8); }),
                      "truncated", "trunc");
+    // A plaintext claim one byte over what the budgets admit is refused
+    // before the codec runs: these tokens would not decode. At the cap
+    // itself the codec runs and finds none.
+    const auto claim = [&](uint64_t plain_len) {
+        return progz([plain_len](std::string &p) {
+            p.assign(1, static_cast<char>(replay::CodecId::LZ));
+            replay::putVarint(p, plain_len);
+            replay::putU64(p, 0);
+        });
+    };
+    expectNamedError(claim(replay::maxPlainTraceBytes + 1),
+                     "implausible plaintext size", "over the cap");
+    expectNamedError(claim(replay::maxPlainTraceBytes), "truncated",
+                     "at the cap");
     // The same edit with END left stale: END's digest rejects it before
     // any decoder runs.
     expectNamedError(rewriteChunk(bytes, replay::ChunkType::PROGZ,

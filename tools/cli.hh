@@ -1,7 +1,7 @@
 /**
  * @file
  * Tiny argument helpers shared by the tproc CLIs (tproc-sweep,
- * tproc-trace, tproc-bench).
+ * tproc-trace, tproc-explore, tproc-lint, bench_paper).
  *
  * The numeric parsers are strict by design: "--insts=abc" or
  * "--seed=1x" must be a usage error, never a silent zero (the strtoull
@@ -28,7 +28,6 @@ namespace tproc::cli
 
 using tproc::parseU64;
 using tproc::parseU32;
-using tproc::parseInt;
 
 /** Match "--key=value"; on success value receives everything after
  *  the '='. */

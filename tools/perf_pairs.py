@@ -6,6 +6,7 @@ Usage (from any directory):
     python3 tools/perf_pairs.py --parent DIR --change DIR \\
         --workload ci-stress --seed 1 [--pairs 10] [--seconds 30] \\
         [--log FILE] [--trace]
+    python3 tools/perf_pairs.py --snapshot BENCH_<n>.json [--seconds 30]
     python3 tools/perf_pairs.py --self-test
 
 Runs `python3 perfbench/run.py --workload W --seed S --seconds N
@@ -35,12 +36,21 @@ traced run reports the simulated cycle count per set (`core.cycles`),
 which a change that keeps statistics identical cannot move, so the
 tool also exits 1 when two runs' `core.cycles` differ.
 
-Exits 1 when any run fails or the digest blocks differ, 2 on usage.
-Standard library only.
+With --snapshot FILE it measures the tree that holds this script
+instead, for a BENCH_<n>.json trajectory point: SNAPSHOT_RUNS runs of
+every workload at each of SNAPSHOT_SEEDS, round-robin, then one traced
+run per workload at seed 1 (about 20 minutes at 30 s a run). FILE gets
+each (workload, seed)'s median, quartiles, min and max of the five
+end-to-end metrics (END_TO_END), its failed count and its digest
+lines, and each traced run's per-layer metrics, host.speed included.
+
+Exits 1 when any run fails or the digest blocks differ (a snapshot
+then writes no file), 2 on usage. Standard library only.
 """
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -49,6 +59,12 @@ from pathlib import Path
 
 DIGEST = re.compile(r"^  [0-9a-f]{16}  ")
 QUARTILES = "statistics.quantiles(method='inclusive')"
+WORKLOADS = ("analog-live", "ci-stress", "fig10-replay")
+END_TO_END = ("sim_kips", "sim_kcps", "setup_s", "peak_rss_mb",
+              "fig10_gain_err_pp")
+# The pair rule's seed and its held-out seed; runs per (workload, seed).
+SNAPSHOT_SEEDS = (1, 7919)
+SNAPSHOT_RUNS = 5
 # Layer metrics of the traced table, with the format of one value.
 TRACED = (("core.cycles", "{:,.0f}"), ("core.construct_ms", "{:.2f}"),
           ("core.cycle_self_ns", "{:.0f}"), ("workloads.build_s", "{:.3f}"),
@@ -187,13 +203,72 @@ def campaign(opt):
     return 0 if ok and same else 1
 
 
+def snapshot_doc(runs, traced, seconds):
+    """(document, problems) for runs = {(workload, seed): [(final JSON,
+    digest lines), ...]} and traced = {workload: traced final JSON}."""
+    rows, problems = [], []
+    for (workload, seed), got in runs.items():
+        if len({tuple(dig) for _, dig in got}) != 1:
+            problems.append("%s seed %d: digest blocks differ between runs"
+                            % (workload, seed))
+        stats = {}
+        for name in END_TO_END:
+            xs = [metric(r, name) for r, _ in got]
+            q1, med, q3 = quartiles(xs)
+            stats[name] = {"unit": got[0][0]["metrics"][name]["unit"],
+                           "median": med, "q1": q1, "q3": q3,
+                           "min": min(xs), "max": max(xs)}
+        rows.append({"workload": workload, "seed": seed, "runs": len(got),
+                     "failed": sum(r["failed"] for r, _ in got),
+                     "metrics": stats, "digests": list(got[0][1])})
+    doc = {"schema": "perfbench-snapshot-v1", "seconds": seconds,
+           "quartiles": QUARTILES, "runs": rows,
+           "traced": [{"workload": w, "seed": SNAPSHOT_SEEDS[0],
+                       "metrics": r["metrics"]} for w, r in traced.items()]}
+    return doc, problems
+
+
+def snapshot(opt):
+    tree = Path(__file__).resolve().parent.parent
+    runs, traced = {}, {}
+    plan = [(k, w, s, False) for k in range(SNAPSHOT_RUNS)
+            for s in SNAPSHOT_SEEDS for w in WORKLOADS]
+    plan += [(0, w, SNAPSHOT_SEEDS[0], True) for w in WORKLOADS]
+    for k, workload, seed, trace in plan:
+        final, dig, good = run_once(tree, workload, seed, opt.seconds,
+                                    trace)
+        what = "%s seed %d %s" % (workload, seed,
+                                  "traced" if trace else "run %d" % (k + 1))
+        if not good:
+            print("%s: run failed" % what, file=sys.stderr)
+            return 1
+        if trace:
+            traced[workload] = final
+        else:
+            runs.setdefault((workload, seed), []).append((final, dig))
+        shown = "core.cycles" if trace else "sim_kips"
+        print("%s: %s %.0f" % (what, shown, metric(final, shown)),
+              file=sys.stderr)
+    doc, problems = snapshot_doc(runs, traced, opt.seconds)
+    for p in problems:
+        print(p, file=sys.stderr)
+    if problems:
+        return 1
+    with open(opt.snapshot, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+    print("wrote %s" % opt.snapshot, file=sys.stderr)
+    return 0
+
+
 def self_test():
     """Check the arithmetic and the row format on a canned sample."""
     def run(kips, kcps, setup, rss, failed=0):
+        values = (kips, kcps, setup, rss, 10.70725)
+        units = ("kips", "kcps", "s", "MB", "pp")
         return {"failed": failed, "metrics": {
-            "sim_kips": {"value": kips}, "sim_kcps": {"value": kcps},
-            "setup_s": {"value": setup}, "peak_rss_mb": {"value": rss},
-            "fig10_gain_err_pp": {"value": 10.70725}}}
+            n: {"value": v, "unit": u}
+            for n, v, u in zip(END_TO_END, values, units)}}
 
     # Parent 1..5, change 4, 5, 6, 7, 0.5: the last pair is a loss.
     parent = [1, 2, 3, 4, 5]
@@ -247,6 +322,28 @@ def self_test():
     check("cycles agree", agree, True)
     tpairs[1] = (tpairs[1][0], traced(684215, 0.8, 0.02))
     check("cycles differ", traced_table("ci-stress", tpairs)[1], False)
+
+    # A snapshot of five runs (the parent side above, one of them with
+    # two failed points) and one traced run.
+    digest = ["  0123456789abcdef  compress/base"]
+    runs = {("w", 7): [(p, digest) for p, _ in pairs]}
+    runs[("w", 7)][1] = (run(2, 20, 0.001, 20.0, failed=2), digest)
+    doc, problems = snapshot_doc(runs, {"w": tpairs[0][0]}, 30)
+    row = doc["runs"][0]
+    check("snapshot problems", problems, [])
+    check("snapshot sim_kips", row["metrics"]["sim_kips"],
+          {"unit": "kips", "median": 3.0, "q1": 2.0, "q3": 4.0,
+           "min": 1, "max": 5})
+    check("snapshot setup_s median", row["metrics"]["setup_s"]["median"],
+          0.001)
+    check("snapshot row", (row["workload"], row["seed"], row["runs"],
+                           row["failed"], row["digests"]),
+          ("w", 7, 5, 2, digest))
+    check("snapshot traced", doc["traced"],
+          [{"workload": "w", "seed": 1, "metrics": tpairs[0][0]["metrics"]}])
+    runs[("w", 7)][4] = (pairs[4][0], ["  fedcba9876543210  compress/base"])
+    check("snapshot digests differ", snapshot_doc(runs, {}, 30)[1],
+          ["w seed 7: digest blocks differ between runs"])
     for e in errors:
         print("perf_pairs self-test: " + e, file=sys.stderr)
     print("perf_pairs self-test: %s" % ("FAIL" if errors else "ok"))
@@ -257,23 +354,35 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--change", type=Path)
-    ap.add_argument("--workload",
-                    choices=("analog-live", "ci-stress", "fig10-replay"))
+    ap.add_argument("--workload", choices=WORKLOADS)
     ap.add_argument("--seed", type=int)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=int, help="default 10")
     ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--log", help="JSON-lines log to append to")
     ap.add_argument("--trace", action="store_true",
                     help="run --trace 1 and print the traced table")
+    ap.add_argument("--snapshot", metavar="FILE",
+                    help="measure this tree and write a BENCH_<n>.json")
     ap.add_argument("--self-test", action="store_true",
                     help="check the arithmetic on a canned sample")
     opt = ap.parse_args()
     if opt.self_test:
         return self_test()
+    if opt.seconds < 1:
+        ap.error("--seconds must be >= 1")
+    if opt.snapshot:
+        if opt.trace or any(v is not None for v in (
+                opt.parent, opt.change, opt.workload, opt.seed, opt.pairs,
+                opt.log)):
+            ap.error("--snapshot takes only --seconds")
+        if not os.access(Path(opt.snapshot).resolve().parent, os.W_OK):
+            ap.error("cannot write %s" % opt.snapshot)
+        return snapshot(opt)
     if None in (opt.parent, opt.change, opt.workload, opt.seed):
         ap.error("--parent, --change, --workload and --seed are required")
-    if opt.pairs < 2 or opt.seconds < 1:
-        ap.error("--pairs must be >= 2 and --seconds >= 1")
+    opt.pairs = 10 if opt.pairs is None else opt.pairs
+    if opt.pairs < 2:
+        ap.error("--pairs must be >= 2")
     for tree in (opt.parent, opt.change):
         if not (tree / "perfbench" / "run.py").is_file():
             ap.error("%s has no perfbench/run.py" % tree)

@@ -22,11 +22,11 @@
  * path printed on every captured failure.
  *
  * Exit status: number of failing points (capped at 125); usage errors
- * exit 2 (the tproc-bench convention — every corner input, including
- * degenerate --shard specs and out-of-range counts, is a reported
- * usage error up front, never a downstream assert), and so does a
- * replay store that cannot be created in the temp directory. An
- * unknown --mix lists the valid pattern names.
+ * exit 2 (the convention of docs/cli.md — every corner input,
+ * including degenerate --shard specs and out-of-range counts, is a
+ * reported usage error up front, never a downstream assert), and so
+ * does a replay store that cannot be created in the temp directory.
+ * An unknown --mix lists the valid pattern names.
  */
 
 #include <cstring>

@@ -25,7 +25,7 @@
  *
  * An unknown workload name, generator pattern, or pattern-mix spec is
  * reported with the valid names and exits 2 (the usage convention
- * shared with tproc-bench).
+ * of every tool in docs/cli.md).
  *
  * --threads fans points across engine workers; each simulation runs
  * on one of them, and stats are bit-identical for every worker count.
@@ -57,8 +57,7 @@
  * Exit status is the number of failed points (capped at 125); 126
  * flags a usage or artifact error, except an unwritable --json or
  * --metrics-json destination, which exits 2 before any point runs
- * (checked up front, matching tproc-bench's usage convention — see
- * docs/cli.md).
+ * (checked up front, the usage convention of docs/cli.md).
  */
 
 #include <algorithm>
@@ -356,8 +355,8 @@ main(int argc, char **argv)
     }
 
     // An unwritable result or telemetry destination is a usage error
-    // up front (exit 2, the convention shared with tproc-bench —
-    // docs/cli.md), not a lost-results error after the sweep.
+    // up front (exit 2, the usage convention of docs/cli.md), not a
+    // lost-results error after the sweep.
     if (!json_path.empty() && !cli::checkWritable(json_path)) {
         std::cerr << "tproc-sweep: cannot write --json path '" << json_path
                   << "'\n";
