@@ -13,11 +13,12 @@
  *
  * Exit status: 0 ok; 1 a point failed (all failures are listed, the
  * document is still written, and no table is printed); 2 usage error
- * or an unwritable --json path.
+ * (including --insts below 2) or an unwritable --json path.
  */
 
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "harness/paper.hh"
@@ -32,8 +33,8 @@ void
 usage(std::ostream &os)
 {
     os << "usage: bench_paper [flags]\n"
-       << "  --insts=N     instructions per point; the ablations run\n"
-       << "                N/2 (400000)\n"
+       << "  --insts=N     instructions per point, at least 2; the\n"
+       << "                ablations run N/2 (400000)\n"
        << "  --seed=N      workload generation seed (1)\n"
        << "  --threads=N   sweep worker threads, 0 = hw concurrency (0)\n"
        << "  --json=FILE   write the tproc-paper-v1 document\n"
@@ -83,7 +84,12 @@ main(int argc, char **argv)
         }
     }
 
-    const harness::PaperResult result = harness::runPaper(insts, seed, engine);
+    harness::PaperResult result;
+    try {
+        result = harness::runPaper(insts, seed, engine);
+    } catch (const std::invalid_argument &e) {
+        return usageError(e.what());
+    }
     if (!json.empty()) {
         std::ofstream out(json);
         harness::writePaperJson(out, result);

@@ -4,9 +4,9 @@
  * registry behind the `phases` block of tproc-metrics-v1 documents.
  *
  * Phase seconds are *timing* facts: host- and load-dependent, never
- * part of any identity or golden comparison (the same split the bench
- * report makes between timing and non-timing fields — see
- * docs/metrics.md). The registry exists purely for operational
+ * part of any identity or golden comparison (a metrics document keeps
+ * them in its `phases` block, apart from the deterministic series —
+ * see docs/metrics.md). The registry exists purely for operational
  * attribution: where did this sweep's wall clock go — capture, parse,
  * simulate, merge, or the sampled cycle loop?
  */

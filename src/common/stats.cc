@@ -507,6 +507,10 @@ class JsonParser
         double v = std::strtod(num.c_str(), &end);
         if (!end || *end != '\0')
             fail("bad number '" + num + "'");
+        // jsonNumber cannot write an infinity back as JSON, so a
+        // literal beyond double's range is damage, not a value.
+        if (!std::isfinite(v))
+            fail("number out of range '" + num + "'");
         return JsonValue::makeNumber(v);
     }
 
@@ -530,20 +534,6 @@ statDictFromJson(const JsonValue &v)
     for (const auto &kv : v.asObject())
         d.set(kv.first, kv.second.asNumber());
     return d;
-}
-
-uint64_t
-checkedU64(double v, const char *what)
-{
-    // UINT64_MAX (a point's "no limit") prints as 18446744073709551615,
-    // which rounds to 2^64 as a double.
-    constexpr double two64 = 18446744073709551616.0;
-    if (!(v >= 0.0) || v > two64 || v != std::floor(v)) {
-        throw std::runtime_error(std::string("'") + what + "' is " +
-                                 jsonNumber(v) +
-                                 ", not an unsigned 64-bit integer");
-    }
-    return v == two64 ? UINT64_MAX : static_cast<uint64_t>(v);
 }
 
 void

@@ -148,15 +148,6 @@ JsonValue parseJson(const std::string &text);
 StatDict statDictFromJson(const JsonValue &v);
 
 /**
- * An integer field read from a JSON document. Writers print uint64_t
- * values, which parse to doubles; anything negative, fractional,
- * non-finite or beyond 64 bits is a damaged document, not a value to
- * cast (the cast is undefined out of range). Throws std::runtime_error
- * naming the field (what).
- */
-uint64_t checkedU64(double v, const char *what);
-
-/**
  * Serialize a JsonValue as pretty-printed JSON: 2-space indentation,
  * object keys in insertion order, numbers via jsonNumber. parseJson of
  * the output reproduces the value exactly, so write/parse/write is

@@ -102,7 +102,7 @@ struct ProcessorConfig
     /** Workload/seed identity stamped onto watchdog errors so harness
      *  fault isolation can attribute a stalled point without parsing
      *  (observability only — never affects the simulation and is not
-     *  serialized anywhere). Processor::setIdentity overrides it. */
+     *  serialized anywhere). */
     std::string identity;
 
     /**

@@ -76,7 +76,7 @@ namespace tproc
  * harnesses (sweep fault isolation, the explorer) get the machine
  * state as structured fields rather than a formatted string to regex:
  * the firing cycle, the stall length, the window occupancy, and the
- * workload/seed identity the harness stamped via Processor::setIdentity.
+ * workload/seed identity the harness set in ProcessorConfig::identity.
  * Outside a capture it degrades to the usual panic/abort.
  */
 struct WatchdogError : SimError
@@ -193,10 +193,6 @@ class Processor
 
     /** Window occupancy (diagnostics / tests). */
     size_t windowSize() const { return window.size(); }
-
-    /** Stamp a workload/seed identity onto watchdog errors (harness
-     *  use; has no effect on the simulation itself). */
-    void setIdentity(std::string id) { identity = std::move(id); }
 
     /** Check internal invariants (tests call this liberally). */
     void checkInvariants() const;

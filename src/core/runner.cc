@@ -28,12 +28,9 @@ runConfig(const Program &prog, const ProcessorConfig &cfg,
     if (const IntervalSeries *series = p.metricsSeries()) {
         // The cycle-loop time accumulates lock-free inside the
         // processor; fold it into the global registry once per run.
-        const double cycle = p.metricsCycleSeconds();
-        PhaseTimers::global().add("cycle_loop", cycle);
-        if (metrics_out) {
+        PhaseTimers::global().add("cycle_loop", p.metricsCycleSeconds());
+        if (metrics_out)
             metrics_out->series = *series;
-            metrics_out->cycleSeconds = cycle;
-        }
     }
     return stats;
 }

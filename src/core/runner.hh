@@ -28,13 +28,12 @@ ProcessorStats runModel(const Program &prog, std::string_view model,
 /**
  * Telemetry carried out of one runConfig call when the configuration
  * enables windowed sampling (cfg.metricsInterval > 0): the interval
- * series plus the wall time of the cycle loop. Pure observation —
- * requesting it never changes ProcessorStats (docs/metrics.md).
+ * series. Pure observation — requesting it never changes
+ * ProcessorStats (docs/metrics.md).
  */
 struct RunMetrics
 {
     IntervalSeries series;
-    double cycleSeconds = 0.0;   //!< wall time of the cycle loop
 };
 
 /**

@@ -231,18 +231,11 @@ runExplore(const ExploreOptions &opts)
     // Fail on a bad mix up front, not at point 0 inside fault capture.
     parsePatternMix(opts.mix);
 
-    // The shard's slice of the index grid (same striding rule as
-    // shardPoints: index % count == shard), or the single repro index.
+    // The whole index grid, or the single repro index.
     std::vector<uint64_t> indices;
     for (uint64_t i = 0; i < opts.shapes; ++i) {
-        if (opts.onlyPoint >= 0) {
-            if (static_cast<uint64_t>(opts.onlyPoint) == i)
-                indices.push_back(i);
-            continue;
-        }
-        if (opts.shardCount && i % opts.shardCount != opts.shard)
-            continue;
-        indices.push_back(i);
+        if (opts.onlyPoint < 0 || static_cast<uint64_t>(opts.onlyPoint) == i)
+            indices.push_back(i);
     }
 
     // Two oracle runs per shape, one flat batch through the engine.
@@ -412,11 +405,6 @@ writeExploreReport(std::ostream &os, const ExploreReport &report,
     doc.set("metrics_interval",
             JsonValue::makeNumber(
                 static_cast<double>(opts.metricsInterval)));
-    if (opts.shardCount) {
-        doc.set("shard", JsonValue::makeString(
-                             std::to_string(opts.shard) + "/" +
-                             std::to_string(opts.shardCount)));
-    }
 
     JsonValue space = JsonValue::makeObject();
     space.set("numPEs", rangeToJson(opts.space.numPEs));

@@ -132,7 +132,7 @@ struct ExploreOptions
     /** Knob ranges to sample from. */
     ShapeSpace space;
 
-    /** Total shapes in the (unsharded) campaign grid. */
+    /** Total shapes in the campaign grid. */
     uint64_t shapes = 500;
 
     /** Seed for shape sampling and workload data. */
@@ -150,11 +150,6 @@ struct ExploreOptions
     /** SweepEngine worker threads (0 = hardware concurrency). The
      *  report is bit-identical for every value. */
     unsigned threads = 0;
-
-    /** Run only the stable 1/shardCount slice owned by shard
-     *  (index % shardCount == shard); 0 count = unsharded. */
-    unsigned shard = 0;
-    unsigned shardCount = 0;
 
     /** Run exactly one index (the --point=I repro path); -1 = all. */
     int64_t onlyPoint = -1;
@@ -217,7 +212,7 @@ struct ExploreReport
     uint64_t pointsRun = 0;     //!< points this invocation ran
     uint64_t failures = 0;      //!< oracle failures (incl. divergences)
     uint64_t divergences = 0;   //!< thread/replay divergences only
-    /** Points in index order (the shard's slice when sharded). */
+    /** Points in index order. */
     std::vector<ExplorePoint> points;
     /** Point indices ranked most-interesting-first: failures, then
      *  descending cliff score, index as the deterministic tie-break. */

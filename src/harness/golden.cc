@@ -59,6 +59,16 @@ diffStatDicts(const StatDict &expected, const StatDict &actual)
     return drift;
 }
 
+std::string
+describeDrift(const GoldenDrift &d)
+{
+    auto value = [](bool present, double v) {
+        return present ? jsonNumber(v) : std::string("<absent>");
+    };
+    return d.key + ": golden " + value(d.inExpected, d.expected) +
+        ", got " + value(d.inActual, d.actual);
+}
+
 void
 writeGoldenFile(const std::string &path, const StatDict &stats)
 {

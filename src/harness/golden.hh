@@ -45,6 +45,10 @@ struct GoldenDrift
 std::vector<GoldenDrift> diffStatDicts(const StatDict &expected,
                                        const StatDict &actual);
 
+/** One drift as "key: golden X, got Y" (<absent> for a missing
+ *  side). */
+std::string describeDrift(const GoldenDrift &d);
+
 /** Write one snapshot (a bare StatDict JSON object + newline). Throws
  *  std::runtime_error on I/O failure. */
 void writeGoldenFile(const std::string &path, const StatDict &stats);

@@ -18,7 +18,7 @@ buildMetricsDoc(uint64_t interval,
             JsonValue::makeNumber(static_cast<double>(interval)));
 
     // Points sort by grid index so the array is byte-stable no matter
-    // which worker (or shard) produced each result.
+    // which worker produced each result.
     std::vector<const SweepResult *> ordered;
     ordered.reserve(results.size());
     for (const auto &r : results) {

@@ -48,7 +48,9 @@ JsonValue buildMetricsDoc(uint64_t interval,
  * Validate the invariants every tproc-metrics-v1 document satisfies
  * (schema tag, interval/series consistency, channel names, row
  * widths). Returns an empty string when valid, else a description of
- * the first violation. CI runs this against emitted artifacts.
+ * the first violation. test_metrics runs this against emitted
+ * documents; CI's smoke job checks the shipped CLI's document with
+ * its own Python check.
  */
 std::string checkMetricsDoc(const JsonValue &doc);
 

@@ -479,6 +479,13 @@ writeClass(std::ostream &os, const char *name, const BranchClassStats &c)
 std::vector<SweepPoint>
 paperPoints(uint64_t insts, uint64_t seed)
 {
+    // Below 2 the ablation points run insts / 2 = 0 instructions, and
+    // every gain the tables print is 0/0.
+    if (insts < 2) {
+        throw std::invalid_argument(
+            "insts is " + std::to_string(insts) +
+            "; the paper run needs at least 2 (its ablations run insts / 2)");
+    }
     std::vector<SweepPoint> points;
     std::set<PointKey> seen;
     auto add = [&](SweepPoint p) {
@@ -511,6 +518,8 @@ runPaper(uint64_t insts, uint64_t seed, const SweepEngine::Options &opts)
     PaperResult r;
     r.insts = insts;
     r.seed = seed;
+    // Built first, so a bad insts throws before any work starts.
+    const std::vector<SweepPoint> points = paperPoints(insts, seed);
     // The functional studies (Table 2 emulates every analog to
     // completion) share nothing with the sweep, so they run on their
     // own thread alongside it. A std::async future blocks in its
@@ -527,7 +536,7 @@ runPaper(uint64_t insts, uint64_t seed, const SweepEngine::Options &opts)
         }
         return t;
     });
-    r.points = SweepEngine(opts).run(paperPoints(insts, seed));
+    r.points = SweepEngine(opts).run(points);
     std::tie(r.table2, r.table5) = functional.get();
     return r;
 }

@@ -67,12 +67,15 @@ struct PaperResult
     std::vector<Table5Row> table5;
 };
 
-/** The union point set; indices run 0..n-1 in order. */
+/** The union point set; indices run 0..n-1 in order. Throws
+ *  std::invalid_argument when insts < 2, which would run the ablation
+ *  points at 0 instructions. */
 std::vector<SweepPoint> paperPoints(uint64_t insts, uint64_t seed);
 
 /** Run paperPoints() in one engine batch, with the functional Table 2
  *  and Table 5 studies on one extra thread alongside it. Per-point
- *  faults come back as failed points. */
+ *  faults come back as failed points; an insts below 2 throws
+ *  std::invalid_argument before anything runs. */
 PaperResult runPaper(uint64_t insts, uint64_t seed,
                      const SweepEngine::Options &opts);
 

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -105,64 +104,6 @@ statsToDict(const ProcessorStats &s)
     return d;
 }
 
-ProcessorStats
-statsFromDict(const StatDict &d)
-{
-    static_assert(sizeof(ProcessorStats) == 39 * sizeof(uint64_t),
-                  "ProcessorStats changed: update statsFromDict");
-    auto u64 = [&d](const char *name) {
-        // A truncated or cross-version artifact must surface as an
-        // error, not merge in as silent zeros.
-        if (!d.has(name)) {
-            throw std::runtime_error(
-                std::string("stats dict is missing counter '") + name +
-                "'");
-        }
-        return checkedU64(d.get(name), name);
-    };
-    ProcessorStats s;
-    s.cycles = u64("cycles");
-    s.retiredInsts = u64("retiredInsts");
-    s.retiredTraces = u64("retiredTraces");
-    s.retiredTraceLenSum = u64("retiredTraceLenSum");
-    s.dispatchedTraces = u64("dispatchedTraces");
-    s.squashedTraces = u64("squashedTraces");
-    s.squashedInsts = u64("squashedInsts");
-    s.mispEvents = u64("mispEvents");
-    s.condMispEvents = u64("condMispEvents");
-    s.indirectMispEvents = u64("indirectMispEvents");
-    s.recoveriesFgci = u64("recoveriesFgci");
-    s.recoveriesCgci = u64("recoveriesCgci");
-    s.recoveriesFull = u64("recoveriesFull");
-    s.cgciReconverged = u64("cgciReconverged");
-    s.cgciAbandoned = u64("cgciAbandoned");
-    s.tracesPreserved = u64("tracesPreserved");
-    s.redispatchedTraces = u64("redispatchedTraces");
-    s.reissuedSlots = u64("reissuedSlots");
-    s.reissueLocal = u64("reissueLocal");
-    s.reissueGlobal = u64("reissueGlobal");
-    s.reissueViol = u64("reissueViol");
-    s.reissueRedisp = u64("reissueRedisp");
-    s.loadViolations = u64("loadViolations");
-    s.insertActiveCycles = u64("insertActiveCycles");
-    s.dispatchBlockedCycles = u64("dispatchBlockedCycles");
-    s.fetchStallCycles = u64("fetchStallCycles");
-    s.retiredCondBranches = u64("retiredCondBranches");
-    s.retiredBranchMisps = u64("retiredBranchMisps");
-    s.tcLookups = u64("tcLookups");
-    s.tcMisses = u64("tcMisses");
-    s.icAccesses = u64("icAccesses");
-    s.icMisses = u64("icMisses");
-    s.dcAccesses = u64("dcAccesses");
-    s.dcMisses = u64("dcMisses");
-    s.bitLookups = u64("bitLookups");
-    s.bitMisses = u64("bitMisses");
-    s.tracePredictions = u64("tracePredictions");
-    s.fallbackFetches = u64("fallbackFetches");
-    s.constructions = u64("constructions");
-    return s;
-}
-
 StatDict
 mergeResults(const std::vector<SweepResult> &results)
 {
@@ -195,42 +136,6 @@ writeResultObject(std::ostream &os, const SweepResult &r, int indent)
        << in << "\"stats\": ";
     statsToDict(r.stats).writeJson(os, indent + 2);
     os << "\n" << pad << "}";
-}
-
-namespace
-{
-
-/** The inverse of writeResultObject. Throws std::runtime_error. */
-SweepResult
-resultFromJson(const JsonValue &v)
-{
-    SweepResult r;
-    r.point.index = checkedU64(v.at("index").asNumber(), "index");
-    r.point.workload = v.at("workload").asString();
-    r.point.model = v.at("model").asString();
-    r.point.seed = checkedU64(v.at("seed").asNumber(), "seed");
-    r.point.maxInsts = checkedU64(v.at("max_insts").asNumber(), "max_insts");
-    // label() of a reread point must reproduce the original label even
-    // for <config> points, so carry it verbatim.
-    r.point.labelOverride = v.at("label").asString();
-    r.ok = v.at("ok").asBool();
-    r.error = v.at("error").asString();
-    r.stats = statsFromDict(statDictFromJson(v.at("stats")));
-    return r;
-}
-
-} // namespace
-
-std::vector<SweepResult>
-readResultsJson(std::istream &is)
-{
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const JsonValue doc = parseJson(buf.str());
-    std::vector<SweepResult> results;
-    for (const auto &v : doc.at("points").asArray())
-        results.push_back(resultFromJson(v));
-    return results;
 }
 
 void
@@ -282,24 +187,6 @@ crossPoints(const std::vector<std::string> &workloads,
         }
     }
     return points;
-}
-
-std::vector<SweepPoint>
-shardPoints(const std::vector<SweepPoint> &points, unsigned shard,
-            unsigned count)
-{
-    if (count == 0 || shard >= count) {
-        throw std::invalid_argument("shardPoints: need shard < count, "
-                                    "got " + std::to_string(shard) + "/" +
-                                    std::to_string(count));
-    }
-    std::vector<SweepPoint> slice;
-    slice.reserve(points.size() / count + 1);
-    for (size_t i = 0; i < points.size(); ++i) {
-        if (i % count == shard)
-            slice.push_back(points[i]);
-    }
-    return slice;
 }
 
 SweepResult

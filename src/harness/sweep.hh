@@ -80,10 +80,9 @@ struct SweepPoint
     std::string labelOverride;
 
     /**
-     * Position in the full (unsharded) point grid. crossPoints assigns
-     * it; shardPoints preserves it, so a point carries the same index,
-     * seed, and therefore results no matter which shard ran it. Result
-     * documents are keyed and ordered by it.
+     * Position in the point grid. crossPoints and paperPoints assign
+     * it; result documents are ordered by it and print it, and the
+     * explorer keys its shapes and the --point=I repro path on it.
      */
     uint64_t index = 0;
 
@@ -105,19 +104,16 @@ struct SweepResult
     /**
      * Windowed telemetry sampled during the run (empty/disabled unless
      * the point asked for it). In-memory transport only: deliberately
-     * NOT part of the result serialization (writeResultObject and its
-     * inverse in readResultsJson), so result documents stay
-     * byte-identical with metrics on or off. Metrics leave the process
-     * exclusively via the --metrics-json document.
+     * NOT part of the result serialization (writeResultObject), so
+     * result documents stay byte-identical with metrics on or off.
+     * Metrics leave the process exclusively via the --metrics-json
+     * document.
      */
     IntervalSeries series;
 };
 
 /** Flatten every ProcessorStats counter into the mergeable dict. */
 StatDict statsToDict(const ProcessorStats &s);
-
-/** Inverse of statsToDict: rebuild the counters from a flat dict. */
-ProcessorStats statsFromDict(const StatDict &d);
 
 /** Merge (sum) the stats of all successful results into one dict. */
 StatDict mergeResults(const std::vector<SweepResult> &results);
@@ -130,21 +126,10 @@ StatDict mergeResults(const std::vector<SweepResult> &results);
 void writeResultObject(std::ostream &os, const SweepResult &r, int indent);
 
 /**
- * Parse the "points" array of a result document (writeMergedJson, or
- * any document whose points writeResultObject wrote) back into
- * results. Stats survive the round trip bit for bit, so re-serializing
- * what this returns reproduces the document. Throws std::runtime_error
- * on malformed input, including an integer field that is negative,
- * fractional, non-finite or beyond 64 bits.
- */
-std::vector<SweepResult> readResultsJson(std::istream &is);
-
-/**
  * Serialize the canonical result document, the one format a sweep's
- * results take (tproc-sweep --json, shard artifacts, merge output):
- * results sorted by grid index plus the summed StatDict and point
- * counts. A serial unsharded run and any shard-then-merge of the same
- * grid produce bit-identical bytes.
+ * results take (tproc-sweep --json): results sorted by grid index plus
+ * the summed StatDict and point counts. A serial run and a parallel
+ * run of the same grid produce bit-identical bytes.
  */
 void writeMergedJson(std::ostream &os, std::vector<SweepResult> results);
 
@@ -156,16 +141,6 @@ std::vector<SweepPoint>
 crossPoints(const std::vector<std::string> &workloads,
             const std::vector<std::string> &models, uint64_t seed,
             uint64_t max_insts, bool verify);
-
-/**
- * The stable 1/count slice of a point grid owned by shard (0-based):
- * points whose position in the list satisfies pos % count == shard.
- * Striding balances neighbouring (same-workload) points across shards.
- * Points keep their index and seed, so a sharded run computes exactly
- * what the unsharded run would have at those indices.
- */
-std::vector<SweepPoint> shardPoints(const std::vector<SweepPoint> &points,
-                                    unsigned shard, unsigned count);
 
 /**
  * Thread-pooled executor for a batch of SweepPoints. Results come back

@@ -1,12 +1,11 @@
 /**
  * @file
- * CLI helper tests (tools/cli.hh): the strict numeric parsers, the
- * hardened --shard=I/N grammar (including the 2^32-overflow corner
- * that used to truncate through strtoul and silently run the wrong
- * shard), the parenthesis-aware list splitter, and the count-flag
- * grid bound. Process-level usage-error behavior (exit 2 / exit 126
- * paths) is exercised by the CI smoke steps; these tests pin the
- * parsing layer itself.
+ * CLI helper tests (tools/cli.hh): the strict numeric parsers
+ * (including the 2^32-overflow corner of 32-bit flags), the
+ * parenthesis-aware list splitter, and the count-flag grid bound.
+ * Process-level usage-error behavior (exit 2 / exit 126 paths) is
+ * exercised by the CI smoke steps; these tests pin the parsing layer
+ * itself.
  */
 
 #include <gtest/gtest.h>
@@ -46,40 +45,6 @@ TEST(Cli, ParseU32RejectsAbove32Bits)
     v = 7;
     EXPECT_FALSE(cli::parseU32("4294967296", v));
     EXPECT_EQ(v, 7u);
-}
-
-TEST(Cli, ParseShardAcceptsValidSlices)
-{
-    unsigned i = 9, n = 9;
-    EXPECT_TRUE(cli::parseShard("0/1", i, n));
-    EXPECT_EQ(i, 0u);
-    EXPECT_EQ(n, 1u);
-    EXPECT_TRUE(cli::parseShard("3/8", i, n));
-    EXPECT_EQ(i, 3u);
-    EXPECT_EQ(n, 8u);
-}
-
-TEST(Cli, ParseShardRejectsDegenerateSlices)
-{
-    unsigned i = 9, n = 9;
-    EXPECT_FALSE(cli::parseShard("", i, n));
-    EXPECT_FALSE(cli::parseShard("3", i, n));       // no slash
-    EXPECT_FALSE(cli::parseShard("/3", i, n));      // empty index
-    EXPECT_FALSE(cli::parseShard("3/", i, n));      // empty count
-    EXPECT_FALSE(cli::parseShard("x/3", i, n));     // non-decimal
-    EXPECT_FALSE(cli::parseShard("1/x", i, n));
-    EXPECT_FALSE(cli::parseShard("0/0", i, n));     // N = 0
-    EXPECT_FALSE(cli::parseShard("2/2", i, n));     // I >= N
-    EXPECT_FALSE(cli::parseShard("5/2", i, n));
-    EXPECT_FALSE(cli::parseShard("-1/2", i, n));
-    EXPECT_FALSE(cli::parseShard("1/2/3", i, n));   // trailing junk
-    // The historical truncation bug: 2^32/2 used to strtoul-truncate
-    // to shard 0 of 2 and silently run the wrong half of the grid.
-    EXPECT_FALSE(cli::parseShard("4294967296/2", i, n));
-    EXPECT_FALSE(cli::parseShard("0/4294967296", i, n));
-    // Rejections leave the outputs untouched.
-    EXPECT_EQ(i, 9u);
-    EXPECT_EQ(n, 9u);
 }
 
 TEST(Cli, SplitListKeepsParenthesizedCommas)

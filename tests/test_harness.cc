@@ -3,9 +3,9 @@
  * Sweep-engine tests: the StatDict merge/serialize layer, the JSON
  * reader (including its nesting bound), parallel results bit-identical
  * to serial runs, merged stats equality, per-point fault isolation,
- * and the result document: its round trip, shard-merge identity, its
- * integer checks, and a seeded mutator that every damaged copy must
- * either survive or fail cleanly.
+ * the result document's shape, and a seeded mutator over a stats
+ * snapshot that every damaged copy must either survive or fail
+ * cleanly.
  */
 
 #include <gtest/gtest.h>
@@ -115,6 +115,12 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(parseJson("nope"), std::runtime_error);
     EXPECT_EQ(parseJson("{\"x\": 2}").at("x").asNumber(), 2);
 
+    // A number beyond double's range would read as an infinity that no
+    // writer can print back as JSON.
+    EXPECT_THROW(parseJson("1e999"), std::runtime_error);
+    EXPECT_THROW(parseJson("[-1e999]"), std::runtime_error);
+    EXPECT_EQ(parseJson("1e-999").asNumber(), 0.0);
+
     // A repeated key fails at the repeat's offset, at any depth; the
     // same key in sibling objects is no repeat.
     const std::pair<const char *, const char *> repeats[] = {
@@ -144,7 +150,7 @@ TEST(Json, StatDictRoundTripIsExact)
     StatDict back = statDictFromJson(parseJson(os.str()));
     EXPECT_EQ(back, d);
 
-    // And the re-serialization is byte-identical: merge artifacts
+    // And the re-serialization is byte-identical: golden snapshots
     // depend on parse/print being a fixed point.
     std::ostringstream os2;
     back.writeJson(os2);
@@ -321,124 +327,6 @@ TEST(SweepEngine, EffectiveThreadsClampsToBatch)
     EXPECT_EQ(e.effectiveThreads(0), 1u);
 }
 
-TEST(SweepShard, ShardsTileTheGridExactly)
-{
-    auto grid = harness::crossPoints(
-        {"compress", "li", "go"}, {"base", "FG", "FG+MLB-RET"}, 7, 1000,
-        true);
-    ASSERT_EQ(grid.size(), 9u);
-    for (size_t i = 0; i < grid.size(); ++i)
-        EXPECT_EQ(grid[i].index, i);
-
-    for (unsigned count : {1u, 2u, 3u, 4u, 9u, 12u}) {
-        std::vector<bool> covered(grid.size(), false);
-        size_t total = 0;
-        for (unsigned s = 0; s < count; ++s) {
-            auto slice = harness::shardPoints(grid, s, count);
-            for (const auto &p : slice) {
-                ASSERT_LT(p.index, grid.size());
-                // No overlap: each grid point lands in exactly one
-                // shard, with its identity fully intact.
-                EXPECT_FALSE(covered[p.index]) << "count=" << count;
-                covered[p.index] = true;
-                const auto &orig = grid[p.index];
-                EXPECT_EQ(p.workload, orig.workload);
-                EXPECT_EQ(p.model, orig.model);
-                EXPECT_EQ(p.seed, orig.seed);
-                EXPECT_EQ(p.maxInsts, orig.maxInsts);
-            }
-            total += slice.size();
-        }
-        // Union of shards == full grid.
-        EXPECT_EQ(total, grid.size()) << "count=" << count;
-        for (size_t i = 0; i < covered.size(); ++i)
-            EXPECT_TRUE(covered[i]) << "count=" << count << " i=" << i;
-    }
-}
-
-TEST(SweepShard, SliceIsStable)
-{
-    auto grid = harness::crossPoints({"compress", "li"},
-                                     {"base", "FG"}, 1, 1000, true);
-    auto a = harness::shardPoints(grid, 1, 3);
-    auto b = harness::shardPoints(grid, 1, 3);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i].index, b[i].index);
-    EXPECT_THROW(harness::shardPoints(grid, 3, 3), std::invalid_argument);
-    EXPECT_THROW(harness::shardPoints(grid, 0, 0), std::invalid_argument);
-}
-
-TEST(SweepStats, DictRoundTripsToProcessorStats)
-{
-    auto points = harness::crossPoints({"compress"}, {"base"}, 1, 5000,
-                                       true);
-    points[0].scale = 0.25;
-    auto r = harness::SweepEngine::runPoint(points[0]);
-    ASSERT_TRUE(r.ok) << r.error;
-    StatDict d = harness::statsToDict(r.stats);
-    ProcessorStats back = harness::statsFromDict(d);
-    EXPECT_EQ(harness::statsToDict(back), d);
-    EXPECT_EQ(back.retiredInsts, r.stats.retiredInsts);
-    EXPECT_EQ(back.cycles, r.stats.cycles);
-
-    // A truncated dict (missing counters) is an error, never zeros.
-    StatDict partial;
-    partial.set("cycles", 1);
-    EXPECT_THROW(harness::statsFromDict(partial), std::runtime_error);
-}
-
-TEST(SweepJson, ResultsRoundTripBitExactly)
-{
-    auto points = smallPoints();
-    auto results = runWith(2, points);
-
-    std::ostringstream os;
-    harness::writeMergedJson(os, results);
-    std::istringstream is(os.str());
-    auto back = harness::readResultsJson(is);
-
-    ASSERT_EQ(back.size(), results.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(back[i].point.index, results[i].point.index);
-        EXPECT_EQ(back[i].point.label(), results[i].point.label());
-        EXPECT_EQ(back[i].ok, results[i].ok);
-        EXPECT_EQ(harness::statsToDict(back[i].stats),
-                  harness::statsToDict(results[i].stats));
-    }
-
-    // Re-serializing the parsed results reproduces the bytes.
-    std::ostringstream os2;
-    harness::writeMergedJson(os2, back);
-    EXPECT_EQ(os2.str(), os.str());
-}
-
-TEST(SweepMerge, ShardedMergeBitIdenticalToSerial)
-{
-    auto grid = smallPoints();
-
-    // Serial unsharded reference.
-    auto serial = runWith(1, grid);
-    std::ostringstream ref;
-    harness::writeMergedJson(ref, serial);
-
-    // Run each shard separately (its own engine, its own document),
-    // round-trip through JSON as CI does, then merge.
-    std::vector<harness::SweepResult> collected;
-    for (unsigned s = 0; s < 3; ++s) {
-        auto slice = harness::shardPoints(grid, s, 3);
-        auto results = runWith(2, slice);
-        std::ostringstream artifact;
-        harness::writeMergedJson(artifact, results);
-        std::istringstream is(artifact.str());
-        auto parsed = harness::readResultsJson(is);
-        collected.insert(collected.end(), parsed.begin(), parsed.end());
-    }
-    std::ostringstream merged;
-    harness::writeMergedJson(merged, collected);
-    EXPECT_EQ(merged.str(), ref.str());
-}
-
 TEST(SweepEngine, OnResultSeesEveryPoint)
 {
     auto points = smallPoints();
@@ -479,106 +367,43 @@ TEST(SweepEngine, ResultsJsonIsWellFormed)
 namespace
 {
 
-/** A small result document without simulating: an ok point whose
- *  counters are all distinct, a failed point with an escaped error,
- *  and an unlimited (UINT64_MAX) instruction budget. */
+/** A stats snapshot without simulating: every statsToDict counter,
+ *  each with a distinct value, written as writeGoldenFile writes
+ *  one. */
 std::string
-smallDocument()
+smallSnapshot()
 {
-    std::vector<harness::SweepResult> results(2);
-    results[0].point.workload = "compress";
-    results[0].point.model = "FG+MLB-RET";
-    results[0].point.seed = 7;
-    results[0].point.maxInsts = 20000;
-    results[0].ok = true;
-    StatDict d = harness::statsToDict(results[0].stats);
+    StatDict d = harness::statsToDict(ProcessorStats{});
     for (size_t i = 0; i < d.entries().size(); ++i)
         d.set(d.entries()[i].name, static_cast<double>(1000 + 37 * i));
-    results[0].stats = harness::statsFromDict(d);
-    results[1].point.index = 1;
-    results[1].point.workload = "gen:all:3";
-    results[1].point.labelOverride = "gen:all:3/base(fg,ntb)";
-    results[1].error = "retire verify: \"pc\" mismatch\n\tat 0x40";
     std::ostringstream os;
-    harness::writeMergedJson(os, results);
+    d.writeJson(os);
+    os << '\n';
     return os.str();
 }
 
-/** read, then write: the document a reader-writer pass produces. */
+/** read, then write: the snapshot a reader-writer pass produces. */
 std::string
-rewrite(const std::string &doc)
+rewrite(const std::string &snapshot)
 {
-    std::istringstream is(doc);
     std::ostringstream os;
-    harness::writeMergedJson(os, harness::readResultsJson(is));
+    statDictFromJson(parseJson(snapshot)).writeJson(os);
+    os << '\n';
     return os.str();
-}
-
-/** doc with the first `"key": <value>` after `after` given value. */
-std::string
-withValue(std::string doc, const std::string &after,
-          const std::string &key, const std::string &value)
-{
-    const size_t at = doc.find("\"" + key + "\": ", doc.find(after));
-    EXPECT_NE(at, std::string::npos) << key;
-    const size_t from = at + key.size() + 4;
-    doc.replace(from, doc.find_first_of(",\n", from) - from, value);
-    return doc;
 }
 
 } // namespace
 
-TEST(SweepJson, UnlimitedInstructionBudgetRoundTrips)
-{
-    // UINT64_MAX prints as 18446744073709551615 and parses to 2^64.
-    const std::string doc = withValue(smallDocument(), "\"points\"",
-                                      "max_insts", "18446744073709551615");
-    std::istringstream is(doc);
-    const auto back = harness::readResultsJson(is);
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_EQ(back[0].point.maxInsts, UINT64_MAX);
-    EXPECT_EQ(rewrite(doc), doc);
-    EXPECT_EQ(rewrite(smallDocument()), smallDocument());
-}
-
-TEST(SweepJson, IntegerFieldsAreChecked)
-{
-    // Damaged integer fields. A plain cast would wrap ("index": -1
-    // would merge as point 18446744073709551615) or be undefined
-    // ("cycles": 1e999), so each must fail, naming its field.
-    const struct
-    {
-        const char *key;
-        const char *value;
-    } bad[] = {
-        {"index", "-1"},          {"cycles", "1e999"},
-        {"seed", "1.5"},          {"seed", "-0.5"},
-        {"max_insts", "1e20"},    {"retiredInsts", "-1e999"},
-        {"index", "18446744073709555000"},
-    };
-    for (const auto &b : bad) {
-        const std::string doc =
-            withValue(smallDocument(), "\"points\"", b.key, b.value);
-        std::istringstream is(doc);
-        try {
-            harness::readResultsJson(is);
-            ADD_FAILURE() << b.key << " = " << b.value << " was accepted";
-        } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find(b.key), std::string::npos)
-                << e.what();
-        }
-    }
-}
-
 TEST(SweepJson, MutatedDocumentsReadOrFailCleanly)
 {
-    // Seeded byte flips, truncations and splices of a small document;
-    // a third of the splices swap one value for a slice of the document
-    // or a hostile number. A mutant either reads, and then one more
-    // write/read pass is a fixed point (nothing read was wrapped or
-    // rounded), or throws std::runtime_error; anything else (a crash,
-    // a sanitizer report, another exception type) fails.
-    const std::string doc = smallDocument();
+    // Seeded byte flips, truncations and splices of a stats snapshot,
+    // read as readGoldenFile reads one; a quarter of the mutants swap
+    // one value for a slice of the snapshot or a hostile number. A
+    // mutant either reads, and then one more write/read pass is a
+    // fixed point (nothing read was wrapped or rounded), or throws
+    // std::runtime_error; anything else (a crash, a sanitizer report,
+    // another exception type) fails.
+    const std::string doc = smallSnapshot();
     const std::string alphabet = "0123456789-+.eE\"\\{}[],: \n";
     const char *const tokens[] = {
         "-1", "-0", "1.5", "1e999", "-1e999", "1e20", "\"7\"", "null",

@@ -439,9 +439,8 @@ TEST(MetricsIdentity, MergedArtifactBytesUnchangedBySampling)
         harness::writeMergedJson(os, results);
         return os.str();
     };
-    // The merged artifact — the bytes golden comparisons and the
-    // shard-merge identity run over — must not know whether telemetry
-    // was on.
+    // The result document — the bytes the serial == parallel `cmp`
+    // steps compare — must not know whether telemetry was on.
     EXPECT_EQ(mergedBytes(0), mergedBytes(512));
 }
 

@@ -2,14 +2,16 @@
  * @file
  * Paper-experiment tests (src/harness/paper.hh): the union point set
  * runs each distinct (workload, configuration, instruction count) once,
- * and the tproc-paper-v1 document and rendered tables do not depend on
- * the sweep's thread count.
+ * the tproc-paper-v1 document and rendered tables do not depend on
+ * the sweep's thread count, and a run too short for the ablations is
+ * refused.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -111,14 +113,14 @@ TEST(PaperRun, DocumentIdenticalAcrossThreadCounts)
     EXPECT_EQ(doc.at("table2").asArray().size(), 8u);
     EXPECT_EQ(doc.at("table5").asArray().size(), 8u);
 
-    // The points read back through the merged-artifact reader with
-    // every counter intact.
-    std::istringstream in(doc_a.str());
-    const auto back = harness::readResultsJson(in);
-    ASSERT_EQ(back.size(), a.points.size());
-    for (size_t i = 0; i < back.size(); ++i) {
-        EXPECT_EQ(back[i].point.label(), a.points[i].point.label());
-        EXPECT_EQ(harness::statsToDict(back[i].stats),
+    // Each point's label and stats read back with every counter
+    // intact.
+    const auto &points = doc.at("points").asArray();
+    ASSERT_EQ(points.size(), a.points.size());
+    for (size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(points[i].at("label").asString(),
+                  a.points[i].point.label());
+        EXPECT_EQ(statDictFromJson(points[i].at("stats")),
                   harness::statsToDict(a.points[i].stats));
     }
 
@@ -131,6 +133,17 @@ TEST(PaperRun, DocumentIdenticalAcrossThreadCounts)
         ASSERT_NE(found, std::string::npos) << title;
         at = found;
     }
+}
+
+TEST(PaperRun, FewerThanTwoInstructionsIsRejected)
+{
+    // The ablations run insts / 2, so 0 or 1 would print 0/0 gains;
+    // both fail before any point or study runs.
+    for (uint64_t insts : {0u, 1u}) {
+        EXPECT_THROW(harness::paperPoints(insts, 1), std::invalid_argument);
+        EXPECT_THROW(harness::runPaper(insts, 1, {}), std::invalid_argument);
+    }
+    EXPECT_EQ(harness::paperPoints(2, 1).size(), 92u);
 }
 
 } // namespace tproc

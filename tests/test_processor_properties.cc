@@ -219,8 +219,8 @@ TEST(ProcessorProperties, WatchdogRaisesStructuredError)
     Workload w = makeWorkload("compress", 1, 0.01);
     ProcessorConfig cfg = ProcessorConfig::forModel("base");
     cfg.watchdogCycles = 1;
+    cfg.identity = "workload=compress seed=1 model=base";
     Processor p(w.program, cfg);
-    p.setIdentity("workload=compress seed=1 model=base");
     try {
         ScopedErrorCapture capture;
         p.run(1000);

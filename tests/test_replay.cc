@@ -1631,6 +1631,12 @@ TEST(GoldenStats, DiffFindsDriftMissingAndExtra)
     EXPECT_FALSE(drift[1].inActual);
     EXPECT_EQ(drift[2].key, "onlyInRun");
     EXPECT_FALSE(drift[2].inExpected);
+    EXPECT_EQ(harness::describeDrift(drift[0]),
+              "retiredInsts: golden 400, got 401");
+    EXPECT_EQ(harness::describeDrift(drift[1]),
+              "onlyInGolden: golden 7, got <absent>");
+    EXPECT_EQ(harness::describeDrift(drift[2]),
+              "onlyInRun: golden <absent>, got 3");
 
     EXPECT_TRUE(harness::diffStatDicts(expected, expected).empty());
 }

@@ -71,31 +71,6 @@ splitList(const std::string &s)
 }
 
 /**
- * Parse "--shard=I/N" strictly: both components pure decimal and in
- * 32-bit range (a 2^32-overflowing count used to truncate through
- * strtoul and silently run the wrong shard), N >= 1, and 0 <= I < N.
- * Degenerate shard specs are usage errors reported by the caller,
- * never downstream asserts or silently-empty slices.
- */
-inline bool
-parseShard(const std::string &v, unsigned &shard, unsigned &count)
-{
-    const size_t slash = v.find('/');
-    if (slash == std::string::npos || slash == 0 || slash + 1 >= v.size())
-        return false;
-    unsigned i = 0, n = 0;
-    if (!parseU32(v.substr(0, slash), i) ||
-        !parseU32(v.substr(slash + 1), n)) {
-        return false;
-    }
-    if (n == 0 || i >= n)
-        return false;
-    shard = i;
-    count = n;
-    return true;
-}
-
-/**
  * Bound for count-valued flags that allocate proportionally
  * (--generate, --shapes): large enough for any real campaign, small
  * enough that a typo'd count is a usage error instead of an

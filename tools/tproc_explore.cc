@@ -9,22 +9,20 @@
  *
  * Usage:
  *   tproc-explore [--shapes=N] [--seed=S] [--mix=SPEC] [--insts=N]
- *                 [--threads=T] [--shard=I/N]
- *                 [--point=I] [--failure-dir=DIR]
+ *                 [--threads=T] [--point=I] [--failure-dir=DIR]
  *                 [--metrics-interval=N] [--frontier=K] [--json=FILE]
  *                 [--quiet]
  *
  * --json writes the deterministic explore-report-v1 document: two
  * runs with the same flags are byte-identical for any --threads or
- * machine (CI gates this). --shard=I/N explores the stable 1/N slice
- * of the shape grid (same indices, shapes, and workloads as the
- * unsharded run). --point=I re-runs exactly one index — the repro
- * path printed on every captured failure.
+ * machine (CI gates this). --point=I re-runs exactly one index (same
+ * shape and workload as in the full campaign) — the repro path
+ * printed on every captured failure.
  *
  * Exit status: number of failing points (capped at 125); usage errors
  * exit 2 (the convention of docs/cli.md — every corner input,
- * including degenerate --shard specs and out-of-range counts, is a
- * reported usage error up front, never a downstream assert), and so
+ * including out-of-range counts, is a reported usage error up front,
+ * never a downstream assert), and so
  * does a replay store that cannot be created in the temp directory.
  * An unknown --mix lists the valid pattern names.
  */
@@ -48,8 +46,7 @@ void
 usage(std::ostream &os)
 {
     os << "usage: tproc-explore [--shapes=N] [--seed=S] [--mix=SPEC]\n"
-          "                     [--insts=N] [--threads=T]\n"
-          "                     [--shard=I/N] [--point=I]\n"
+          "                     [--insts=N] [--threads=T] [--point=I]\n"
           "                     [--failure-dir=DIR]\n"
           "                     [--metrics-interval=N] [--frontier=K]\n"
           "                     [--json=FILE] [--quiet]\n";
@@ -83,8 +80,7 @@ main(int argc, char **argv)
             if (opts.shapes > cli::maxCountFlag) {
                 std::cerr << "tproc-explore: --shapes=" << opts.shapes
                           << " exceeds the grid bound "
-                          << cli::maxCountFlag
-                          << " (shard a large campaign instead)\n";
+                          << cli::maxCountFlag << '\n';
                 usage(std::cerr);
                 return 2;
             }
@@ -99,13 +95,6 @@ main(int argc, char **argv)
         } else if (parseArg(argv[i], "--threads", v)) {
             if (!cli::parseU32(v, opts.threads))
                 return badNumber("--threads", v);
-        } else if (parseArg(argv[i], "--shard", v)) {
-            if (!cli::parseShard(v, opts.shard, opts.shardCount)) {
-                std::cerr << "tproc-explore: bad --shard '" << v
-                          << "' (want decimal I/N with 0 <= I < N)\n";
-                usage(std::cerr);
-                return 2;
-            }
         } else if (parseArg(argv[i], "--point", v)) {
             if (!cli::parseU64(v, u) || u > INT64_MAX)
                 return badNumber("--point", v);

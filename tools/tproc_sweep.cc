@@ -4,28 +4,25 @@
  * across worker threads via the harness SweepEngine, prints a result
  * table, and optionally writes the full per-point stats as JSON.
  *
- * Sweep usage:
+ * Usage:
  *   tproc-sweep [--workloads=a,b,...] [--models=a,b,...] [--insts=N]
- *               [--seed=S] [--threads=T] [--shard=I/N] [--json=FILE]
+ *               [--seed=S] [--threads=T] [--json=FILE]
  *               [--trace-dir=DIR] [--golden=DIR] [--write-golden=DIR]
  *               [--metrics-json=FILE] [--metrics-interval=N]
  *               [--no-verify] [--quiet] [--generate=N]
  *               [--pattern-mix=SPEC]
  *
- * Merge usage:
- *   tproc-sweep merge [--out=FILE] shard0.json shard1.json ...
- *
  * --generate=N swaps the workload list for N generated synthetic
  * workloads "gen:<mix>:<0..N-1>" (src/workloads/generator.hh): the mix
  * comes from --pattern-mix (default "all"), the data seed from --seed.
  * Generated points are ordinary SweepPoints — identity is the name
- * plus seed — so they compose with
- * --shard/--trace-dir/--golden/--metrics-json unchanged, and two runs
- * with the same flags are bit-identical.
+ * plus seed — so they compose with --trace-dir/--golden/--metrics-json
+ * unchanged, and two runs with the same flags are bit-identical.
  *
- * An unknown workload name, generator pattern, or pattern-mix spec is
- * reported with the valid names and exits 2 (the usage convention
- * of every tool in docs/cli.md).
+ * An unknown workload name, generator pattern, pattern-mix spec or
+ * model, or an empty --workloads or --models list, is reported with
+ * the valid names and exits 2 (the usage convention of every tool in
+ * docs/cli.md).
  *
  * --threads fans points across engine workers; each simulation runs
  * on one of them, and stats are bit-identical for every worker count.
@@ -40,11 +37,7 @@
  *
  * --json=FILE writes the canonical result document: every point's
  * identity, outcome and stats, sorted by grid index, plus their sum.
- * --shard=I/N runs the stable 1/N slice of the point grid owned by
- * 0-based shard I, with the same per-point indices and seeds as the
- * unsharded run. `merge` folds result documents (the shards' --json
- * files) into one that is bit-identical to --json of a serial
- * unsharded run.
+ * It is byte-identical for every --threads.
  *
  * --metrics-json=FILE writes a tproc-metrics-v1 telemetry document
  * (per-point interval series + phase wall-time attribution — see
@@ -93,14 +86,12 @@ usage(std::ostream &os)
 {
     os << "usage: tproc-sweep [--workloads=a,b,...] [--models=a,b,...]\n"
           "                   [--insts=N] [--seed=S] [--threads=T]\n"
-          "                   [--shard=I/N] [--json=FILE]\n"
-          "                   [--trace-dir=DIR] [--golden=DIR]\n"
-          "                   [--write-golden=DIR] "
-          "[--metrics-json=FILE]\n"
-          "                   [--metrics-interval=N] [--no-verify] "
-          "[--quiet]\n"
-          "                   [--generate=N] [--pattern-mix=SPEC]\n"
-          "       tproc-sweep merge [--out=FILE] a.json b.json ...\n";
+          "                   [--json=FILE] [--trace-dir=DIR]\n"
+          "                   [--golden=DIR] [--write-golden=DIR]\n"
+          "                   [--metrics-json=FILE] "
+          "[--metrics-interval=N]\n"
+          "                   [--no-verify] [--quiet]\n"
+          "                   [--generate=N] [--pattern-mix=SPEC]\n";
 }
 
 /** Failed-point recap so CI logs show what broke without scrollback. */
@@ -125,111 +116,16 @@ printFailureSummary(const std::vector<harness::SweepResult> &results)
     return failed;
 }
 
-int
-mergeMain(int argc, char **argv)
-{
-    std::string out_path;
-    std::vector<std::string> inputs;
-    for (int i = 2; i < argc; ++i) {
-        std::string v;
-        if (parseArg(argv[i], "--out", v)) {
-            out_path = v;
-        } else if (std::strcmp(argv[i], "--help") == 0 ||
-                   std::strcmp(argv[i], "-h") == 0) {
-            usage(std::cout);
-            return 0;
-        } else if (argv[i][0] == '-') {
-            std::cerr << "tproc-sweep merge: unknown argument '"
-                      << argv[i] << "'\n";
-            usage(std::cerr);
-            return 126;
-        } else {
-            inputs.push_back(argv[i]);
-        }
-    }
-    if (inputs.empty()) {
-        std::cerr << "tproc-sweep merge: no input files\n";
-        usage(std::cerr);
-        return 126;
-    }
-
-    std::vector<harness::SweepResult> all;
-    for (const auto &path : inputs) {
-        std::ifstream in(path);
-        if (!in) {
-            std::cerr << "tproc-sweep merge: cannot read " << path
-                      << '\n';
-            return 126;
-        }
-        try {
-            auto shard = harness::readResultsJson(in);
-            all.insert(all.end(), shard.begin(), shard.end());
-        } catch (const std::exception &e) {
-            std::cerr << "tproc-sweep merge: " << path << ": "
-                      << e.what() << '\n';
-            return 126;
-        }
-    }
-
-    // Shards must tile the grid: a duplicate index means two artifacts
-    // claim the same point (merging would double-count it), a gap means
-    // a shard is missing (the merge would silently under-report).
-    std::vector<uint64_t> indices;
-    indices.reserve(all.size());
-    for (const auto &r : all)
-        indices.push_back(r.point.index);
-    std::sort(indices.begin(), indices.end());
-    for (size_t i = 1; i < indices.size(); ++i) {
-        if (indices[i] == indices[i - 1]) {
-            std::cerr << "tproc-sweep merge: point index " << indices[i]
-                      << " appears in more than one input\n";
-            return 126;
-        }
-    }
-    for (size_t i = 0; i < indices.size(); ++i) {
-        if (indices[i] != i) {
-            std::cerr << "tproc-sweep merge: warning: point index " << i
-                      << " missing (inputs do not tile a full grid)\n";
-            break;
-        }
-    }
-
-    std::ostream *os = &std::cout;
-    std::ofstream out_file;
-    if (!out_path.empty()) {
-        out_file.open(out_path);
-        if (!out_file) {
-            std::cerr << "tproc-sweep merge: cannot write " << out_path
-                      << '\n';
-            return 126;
-        }
-        os = &out_file;
-    }
-    harness::writeMergedJson(*os, all);
-    size_t failed = 0;
-    for (const auto &r : all)
-        failed += r.ok ? 0 : 1;
-    std::cerr << "merged " << inputs.size() << " artifacts, "
-              << all.size() - failed << "/" << all.size()
-              << " points ok\n";
-    return failed > 125 ? 125 : static_cast<int>(failed);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "merge") == 0)
-        return mergeMain(argc, argv);
-
     std::vector<std::string> workloads = workloadNames();
     std::vector<std::string> models = {"base", "FG+MLB-RET"};
     uint64_t insts = 400000;
     uint64_t seed = 1;
     unsigned threads = 0;
-    unsigned shard = 0;
-    unsigned shard_count = 0;
     bool verify = true;
     bool quiet = false;
     std::string json_path;
@@ -270,13 +166,6 @@ main(int argc, char **argv)
                 metrics_interval == 0) {
                 return badNumber("--metrics-interval", v);
             }
-        } else if (parseArg(argv[i], "--shard", v)) {
-            if (!cli::parseShard(v, shard, shard_count)) {
-                std::cerr << "tproc-sweep: bad --shard '" << v
-                          << "' (want decimal I/N with 0 <= I < N)\n";
-                usage(std::cerr);
-                return 126;
-            }
         } else if (parseArg(argv[i], "--json", v)) {
             json_path = v;
         } else if (parseArg(argv[i], "--trace-dir", v)) {
@@ -291,8 +180,7 @@ main(int argc, char **argv)
             if (generate > cli::maxCountFlag) {
                 std::cerr << "tproc-sweep: --generate=" << generate
                           << " exceeds the grid bound "
-                          << cli::maxCountFlag
-                          << " (shard a large campaign instead)\n";
+                          << cli::maxCountFlag << '\n';
                 usage(std::cerr);
                 return 126;
             }
@@ -324,6 +212,11 @@ main(int argc, char **argv)
             for (uint64_t i = 0; i < generate; ++i)
                 workloads.push_back(generatedName(pattern_mix, i));
         } else {
+            // An empty list (`--workloads=` or only commas) names the
+            // empty workload, which is unknown: a 0-point run would
+            // pass any gate vacuously.
+            if (workloads.empty())
+                workloads.emplace_back();
             const auto known = workloadNames();
             for (const auto &w : workloads) {
                 if (isGeneratedName(w)) {
@@ -343,7 +236,9 @@ main(int argc, char **argv)
 
     // Model names get the same up-front validation: a typo'd --models
     // entry is a usage error before any point runs, not a per-point
-    // fault mid-sweep.
+    // fault mid-sweep, and an empty list names the empty model.
+    if (models.empty())
+        models.emplace_back();
     for (const std::string &m : models) {
         try {
             (void)ProcessorConfig::forModel(m);
@@ -376,22 +271,14 @@ main(int argc, char **argv)
     const std::vector<PhaseStat> phases_before =
         PhaseTimers::global().snapshot();
 
-    auto grid =
+    auto points =
         harness::crossPoints(workloads, models, seed, insts, verify);
     // Replay mode is a per-point execution detail: indices, seeds, and
-    // stats are identical to a live run, so it composes with sharding
-    // untouched.
-    if (!trace_dir.empty()) {
-        for (auto &p : grid)
-            p.traceDir = trace_dir;
+    // stats are identical to a live run.
+    for (auto &p : points) {
+        p.traceDir = trace_dir;
+        p.metricsInterval = metrics_interval;
     }
-    if (metrics_interval) {
-        for (auto &p : grid)
-            p.metricsInterval = metrics_interval;
-    }
-    auto points =
-        shard_count ? harness::shardPoints(grid, shard, shard_count)
-                    : grid;
 
     harness::SweepEngine::Options opts;
     opts.threads = threads;
@@ -399,15 +286,9 @@ main(int argc, char **argv)
     harness::SweepEngine engine(opts);
 
     if (!quiet) {
-        std::cerr << "sweep: " << points.size() << " points";
-        if (shard_count) {
-            std::cerr << " (shard " << shard << "/" << shard_count
-                      << " of " << grid.size() << ")";
-        } else {
-            std::cerr << " (" << workloads.size() << " workloads x "
-                      << models.size() << " models)";
-        }
-        std::cerr << ", " << engine.effectiveThreads(points.size())
+        std::cerr << "sweep: " << points.size() << " points ("
+                  << workloads.size() << " workloads x " << models.size()
+                  << " models), " << engine.effectiveThreads(points.size())
                   << " threads, " << insts << " insts/point, seed "
                   << seed << (verify ? ", verified" : "") << "\n";
     }
@@ -452,13 +333,7 @@ main(int argc, char **argv)
                                   << " more counters\n";
                         break;
                     }
-                    std::cerr << "  " << d.key << ": golden "
-                              << (d.inExpected ? jsonNumber(d.expected)
-                                               : std::string("<absent>"))
-                              << ", got "
-                              << (d.inActual ? jsonNumber(d.actual)
-                                             : std::string("<absent>"))
-                              << '\n';
+                    std::cerr << "  " << harness::describeDrift(d) << '\n';
                 }
             } catch (const std::exception &e) {
                 ++drifted;
