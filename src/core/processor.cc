@@ -1241,6 +1241,11 @@ Processor::verifyRetiredSlot(const InFlightTrace &t, int slot)
                     s.issueCount, s.completed ? " C" : "",
                     s.performed ? " P" : "");
         }
+        // A retire-time divergence from the golden model means the
+        // simulator's own state is corrupt, which no caller can handle;
+        // under ScopedErrorCapture this panic throws a SimError that
+        // the sweep engine and the explorer record.
+        // NOLINT-tproc-next-line(no-bare-panic)
         panic("retire verify: %s mismatch at %s (uid %llu, golden pc "
               "%llu, golden val %lld, got %lld, golden addr %llu)",
               what, disassemble(c.pc, c.inst).c_str(),

@@ -18,6 +18,13 @@ namespace tproc::harness
 namespace
 {
 
+/** Telemetry sampling interval of the live oracle run, in cycles; the
+ *  interval series feeds the cliff detector. */
+constexpr uint64_t cliffMetricsInterval = 1024;
+
+/** How many top-ranked points the report's frontier lists. */
+constexpr size_t frontierSize = 16;
+
 // Seeding mirrors the workload generator: FNV-1a over the domain tag,
 // splitmix64-finalized components, xor-combined. The tag keeps shape
 // sampling decorrelated from workload-knob sampling at the same
@@ -259,7 +266,7 @@ runExplore(const ExploreOptions &opts)
         base.index = idx;
 
         SweepPoint live = base;
-        live.config.metricsInterval = opts.metricsInterval;
+        live.config.metricsInterval = cliffMetricsInterval;
         live.labelOverride = name + "/shape-" + std::to_string(idx);
 
         SweepPoint replayed = base;
@@ -380,7 +387,7 @@ runExplore(const ExploreOptions &opts)
                       return a->cliff.score > b->cliff.score;
                   return a->index < b->index;
               });
-    const size_t n = std::min(opts.frontierSize, ranked.size());
+    const size_t n = std::min(frontierSize, ranked.size());
     for (size_t i = 0; i < n; ++i)
         report.frontier.push_back(ranked[i]->index);
 
@@ -404,7 +411,7 @@ writeExploreReport(std::ostream &os, const ExploreReport &report,
                          static_cast<double>(opts.insts)));
     doc.set("metrics_interval",
             JsonValue::makeNumber(
-                static_cast<double>(opts.metricsInterval)));
+                static_cast<double>(cliffMetricsInterval)));
 
     JsonValue space = JsonValue::makeObject();
     space.set("numPEs", rangeToJson(opts.space.numPEs));

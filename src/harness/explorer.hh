@@ -154,13 +154,6 @@ struct ExploreOptions
     /** Run exactly one index (the --point=I repro path); -1 = all. */
     int64_t onlyPoint = -1;
 
-    /** Telemetry sampling interval for the live oracle run (feeds
-     *  the cliff detector); 0 disables interval-based detection. */
-    uint64_t metricsInterval = 1024;
-
-    /** How many top-ranked points the report's frontier lists. */
-    size_t frontierSize = 16;
-
     /** Where failing points are captured as .tpt files. Stays
      *  untouched (not even created) while every point passes. */
     std::string failureDir = "explore-failures";
@@ -214,8 +207,9 @@ struct ExploreReport
     uint64_t divergences = 0;   //!< thread/replay divergences only
     /** Points in index order. */
     std::vector<ExplorePoint> points;
-    /** Point indices ranked most-interesting-first: failures, then
-     *  descending cliff score, index as the deterministic tie-break. */
+    /** Up to 16 point indices ranked most-interesting-first: failures,
+     *  then descending cliff score, index as the deterministic
+     *  tie-break. */
     std::vector<uint64_t> frontier;
 };
 

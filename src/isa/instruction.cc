@@ -163,6 +163,9 @@ opcodeName(Opcode op)
       case Opcode::CALLR: return "callr";
       case Opcode::RET: return "ret";
       default:
+        // opcodeName formats panic and trace messages itself; throwing
+        // from inside error formatting would mask the first failure.
+        // NOLINT-tproc-next-line(no-bare-panic)
         panic("opcodeName: bad opcode %d", static_cast<int>(op));
     }
 }

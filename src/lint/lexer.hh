@@ -66,8 +66,8 @@ struct LexedFile
     }
 
     /** True when byte position `pos` falls inside a string, raw
-     *  string, or character literal. The whitespace fixer uses this
-     *  so it never rewrites literal contents. */
+     *  string, or character literal. The whitespace rules use this
+     *  so literal contents never fire them. */
     bool inLiteral(size_t pos) const;
 };
 

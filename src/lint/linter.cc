@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <stdexcept>
-
-#include "common/stats.hh"
 
 namespace tproc::lint
 {
@@ -84,58 +83,6 @@ isSuppressed(const std::map<int, std::set<std::string>> &map,
     return it->second.count("*") != 0 || it->second.count(fnd.rule) != 0;
 }
 
-// --------------------------------------------------------------- fix
-
-/** Rewrite `f` for the fixable findings: strip trailing whitespace,
- *  expand tabs (4 spaces) outside literals, add the final newline. */
-std::string
-applyFix(const LexedFile &f, const std::vector<Finding> &findings,
-         bool *changed)
-{
-    std::set<int> stripLines, tabLines;
-    bool addNewline = false;
-    for (const Finding &fnd : findings) {
-        if (fnd.rule == "trailing-whitespace")
-            stripLines.insert(fnd.line);
-        else if (fnd.rule == "no-tab")
-            tabLines.insert(fnd.line);
-        else if (fnd.rule == "final-newline")
-            addNewline = true;
-    }
-    *changed = addNewline || !stripLines.empty() || !tabLines.empty();
-    if (!*changed)
-        return f.content;
-
-    const bool hadFinalNewline =
-        !f.content.empty() && f.content.back() == '\n';
-    std::string out;
-    out.reserve(f.content.size() + 1);
-    for (size_t i = 0; i < f.lines.size(); ++i) {
-        const int lineNo = static_cast<int>(i + 1);
-        std::string line;
-        line.reserve(f.lines[i].size());
-        for (size_t p = 0; p < f.lines[i].size(); ++p) {
-            const char c = f.lines[i][p];
-            if (c == '\t' && tabLines.count(lineNo) &&
-                !f.inLiteral(f.bytePos(lineNo, p))) {
-                line.append(4, ' ');
-            } else {
-                line.push_back(c);
-            }
-        }
-        if (stripLines.count(lineNo)) {
-            while (!line.empty() &&
-                   (line.back() == ' ' || line.back() == '\t')) {
-                line.pop_back();
-            }
-        }
-        out += line;
-        if (i + 1 < f.lines.size() || hadFinalNewline || addNewline)
-            out.push_back('\n');
-    }
-    return out;
-}
-
 // ---------------------------------------------------------- file IO
 
 std::string
@@ -149,58 +96,35 @@ readFile(const std::string &path)
     return ss.str();
 }
 
-void
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out || !(out << content) || !out.flush()) {
-        throw std::runtime_error("lint: cannot rewrite '" + path +
-                                 "'");
-    }
-}
-
-bool
-hasSourceExt(const std::filesystem::path &p)
-{
-    const std::string ext = p.extension().string();
-    return ext == ".cc" || ext == ".hh" || ext == ".cpp";
-}
-
-bool
-skippedDir(const std::string &name)
-{
-    return name == ".git" || name.rfind("build", 0) == 0 ||
-           (!name.empty() && name[0] == '.' && name != "." &&
-            name != "..");
-}
-
+/** `git ls-files -z` limited to C++ sources, sorted. */
 std::vector<std::string>
-collectFiles(const std::vector<std::string> &paths)
+gitTrackedSources()
 {
-    namespace fs = std::filesystem;
-    std::vector<std::string> out;
-    for (const std::string &p : paths) {
-        if (fs::is_directory(p)) {
-            for (auto it = fs::recursive_directory_iterator(p);
-                 it != fs::recursive_directory_iterator(); ++it) {
-                if (it->is_directory() &&
-                    skippedDir(it->path().filename().string())) {
-                    it.disable_recursion_pending();
-                    continue;
-                }
-                if (it->is_regular_file() && hasSourceExt(it->path()))
-                    out.push_back(it->path().string());
-            }
-        } else if (fs::is_regular_file(p)) {
-            out.push_back(p);
-        } else {
-            throw std::runtime_error("lint: no such file or directory: '" +
-                                     p + "'");
-        }
+    FILE *p = popen("git ls-files -z -- '*.cc' '*.hh' '*.cpp'", "r");
+    if (!p)
+        throw std::runtime_error("lint: cannot run git ls-files");
+    std::string buf;
+    char chunk[4096];
+    size_t n;
+    while ((n = fread(chunk, 1, sizeof(chunk), p)) > 0)
+        buf.append(chunk, n);
+    const int rc = pclose(p);
+    if (rc != 0) {
+        throw std::runtime_error(
+            "lint: git ls-files failed (run tproc-lint from a git "
+            "checkout)");
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
+    std::vector<std::string> files;
+    size_t start = 0;
+    while (start < buf.size()) {
+        const size_t nul = buf.find('\0', start);
+        const size_t end = nul == std::string::npos ? buf.size() : nul;
+        if (end > start)
+            files.emplace_back(buf.substr(start, end - start));
+        start = end + 1;
+    }
+    std::sort(files.begin(), files.end());
+    return files;
 }
 
 /** Container names declared in the sibling .hh of a .cc, so members
@@ -234,190 +158,42 @@ findingLess(const Finding &a, const Finding &b)
 
 } // namespace
 
-// ----------------------------------------------------------- baseline
-
-std::string
-Baseline::key(const Finding &f)
-{
-    return "[" + f.rule + "] " + f.file + ": " + f.context;
-}
-
-Baseline
-Baseline::parse(const std::string &text)
-{
-    Baseline b;
-    std::istringstream in(text);
-    std::string line;
-    int no = 0;
-    while (std::getline(in, line)) {
-        ++no;
-        const size_t first = line.find_first_not_of(" \t");
-        if (first == std::string::npos || line[first] == '#')
-            continue;
-        const size_t close = line.find("] ");
-        if (line[first] != '[' || close == std::string::npos ||
-            line.find(": ", close) == std::string::npos) {
-            throw std::runtime_error(
-                "baseline line " + std::to_string(no) +
-                ": expected '[rule-id] path: context', got: " + line);
-        }
-        const std::string rule =
-            line.substr(first + 1, close - first - 1);
-        if (!knownRule(rule)) {
-            throw std::runtime_error("baseline line " +
-                                     std::to_string(no) +
-                                     ": unknown rule '" + rule + "'");
-        }
-        b.entries.emplace(line.substr(first), false);
-    }
-    return b;
-}
-
-Baseline
-Baseline::load(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw std::runtime_error("lint: cannot read baseline '" + path +
-                                 "'");
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return parse(ss.str());
-}
-
-bool
-Baseline::match(const Finding &f)
-{
-    auto it = entries.find(key(f));
-    if (it == entries.end())
-        return false;
-    it->second = true;
-    return true;
-}
-
-std::vector<std::string>
-Baseline::unused() const
-{
-    std::vector<std::string> out;
-    for (const auto &[entry, used] : entries)
-        if (!used)
-            out.push_back(entry);
-    return out;
-}
-
-std::string
-Baseline::write(const std::vector<Finding> &findings)
-{
-    std::set<std::string> keys;
-    for (const Finding &f : findings)
-        keys.insert(key(f));
-    std::string out;
-    for (const std::string &k : keys)
-        out += k + "\n";
-    return out;
-}
-
 // ---------------------------------------------------------- lint core
 
-FileLint
+LintReport
 lintContent(const std::string &path, std::string content,
-            const std::set<std::string> &rules,
-            const std::set<std::string> &externUnordered, bool fix)
+            const std::set<std::string> &externUnordered)
 {
-    LexedFile f = lexFile(path, std::move(content));
+    const LexedFile f = lexFile(path, std::move(content));
     std::vector<Finding> raw;
-    runRules(f, rules, externUnordered, raw);
+    runRules(f, externUnordered, raw);
 
-    FileLint fl;
+    LintReport r;
+    r.filesScanned = 1;
     const auto supp = suppressionMap(f);
     for (Finding &fnd : raw) {
         if (isSuppressed(supp, fnd))
-            ++fl.suppressed;
+            ++r.suppressed;
         else
-            fl.findings.push_back(std::move(fnd));
+            r.findings.push_back(std::move(fnd));
     }
-
-    if (fix) {
-        bool changed = false;
-        std::string fixedContent = applyFix(f, fl.findings, &changed);
-        if (changed) {
-            // Re-lint the fixed text so the report reflects what is
-            // on disk afterwards (and so a second --fix is a no-op).
-            FileLint after = lintContent(path, fixedContent, rules,
-                                         externUnordered, false);
-            after.fixed = true;
-            after.fixedContent = std::move(fixedContent);
-            return after;
-        }
-    }
-    return fl;
-}
-
-std::vector<std::string>
-gitTrackedSources()
-{
-    FILE *p = popen("git ls-files -z -- '*.cc' '*.hh' '*.cpp'", "r");
-    if (!p)
-        throw std::runtime_error("lint: cannot run git ls-files");
-    std::string buf;
-    char chunk[4096];
-    size_t n;
-    while ((n = fread(chunk, 1, sizeof(chunk), p)) > 0)
-        buf.append(chunk, n);
-    const int rc = pclose(p);
-    if (rc != 0) {
-        throw std::runtime_error(
-            "lint: git ls-files failed (not a git checkout? pass "
-            "explicit paths)");
-    }
-    std::vector<std::string> files;
-    size_t start = 0;
-    while (start < buf.size()) {
-        const size_t nul = buf.find('\0', start);
-        const size_t end = nul == std::string::npos ? buf.size() : nul;
-        if (end > start)
-            files.emplace_back(buf.substr(start, end - start));
-        start = end + 1;
-    }
-    std::sort(files.begin(), files.end());
-    return files;
+    return r;
 }
 
 LintReport
-lintTree(const LintOptions &opts)
+lintTree()
 {
-    const std::vector<std::string> files =
-        opts.paths.empty() ? gitTrackedSources()
-                           : collectFiles(opts.paths);
-
-    Baseline base;
-    const bool haveBase = !opts.baselinePath.empty();
-    if (haveBase)
-        base = Baseline::load(opts.baselinePath);
-
     LintReport report;
-    report.filesScanned = files.size();
-    for (const std::string &file : files) {
-        FileLint fl = lintContent(file, readFile(file), opts.rules,
-                                  siblingUnorderedNames(file), opts.fix);
-        if (fl.fixed) {
-            writeFile(file, fl.fixedContent);
-            report.fixedFiles.push_back(file);
-        }
-        report.suppressed += fl.suppressed;
-        for (Finding &fnd : fl.findings) {
-            if (haveBase && base.match(fnd))
-                report.baselined.push_back(std::move(fnd));
-            else
-                report.fresh.push_back(std::move(fnd));
-        }
+    for (const std::string &file : gitTrackedSources()) {
+        LintReport one = lintContent(file, readFile(file),
+                                     siblingUnorderedNames(file));
+        report.filesScanned += one.filesScanned;
+        report.suppressed += one.suppressed;
+        std::move(one.findings.begin(), one.findings.end(),
+                  std::back_inserter(report.findings));
     }
-    std::sort(report.fresh.begin(), report.fresh.end(), findingLess);
-    std::sort(report.baselined.begin(), report.baselined.end(),
+    std::sort(report.findings.begin(), report.findings.end(),
               findingLess);
-    if (haveBase)
-        report.staleBaseline = base.unused();
     return report;
 }
 
@@ -428,61 +204,6 @@ findingLine(const Finding &f)
 {
     return f.file + ":" + std::to_string(f.line) + ":" +
            std::to_string(f.col) + ": [" + f.rule + "] " + f.message;
-}
-
-std::string
-reportToJson(const LintReport &r)
-{
-    JsonValue doc = JsonValue::makeObject();
-    doc.set("schema", JsonValue::makeString("tproc-lint-v1"));
-    doc.set("files",
-            JsonValue::makeNumber(static_cast<double>(r.filesScanned)));
-
-    auto findingsArray = [](const std::vector<Finding> &fs) {
-        JsonValue arr = JsonValue::makeArray();
-        for (const Finding &f : fs) {
-            JsonValue o = JsonValue::makeObject();
-            o.set("file", JsonValue::makeString(f.file));
-            o.set("line", JsonValue::makeNumber(f.line));
-            o.set("col", JsonValue::makeNumber(f.col));
-            o.set("rule", JsonValue::makeString(f.rule));
-            o.set("message", JsonValue::makeString(f.message));
-            o.set("context", JsonValue::makeString(f.context));
-            arr.push(std::move(o));
-        }
-        return arr;
-    };
-    doc.set("findings", findingsArray(r.fresh));
-    doc.set("baselined", findingsArray(r.baselined));
-    doc.set("suppressed", JsonValue::makeNumber(
-                              static_cast<double>(r.suppressed)));
-
-    JsonValue stale = JsonValue::makeArray();
-    for (const std::string &s : r.staleBaseline)
-        stale.push(JsonValue::makeString(s));
-    doc.set("stale_baseline", std::move(stale));
-
-    JsonValue fixed = JsonValue::makeArray();
-    for (const std::string &s : r.fixedFiles)
-        fixed.push(JsonValue::makeString(s));
-    doc.set("fixed_files", std::move(fixed));
-
-    JsonValue counts = JsonValue::makeObject();
-    for (const RuleInfo &info : ruleTable()) {
-        size_t n = 0;
-        for (const Finding &f : r.fresh)
-            if (f.rule == info.id)
-                ++n;
-        if (n)
-            counts.set(info.id,
-                       JsonValue::makeNumber(static_cast<double>(n)));
-    }
-    doc.set("counts", std::move(counts));
-
-    std::ostringstream os;
-    writeJson(os, doc);
-    os << "\n";
-    return os.str();
 }
 
 } // namespace tproc::lint

@@ -1,28 +1,20 @@
 /**
  * @file
- * tproc-lint driver: file discovery, NOLINT suppressions, baseline
- * bookkeeping, mechanical fixes, and the machine-readable report.
- * docs/lint.md is the reference for the policy; tools/tproc_lint.cc
- * is the CLI around this layer.
+ * tproc-lint driver: git-tracked file discovery and NOLINT
+ * suppressions. docs/lint.md is the reference for the policy;
+ * tools/tproc_lint.cc is the CLI around this layer.
  *
  * Suppressions
  *   // NOLINT-tproc(rule-id)            suppresses on the same line
  *   // NOLINT-tproc-next-line(rule-id)  suppresses on the next line
  * A comma-separated list or "*" suppresses several/all rules. Always
- * pair a suppression with a short justification in the same comment.
- *
- * Baseline
- *   A checked-in file of grandfathered findings. Entries key on
- *   (rule, path, whitespace-squeezed source line), so unrelated edits
- *   that only move a finding between lines don't invalidate them.
- *   Baselined findings don't fail the lint; entries that match
- *   nothing are reported as stale so the file shrinks over time.
+ * pair a suppression with a short justification in the same comment;
+ * it is the only way to silence a finding.
  */
 
 #ifndef TPROC_LINT_LINTER_HH
 #define TPROC_LINT_LINTER_HH
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -32,108 +24,30 @@
 namespace tproc::lint
 {
 
-struct LintOptions
-{
-    /** Files or directories to lint; empty = `git ls-files` in the
-     *  current directory (*.cc, *.hh, *.cpp). */
-    std::vector<std::string> paths;
-
-    /** Rule ids to run; empty = all rules. */
-    std::set<std::string> rules;
-
-    /** Baseline file of grandfathered findings; "" = none. */
-    std::string baselinePath;
-
-    /** Rewrite files in place for the mechanically fixable rules
-     *  (trailing-whitespace, no-tab, final-newline). */
-    bool fix = false;
-};
-
 struct LintReport
 {
     size_t filesScanned = 0;
 
-    /** Findings that fail the lint: not suppressed, not baselined.
-     *  Sorted by (file, line, col, rule). */
-    std::vector<Finding> fresh;
-
-    /** Findings matched by a baseline entry. */
-    std::vector<Finding> baselined;
+    /** Findings that fail the lint (not suppressed), sorted by
+     *  (file, line, col, rule). */
+    std::vector<Finding> findings;
 
     /** Findings silenced by NOLINT-tproc markers. */
     size_t suppressed = 0;
-
-    /** Baseline entries that matched no finding (stale debt). */
-    std::vector<std::string> staleBaseline;
-
-    /** Files rewritten by --fix. */
-    std::vector<std::string> fixedFiles;
-};
-
-/**
- * The grandfathered-findings file. Line format:
- *
- *   [rule-id] path: squeezed source line
- *
- * '#' comments (justifications) and blank lines are skipped. An entry
- * matches every finding with the same key; save() writes the current
- * fresh findings as entries.
- */
-class Baseline
-{
-  public:
-    /** Load entries from `path`. A missing file is an error (a typo'd
-     *  --baseline must not silently un-gate the lint). */
-    static Baseline load(const std::string &path);
-
-    /** Parse the in-memory text form (tests use this directly). */
-    static Baseline parse(const std::string &text);
-
-    /** Baseline key of a finding. */
-    static std::string key(const Finding &f);
-
-    /** True when the finding is grandfathered; marks the entry used. */
-    bool match(const Finding &f);
-
-    /** Entries never hit by match() since construction. */
-    std::vector<std::string> unused() const;
-
-    /** Serialize `findings` as a baseline file body. */
-    static std::string write(const std::vector<Finding> &findings);
-
-    size_t size() const { return entries.size(); }
-
-  private:
-    std::map<std::string, bool> entries;    //!< key -> used
 };
 
 /** Lint one in-memory file (unit tests drive this directly).
  *  `externUnordered` feeds sibling-header container names. */
-struct FileLint
-{
-    std::vector<Finding> findings;  //!< post-suppression
-    size_t suppressed = 0;
-    std::string fixedContent;       //!< valid when fixed
-    bool fixed = false;
-};
+LintReport lintContent(const std::string &path, std::string content,
+                       const std::set<std::string> &externUnordered);
 
-FileLint lintContent(const std::string &path, std::string content,
-                     const std::set<std::string> &rules,
-                     const std::set<std::string> &externUnordered,
-                     bool fix);
-
-/** Run the full lint. Throws std::runtime_error on environment errors
- *  (unreadable file, bad baseline, git failure). */
-LintReport lintTree(const LintOptions &opts);
-
-/** `git ls-files -z` limited to C++ sources; throws on failure. */
-std::vector<std::string> gitTrackedSources();
+/** Lint every git-tracked *.cc, *.hh and *.cpp file under the current
+ *  directory. Throws std::runtime_error on environment errors (git
+ *  failure, unreadable file). */
+LintReport lintTree();
 
 /** Human form: "file:line:col: [rule] message". */
 std::string findingLine(const Finding &f);
-
-/** The tproc-lint-v1 JSON document. */
-std::string reportToJson(const LintReport &r);
 
 } // namespace tproc::lint
 

@@ -102,8 +102,6 @@ struct Emitter
         fnd.col = col;
         fnd.rule = rule;
         fnd.message = std::move(msg);
-        if (line >= 1 && static_cast<size_t>(line) <= f.lines.size())
-            fnd.context = squeeze(f.lines[static_cast<size_t>(line) - 1]);
         out.push_back(std::move(fnd));
     }
 };
@@ -444,79 +442,34 @@ ruleTable()
 {
     static const std::vector<RuleInfo> table = {
         {"no-unordered-iteration",
-         "no iteration over unordered containers in core/harness/replay",
-         false},
+         "no iteration over unordered containers in core/harness/replay"},
         {"no-wall-clock-in-core",
-         "no wall clocks or libc randomness in library code", false},
+         "no wall clocks or libc randomness in library code"},
         {"no-raw-parse",
-         "no strtoul/atoi-family parses outside the strict parsers",
-         false},
-        {"no-bare-panic",
-         "no bare panic/fatal/abort in library code", false},
-        {"line-length", "lines are at most 79 columns", false},
-        {"trailing-whitespace", "no trailing whitespace", true},
-        {"no-tab", "no tab characters outside literals", true},
-        {"final-newline", "files end with a newline", true},
+         "no strtoul/atoi-family parses outside the strict parsers"},
+        {"no-bare-panic", "no bare panic/fatal/abort in library code"},
+        {"line-length", "lines are at most 79 columns"},
+        {"trailing-whitespace", "no trailing whitespace"},
+        {"no-tab", "no tab characters outside literals"},
+        {"final-newline", "files end with a newline"},
     };
     return table;
 }
 
-bool
-knownRule(const std::string &id)
-{
-    for (const RuleInfo &r : ruleTable())
-        if (id == r.id)
-            return true;
-    return false;
-}
-
-std::string
-squeeze(std::string_view line)
-{
-    std::string out;
-    out.reserve(line.size());
-    bool ws = true;     // leading whitespace is trimmed
-    for (char c : line) {
-        if (c == ' ' || c == '\t') {
-            if (!ws && !out.empty())
-                out.push_back(' ');
-            ws = true;
-        } else {
-            out.push_back(c);
-            ws = false;
-        }
-    }
-    while (!out.empty() && out.back() == ' ')
-        out.pop_back();
-    return out;
-}
-
 void
-runRules(const LexedFile &f, const std::set<std::string> &enabled,
-         const std::set<std::string> &externUnordered,
+runRules(const LexedFile &f, const std::set<std::string> &externUnordered,
          std::vector<Finding> &out)
 {
     const Emitter emit{f, out};
     const std::vector<const Token *> ts = codeTokens(f);
-    auto on = [&](const char *id) {
-        return enabled.empty() || enabled.count(id) != 0;
-    };
-    if (on("no-unordered-iteration"))
-        ruleNoUnorderedIteration(f, ts, externUnordered, emit);
-    if (on("no-wall-clock-in-core"))
-        ruleNoWallClock(f, ts, emit);
-    if (on("no-raw-parse"))
-        ruleNoRawParse(f, ts, emit);
-    if (on("no-bare-panic"))
-        ruleNoBarePanic(f, ts, emit);
-    if (on("line-length"))
-        ruleLineLength(f, emit);
-    if (on("trailing-whitespace"))
-        ruleTrailingWhitespace(f, emit);
-    if (on("no-tab"))
-        ruleNoTab(f, emit);
-    if (on("final-newline"))
-        ruleFinalNewline(f, emit);
+    ruleNoUnorderedIteration(f, ts, externUnordered, emit);
+    ruleNoWallClock(f, ts, emit);
+    ruleNoRawParse(f, ts, emit);
+    ruleNoBarePanic(f, ts, emit);
+    ruleLineLength(f, emit);
+    ruleTrailingWhitespace(f, emit);
+    ruleNoTab(f, emit);
+    ruleFinalNewline(f, emit);
 }
 
 } // namespace tproc::lint

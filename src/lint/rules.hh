@@ -39,24 +39,16 @@ struct Finding
     int col = 0;            //!< 1-based
     std::string rule;       //!< rule id, e.g. "no-raw-parse"
     std::string message;
-    /** The source line with whitespace runs collapsed; the baseline
-     *  keys on (rule, file, context) so entries survive unrelated
-     *  line-number drift. */
-    std::string context;
 };
 
 struct RuleInfo
 {
     const char *id;
     const char *summary;
-    bool fixable;           //!< --fix can repair this mechanically
 };
 
 /** All rules, in reporting order. */
 const std::vector<RuleInfo> &ruleTable();
-
-/** True if `id` names a rule in ruleTable(). */
-bool knownRule(const std::string &id);
 
 /**
  * Identifiers declared in `f` with an unordered_map/unordered_set
@@ -68,18 +60,14 @@ bool knownRule(const std::string &id);
 std::set<std::string> collectUnorderedNames(const LexedFile &f);
 
 /**
- * Run every rule in `enabled` (empty = all) over `f`, appending
- * findings. `externUnordered` holds container names collected from a
- * sibling header, if any. Findings are emitted in line order per
- * rule; the driver sorts the merged list.
+ * Run every rule over `f`, appending findings. `externUnordered`
+ * holds container names collected from a sibling header, if any.
+ * Findings are emitted in line order per rule; the driver sorts the
+ * merged list.
  */
-void runRules(const LexedFile &f, const std::set<std::string> &enabled,
+void runRules(const LexedFile &f,
               const std::set<std::string> &externUnordered,
               std::vector<Finding> &out);
-
-/** Collapse whitespace runs to single spaces and trim; the baseline
- *  context form of a source line. */
-std::string squeeze(std::string_view line);
 
 } // namespace tproc::lint
 

@@ -114,7 +114,8 @@ struct WorkloadPattern
     KnobRange computeLen{6, 12};    //!< straight-line ALU filler
     KnobRange callDepth{1, 2};      //!< 1 = leaf only, 2 = nested fn
 
-    /** Outer-loop iterations at scale 1 (analogs use 2200..16000). */
+    /** Outer-loop iterations at scale 1 (analogs use 2200..16000;
+     *  makeWorkload's scale bound assumes at most 16000). */
     int64_t baseIters = 4000;
 };
 

@@ -1,5 +1,6 @@
 #include "workloads/workloads.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -48,6 +49,19 @@ using PC = PatternContext;
 constexpr auto prologue = workloadPrologue;
 constexpr auto epilogue = workloadEpilogue;
 
+/** The longest outer loop of any workload at scale 1: compress's. The
+ *  other analogs run 2200..5200 iterations and the generator's
+ *  patterns 2400..12000. */
+constexpr double longestBaseIters = 16000;
+
+/** An analog's outer-loop count: `base` iterations at scale 1 and at
+ *  least one, since workloadEpilogue's countdown would wrap from 0. */
+int64_t
+scaledIters(double base, double scale)
+{
+    return std::max<int64_t>(1, static_cast<int64_t>(base * scale));
+}
+
 /**
  * compress analog. Table 5 targets: FGCI branches ~41% of branches and
  * ~63% of mispredictions with small regions (~4-6 instructions); overall
@@ -65,7 +79,7 @@ makeCompress(uint64_t seed, double scale)
     auto leaf = buildLeafFunc(cx, 4, 0.0);
     b.bind(start);
 
-    auto top = prologue(b, static_cast<int64_t>(16000 * scale));
+    auto top = prologue(b, scaledIters(16000, scale));
     for (int i = 0; i < 6; ++i) {
         HammockOpts o;
         o.takenBias = 0.86 + 0.02 * (i % 3);
@@ -99,7 +113,7 @@ makeGcc(uint64_t seed, double scale)
     auto leaf = buildLeafFunc(cx, 6, 0.97);
     b.bind(start);
 
-    auto top = prologue(b, static_cast<int64_t>(5200 * scale));
+    auto top = prologue(b, scaledIters(5200, scale));
     kSwitch(cx, PC::out(0), 16, 12, 0.8);
     for (int i = 0; i < 3; ++i) {
         HammockOpts o;
@@ -138,7 +152,7 @@ makeGo(uint64_t seed, double scale)
     auto leaf = buildLeafFunc(cx, 5, 0.0);
     b.bind(start);
 
-    auto top = prologue(b, static_cast<int64_t>(4200 * scale));
+    auto top = prologue(b, scaledIters(4200, scale));
     kSwitch(cx, PC::out(0), 32, 10, 0.55);
     for (int i = 0; i < 4; ++i) {
         HammockOpts o;
@@ -176,7 +190,7 @@ makeJpeg(uint64_t seed, double scale)
     auto leaf = buildLeafFunc(cx, 6, 0.0);
     b.bind(start);
 
-    auto top = prologue(b, static_cast<int64_t>(3400 * scale));
+    auto top = prologue(b, scaledIters(3400, scale));
     for (int i = 0; i < 6; ++i) {
         HammockOpts o;
         o.takenBias = 0.9;
@@ -213,7 +227,7 @@ makeLi(uint64_t seed, double scale)
     auto nested = buildNestedFunc(cx, leaf, 4);
     b.bind(start);
 
-    auto top = prologue(b, static_cast<int64_t>(2600 * scale));
+    auto top = prologue(b, scaledIters(2600, scale));
     kInnerLoop(cx, PC::out(0), 48, 2);
     kCall(cx, nested);
     kCompute(cx, PC::out(1), 8);
@@ -249,7 +263,7 @@ makeM88ksim(uint64_t seed, double scale)
     auto leaf = buildLeafFunc(cx, 4, 0.0);
     b.bind(start);
 
-    auto top = prologue(b, static_cast<int64_t>(2200 * scale));
+    auto top = prologue(b, scaledIters(2200, scale));
     for (int i = 0; i < 5; ++i) {
         HammockOpts o;
         o.takenBias = 0.993;
@@ -286,7 +300,7 @@ makePerl(uint64_t seed, double scale)
     auto leaf = buildLeafFunc(cx, 5, 0.0);
     b.bind(start);
 
-    auto top = prologue(b, static_cast<int64_t>(2800 * scale));
+    auto top = prologue(b, scaledIters(2800, scale));
     kSwitch(cx, PC::out(0), 16, 10, 0.92);
     for (int i = 0; i < 4; ++i) {
         HammockOpts o;
@@ -325,7 +339,7 @@ makeVortex(uint64_t seed, double scale)
     auto nested = buildNestedFunc(cx, leaf, 3);
     b.bind(start);
 
-    auto top = prologue(b, static_cast<int64_t>(3000 * scale));
+    auto top = prologue(b, scaledIters(3000, scale));
     kCall(cx, leaf);
     for (int i = 0; i < 4; ++i) {
         HammockOpts o;
@@ -361,6 +375,14 @@ workloadNames()
 Workload
 makeWorkload(const std::string &name, uint64_t seed, double scale)
 {
+    // NaN fails both comparisons; below 2^63 every count fits int64_t.
+    if (!(scale > 0.0 && scale * longestBaseIters < 0x1p63)) {
+        std::ostringstream os;
+        os << "bad workload scale " << scale
+           << " (want a positive number whose loop counts stay below "
+              "2^63)";
+        throw SimError(os.str());
+    }
     if (isGeneratedName(name))
         return makeGeneratedWorkload(name, seed, scale);
     if (name == "compress")

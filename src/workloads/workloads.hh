@@ -59,7 +59,12 @@ const std::vector<std::string> &workloadNames();
  * the full workload identity lives in (name, seed, scale), so generated
  * programs flow through the trace store, replay, and capture unchanged.
  *
+ * `scale` multiplies the outer-loop count; every workload runs at
+ * least one iteration.
+ *
  * @throw UnknownWorkloadError on any other name.
+ * @throw SimError on a scale that is NaN, infinite or <= 0, or that
+ * would push an outer-loop count past INT64_MAX.
  */
 Workload makeWorkload(const std::string &name, uint64_t seed = 1,
                       double scale = 1.0);

@@ -1,24 +1,22 @@
 /**
  * @file
  * Unit tests for tproc-lint (src/lint): tokenizer edge cases, one
- * positive and one negative fixture per rule, NOLINT suppressions,
- * baseline round-trips, and --fix idempotence.
+ * positive and one negative fixture per rule, and NOLINT
+ * suppressions.
  *
- * Everything drives lintContent()/Baseline::parse() on in-memory
- * fixtures — no filesystem, no git. Fixture paths are laid out like
- * the repo (src/core/..., tools/...) because the path-scoped rules
- * match directory components anywhere in the path.
+ * Everything drives lintContent() on in-memory fixtures — no
+ * filesystem, no git; ctest's `tproc-lint` entry lints the tree
+ * itself. Fixture paths are laid out like the repo (src/core/...,
+ * tools/...) because the path-scoped rules match directory components
+ * anywhere in the path.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "common/random.hh"
 #include "lint/lexer.hh"
 #include "lint/linter.hh"
 #include "lint/rules.hh"
@@ -28,19 +26,16 @@ namespace tproc::lint
 namespace
 {
 
-const std::set<std::string> allRules;       // empty = all
-const std::set<std::string> noExtern;
-
-/** Lint an in-memory fixture with every rule. */
-FileLint
+/** Lint an in-memory fixture with no sibling header. */
+LintReport
 lint(const std::string &path, const std::string &content)
 {
-    return lintContent(path, content, allRules, noExtern, false);
+    return lintContent(path, content, {});
 }
 
 /** Rule ids of the findings, for compact assertions. */
 std::vector<std::string>
-rulesOf(const FileLint &fl)
+rulesOf(const LintReport &fl)
 {
     std::vector<std::string> ids;
     for (const Finding &f : fl.findings)
@@ -49,7 +44,7 @@ rulesOf(const FileLint &fl)
 }
 
 bool
-hasRule(const FileLint &fl, const std::string &id)
+hasRule(const LintReport &fl, const std::string &id)
 {
     const std::vector<std::string> ids = rulesOf(fl);
     return std::find(ids.begin(), ids.end(), id) != ids.end();
@@ -166,8 +161,7 @@ TEST(LintRules, SiblingHeaderNamesFeedIteration)
     // the .cc — the driver merges the names in.
     const std::string src = "void f() { for (auto &kv : byPc)\n"
                             "    (void)kv; }\n";
-    FileLint fl = lintContent("src/replay/x.cc", src, allRules,
-                              {"byPc"}, false);
+    LintReport fl = lintContent("src/replay/x.cc", src, {"byPc"});
     EXPECT_TRUE(hasRule(fl, "no-unordered-iteration"));
 }
 
@@ -245,12 +239,18 @@ TEST(LintRules, TrailingWhitespace)
     EXPECT_FALSE(hasRule(lint("a.cc",
                               "auto s = R\"(line  \nmore)\";\n"),
                          "trailing-whitespace"));
+    EXPECT_FALSE(hasRule(lint("a.cc",
+                              "auto s = R\"(keep\tthis   \n)\";\n"),
+                         "trailing-whitespace"));
 }
 
 TEST(LintRules, TabsOutsideLiteralsOnly)
 {
     EXPECT_TRUE(hasRule(lint("a.cc", "\tint x;\n"), "no-tab"));
     EXPECT_FALSE(hasRule(lint("a.cc", "const char *t = \"\ta\";\n"),
+                         "no-tab"));
+    EXPECT_FALSE(hasRule(lint("a.cc",
+                              "auto s = R\"(keep\tthis   \n)\";\n"),
                          "no-tab"));
 }
 
@@ -264,15 +264,15 @@ TEST(LintRules, FinalNewline)
 
 TEST(LintSuppress, SameLineNolint)
 {
-    FileLint fl = lint("src/core/x.cc",
-                       "panic(\"x\");  // NOLINT-tproc(no-bare-panic)\n");
+    LintReport fl = lint(
+        "src/core/x.cc", "panic(\"x\");  // NOLINT-tproc(no-bare-panic)\n");
     EXPECT_FALSE(hasRule(fl, "no-bare-panic"));
     EXPECT_EQ(fl.suppressed, 1u);
 }
 
 TEST(LintSuppress, NextLineNolint)
 {
-    FileLint fl = lint(
+    LintReport fl = lint(
         "src/core/x.cc",
         "// NOLINT-tproc-next-line(no-bare-panic)\npanic(\"x\");\n");
     EXPECT_FALSE(hasRule(fl, "no-bare-panic"));
@@ -282,175 +282,20 @@ TEST(LintSuppress, NextLineNolint)
 TEST(LintSuppress, WildcardAndWrongRule)
 {
     // "*" silences everything on the line...
-    FileLint fl = lint("src/core/x.cc",
-                       "int v = atoi(rand_s);  // NOLINT-tproc(*)\n");
+    LintReport fl = lint("src/core/x.cc",
+                         "int v = atoi(rand_s);  // NOLINT-tproc(*)\n");
     EXPECT_TRUE(fl.findings.empty());
+    // ...as does a list naming each rule that fires...
+    LintReport list = lint(
+        "src/core/x.cc",
+        "panic(atoi(s));  // NOLINT-tproc(no-raw-parse, no-bare-panic)\n");
+    EXPECT_TRUE(list.findings.empty());
+    EXPECT_EQ(list.suppressed, 2u);
     // ...but naming a different rule suppresses nothing.
-    FileLint miss = lint(
+    LintReport miss = lint(
         "src/core/x.cc",
         "panic(\"x\");  // NOLINT-tproc(no-raw-parse)\n");
     EXPECT_TRUE(hasRule(miss, "no-bare-panic"));
-}
-
-// ----------------------------------------------------- baseline
-
-TEST(LintBaseline, RoundTripMatchesAndTracksStale)
-{
-    FileLint fl = lint("src/core/x.cc", "panic(\"boom\");\n");
-    ASSERT_FALSE(fl.findings.empty());
-
-    Baseline b = Baseline::parse(Baseline::write(fl.findings));
-    EXPECT_EQ(b.size(), fl.findings.size());
-    for (const Finding &f : fl.findings)
-        EXPECT_TRUE(b.match(f));
-    EXPECT_TRUE(b.unused().empty());
-
-    // An entry nothing matches is reported stale.
-    Baseline stale = Baseline::parse(
-        "# gone\n[no-bare-panic] src/core/gone.cc: panic(\"old\");\n");
-    EXPECT_EQ(stale.unused().size(), 1u);
-}
-
-TEST(LintBaseline, KeySurvivesLineDrift)
-{
-    FileLint a = lint("src/core/x.cc", "panic(\"boom\");\n");
-    FileLint b = lint("src/core/x.cc", "int pad;\n\n\npanic(\"boom\");\n");
-    ASSERT_FALSE(a.findings.empty());
-    ASSERT_FALSE(b.findings.empty());
-    EXPECT_NE(a.findings[0].line, b.findings[0].line);
-    EXPECT_EQ(Baseline::key(a.findings[0]), Baseline::key(b.findings[0]));
-}
-
-TEST(LintBaseline, MalformedEntryThrows)
-{
-    EXPECT_THROW(Baseline::parse("not a baseline line\n"),
-                 std::runtime_error);
-    EXPECT_THROW(Baseline::parse("[nonesuch-rule] a.cc: x\n"),
-                 std::runtime_error);
-}
-
-TEST(LintBaseline, MutatedBaselinesParseOrFailCleanly)
-{
-    // Seeded byte flips, truncations, splices and duplicated lines of a
-    // baseline with comments, blank lines and several rules' entries.
-    // A mutant either parses, and then holds no more entries than it
-    // has lines, each one a known rule's "[rule] path: context" key
-    // that nothing has matched yet, or throws std::runtime_error;
-    // anything else (a crash, a sanitizer report, another exception
-    // type) fails.
-    std::vector<Finding> findings;
-    for (const char *src :
-         {"panic(\"boom\");\n", "int v = atoi(s);\n",
-          "std::unordered_map<int, int> m;\nfor (auto &kv : m) {}\n"}) {
-        const FileLint fl = lint("src/core/x.cc", src);
-        findings.insert(findings.end(), fl.findings.begin(),
-                        fl.findings.end());
-    }
-    ASSERT_GE(findings.size(), 3u);
-    const std::string doc = "# tproc-lint baseline\n\n# why\n" +
-        Baseline::write(findings) + "\n  \t# indented comment\n";
-    ASSERT_EQ(Baseline::parse(doc).size(), findings.size());
-
-    const std::string alphabet = "[]:# \t\n-abcdnoprstu";
-    Rng rng(20261020);
-    int parsed = 0, rejected = 0;
-    for (int i = 0; i < 3000; ++i) {
-        std::string m = doc;
-        const size_t at = rng.below(m.size() + 1);
-        switch (i % 4) {
-          case 0:
-            for (uint64_t n = 1 + rng.below(3); n > 0; --n) {
-                m[rng.below(m.size())] = rng.chance(0.8)
-                    ? alphabet[rng.below(alphabet.size())]
-                    : static_cast<char>(rng.below(256));
-            }
-            break;
-          case 1:
-            m.resize(at);
-            break;
-          case 2: {
-            const size_t from = rng.below(doc.size());
-            m.insert(at, doc.substr(from, 1 + rng.below(48)));
-            break;
-          }
-          default: {
-            // A whole line repeated elsewhere.
-            const size_t start = doc.rfind('\n', rng.below(doc.size()));
-            const size_t from = start == std::string::npos ? 0 : start + 1;
-            const size_t end = doc.find('\n', from);
-            m.insert(at, doc.substr(from, end - from + 1));
-            break;
-          }
-        }
-        std::unique_ptr<Baseline> b;
-        try {
-            b = std::make_unique<Baseline>(Baseline::parse(m));
-        } catch (const std::runtime_error &) {
-            ++rejected;
-            continue;
-        }
-        ++parsed;
-        const std::vector<std::string> entries = b->unused();
-        ASSERT_EQ(entries.size(), b->size());
-        ASSERT_LE(entries.size(),
-                  static_cast<size_t>(std::count(m.begin(), m.end(), '\n')) +
-                      1);
-        for (const std::string &e : entries) {
-            ASSERT_EQ(e[0], '[') << e;
-            const size_t close = e.find("] ");
-            ASSERT_NE(close, std::string::npos) << e;
-            ASSERT_TRUE(knownRule(e.substr(1, close - 1))) << e;
-            ASSERT_NE(e.find(": ", close), std::string::npos) << e;
-        }
-    }
-    // Both outcomes are exercised.
-    EXPECT_GT(parsed, 300);
-    EXPECT_GT(rejected, 300);
-}
-
-// ---------------------------------------------------------- fix
-
-TEST(LintFix, RepairsAndIsIdempotent)
-{
-    const std::string dirty = "\tint x;   \nint y;";
-    FileLint first = lintContent("a.cc", dirty, allRules, noExtern,
-                                 true);
-    ASSERT_TRUE(first.fixed);
-    EXPECT_EQ(first.fixedContent, "    int x;\nint y;\n");
-
-    // Re-fixing the fixed content is a no-op with no style findings.
-    FileLint second = lintContent("a.cc", first.fixedContent, allRules,
-                                  noExtern, true);
-    EXPECT_FALSE(second.fixed);
-    EXPECT_FALSE(hasRule(second, "no-tab"));
-    EXPECT_FALSE(hasRule(second, "trailing-whitespace"));
-    EXPECT_FALSE(hasRule(second, "final-newline"));
-}
-
-TEST(LintFix, NeverTouchesLiterals)
-{
-    const std::string src = "auto s = R\"(keep\tthis   \n)\";\n";
-    FileLint fl = lintContent("a.cc", src, allRules, noExtern, true);
-    EXPECT_FALSE(fl.fixed);
-}
-
-// ------------------------------------------------------- report
-
-TEST(LintReportTest, JsonCarriesSchemaAndCounts)
-{
-    LintReport r;
-    r.filesScanned = 2;
-    Finding f;
-    f.file = "src/core/x.cc";
-    f.line = 3;
-    f.col = 1;
-    f.rule = "no-bare-panic";
-    f.message = "m";
-    f.context = "panic(\"x\");";
-    r.fresh.push_back(f);
-    const std::string json = reportToJson(r);
-    EXPECT_NE(json.find("tproc-lint-v1"), std::string::npos);
-    EXPECT_NE(json.find("no-bare-panic"), std::string::npos);
 }
 
 } // anonymous namespace

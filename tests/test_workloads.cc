@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "emulator/emulator.hh"
 #include "study/branch_study.hh"
 #include "workloads/workloads.hh"
@@ -47,6 +49,25 @@ TEST(Workloads, UnknownNameThrowsListingTheMenu)
             << msg;
         EXPECT_NE(msg.find("nonesuch"), std::string::npos) << msg;
         EXPECT_NE(msg.find("compress"), std::string::npos) << msg;
+    }
+}
+
+TEST(Workloads, ScaleMustGiveALoopCount)
+{
+    // NaN, infinities and scales <= 0 give no count, and 1e300 one
+    // past INT64_MAX: each is refused before any program is built.
+    for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1.0,
+                       1e300}) {
+        EXPECT_THROW(makeWorkload("li", 1, bad), SimError) << bad;
+        EXPECT_THROW(makeWorkload("gen:all:0", 1, bad), SimError) << bad;
+    }
+    // A tiny scale still runs one outer iteration, to HALT: a count
+    // of 0 would wrap workloadEpilogue's countdown.
+    for (const auto &name : workloadNames()) {
+        Workload w = makeWorkload(name, 1, 1e-300);
+        Emulator emu(w.program);
+        emu.run(w.maxInsts);
+        EXPECT_TRUE(emu.halted()) << name;
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tiny argument helpers shared by the tproc CLIs (tproc-sweep,
- * tproc-trace, tproc-explore, tproc-lint, bench_paper).
+ * tproc-trace, tproc-explore, bench_paper).
  *
  * The numeric parsers are strict by design: "--insts=abc" or
  * "--seed=1x" must be a usage error, never a silent zero (the strtoull

@@ -10,8 +10,7 @@
  * Usage:
  *   tproc-explore [--shapes=N] [--seed=S] [--mix=SPEC] [--insts=N]
  *                 [--threads=T] [--point=I] [--failure-dir=DIR]
- *                 [--metrics-interval=N] [--frontier=K] [--json=FILE]
- *                 [--quiet]
+ *                 [--json=FILE] [--quiet]
  *
  * --json writes the deterministic explore-report-v1 document: two
  * runs with the same flags are byte-identical for any --threads or
@@ -47,9 +46,8 @@ usage(std::ostream &os)
 {
     os << "usage: tproc-explore [--shapes=N] [--seed=S] [--mix=SPEC]\n"
           "                     [--insts=N] [--threads=T] [--point=I]\n"
-          "                     [--failure-dir=DIR]\n"
-          "                     [--metrics-interval=N] [--frontier=K]\n"
-          "                     [--json=FILE] [--quiet]\n";
+          "                     [--failure-dir=DIR] [--json=FILE]\n"
+          "                     [--quiet]\n";
 }
 
 } // namespace
@@ -102,15 +100,6 @@ main(int argc, char **argv)
             point_set = true;
         } else if (parseArg(argv[i], "--failure-dir", v)) {
             opts.failureDir = v;
-        } else if (parseArg(argv[i], "--metrics-interval", v)) {
-            if (!cli::parseU64(v, opts.metricsInterval))
-                return badNumber("--metrics-interval", v);
-        } else if (parseArg(argv[i], "--frontier", v)) {
-            if (!cli::parseU64(v, u) || u == 0 ||
-                u > cli::maxCountFlag) {
-                return badNumber("--frontier", v);
-            }
-            opts.frontierSize = static_cast<size_t>(u);
         } else if (parseArg(argv[i], "--json", v)) {
             json_path = v;
         } else if (std::strcmp(argv[i], "--quiet") == 0) {

@@ -2,32 +2,23 @@
  * @file
  * tproc-lint: the in-repo determinism + style checker.
  *
- *   tproc-lint [--fix] [--json[=FILE]] [--baseline=FILE]
- *              [--write-baseline[=FILE]] [--rules=a,b,...]
- *              [--list-rules] [--quiet] [paths...]
+ *   tproc-lint [--list-rules] [--help]
  *
- * With no paths, lints every git-tracked *.cc, *.hh, and *.cpp file
- * under the
- * current directory. With paths, lints those files/directories
- * (directories recurse; build* and dot-directories are skipped).
+ * Lints every git-tracked *.cc, *.hh, and *.cpp file under the
+ * current directory (run it from the repo root) and prints one
+ * "file:line:col: [rule] message" line per finding. A finding is
+ * silenced only by an in-line NOLINT-tproc marker that carries its
+ * justification; docs/lint.md is the rule + policy reference.
  *
- * The baseline defaults to .lint-baseline when that file exists in
- * the current directory; findings it grandfathers are reported but
- * don't fail the run. docs/lint.md is the rule + policy reference.
- *
- * Exit codes (docs/cli.md): 0 = clean (everything baselined or
- * suppressed), 1 = fresh findings, 2 = usage error, 126 = runtime
- * error (unreadable file, malformed baseline).
+ * Exit codes (docs/cli.md): 0 = clean, 1 = findings, 2 = usage
+ * error, 126 = runtime error (git failure, unreadable file).
  */
 
 #include <cstring>
-#include <fstream>
 #include <iostream>
 
 #include "lint/linter.hh"
-#include "tools/cli.hh"
 
-using namespace tproc;
 using namespace tproc::lint;
 
 namespace
@@ -36,165 +27,43 @@ namespace
 void
 usage(std::ostream &os)
 {
-    os << "usage: tproc-lint [--fix] [--json[=FILE]]\n"
-          "                  [--baseline=FILE | --no-baseline]\n"
-          "                  [--write-baseline[=FILE]]\n"
-          "                  [--rules=a,b,...] [--list-rules]\n"
-          "                  [--quiet] [paths...]\n"
+    os << "usage: tproc-lint [--list-rules] [--help]\n"
           "\n"
-          "Lints git-tracked *.cc/*.hh/*.cpp (or the given paths)\n"
+          "Lints git-tracked *.cc/*.hh/*.cpp under the current directory\n"
           "against the tproc determinism + style rules; see\n"
-          "docs/lint.md. Exit 0 = clean, 1 = fresh findings,\n"
-          "2 = usage, 126 = runtime error.\n";
+          "docs/lint.md. Exit 0 = clean, 1 = findings, 2 = usage,\n"
+          "126 = runtime error.\n";
 }
-
-void
-listRules(std::ostream &os)
-{
-    for (const RuleInfo &r : ruleTable()) {
-        os << r.id << (r.fixable ? " [fixable]" : "") << "\n    "
-           << r.summary << "\n";
-    }
-}
-
-constexpr const char *defaultBaseline = ".lint-baseline";
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    LintOptions opts;
-    std::string jsonPath;
-    bool jsonStdout = false;
-    bool writeBaseline = false;
-    std::string writeBaselinePath = defaultBaseline;
-    bool noBaseline = false;
-    bool quiet = false;
-
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        std::string v;
-        if (std::strcmp(arg, "--fix") == 0) {
-            opts.fix = true;
-        } else if (std::strcmp(arg, "--json") == 0) {
-            jsonStdout = true;
-        } else if (cli::parseArg(arg, "--json", v)) {
-            if (!cli::checkWritable(v)) {
-                std::cerr << "tproc-lint: cannot write --json file '"
-                          << v << "'\n";
-                return 2;
-            }
-            jsonPath = v;
-        } else if (cli::parseArg(arg, "--baseline", v)) {
-            opts.baselinePath = v;
-        } else if (std::strcmp(arg, "--no-baseline") == 0) {
-            noBaseline = true;
-        } else if (std::strcmp(arg, "--write-baseline") == 0) {
-            writeBaseline = true;
-        } else if (cli::parseArg(arg, "--write-baseline", v)) {
-            writeBaseline = true;
-            writeBaselinePath = v;
-        } else if (cli::parseArg(arg, "--rules", v)) {
-            for (const std::string &id : cli::splitList(v)) {
-                if (!knownRule(id)) {
-                    std::cerr << "tproc-lint: unknown rule '" << id
-                              << "'; --list-rules shows the menu\n";
-                    return 2;
-                }
-                opts.rules.insert(id);
-            }
-        } else if (std::strcmp(arg, "--list-rules") == 0) {
-            listRules(std::cout);
+        if (std::strcmp(argv[i], "--list-rules") == 0) {
+            for (const RuleInfo &r : ruleTable())
+                std::cout << r.id << "\n    " << r.summary << "\n";
             return 0;
-        } else if (std::strcmp(arg, "--quiet") == 0 ||
-                   std::strcmp(arg, "-q") == 0) {
-            quiet = true;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
+        }
+        if (std::strcmp(argv[i], "--help") == 0 ||
+            std::strcmp(argv[i], "-h") == 0) {
             usage(std::cout);
             return 0;
-        } else if (arg[0] == '-' && arg[1] != '\0') {
-            std::cerr << "tproc-lint: unknown option '" << arg << "'\n";
-            usage(std::cerr);
-            return 2;
-        } else {
-            opts.paths.push_back(arg);
         }
-    }
-
-    if (noBaseline) {
-        if (!opts.baselinePath.empty()) {
-            std::cerr << "tproc-lint: --baseline and --no-baseline "
-                         "conflict\n";
-            return 2;
-        }
-    } else if (opts.baselinePath.empty() &&
-               std::ifstream(defaultBaseline).good()) {
-        opts.baselinePath = defaultBaseline;
+        std::cerr << "tproc-lint: unknown argument '" << argv[i] << "'\n";
+        usage(std::cerr);
+        return 2;
     }
 
     try {
-        // --write-baseline snapshots the *fresh* findings of a normal
-        // run (existing baseline ignored so entries never nest).
-        if (writeBaseline)
-            opts.baselinePath.clear();
-
-        const LintReport report = lintTree(opts);
-
-        if (writeBaseline) {
-            std::ofstream out(writeBaselinePath,
-                              std::ios::binary | std::ios::trunc);
-            out << "# tproc-lint baseline: grandfathered findings.\n"
-                   "# Every entry needs a '#' justification above it;\n"
-                   "# see docs/lint.md. Regenerate with\n"
-                   "#   tproc-lint --write-baseline\n"
-                << Baseline::write(report.fresh);
-            if (!out.flush()) {
-                std::cerr << "tproc-lint: cannot write baseline '"
-                          << writeBaselinePath << "'\n";
-                return 126;
-            }
-            std::cout << "wrote " << report.fresh.size()
-                      << " baseline entries to " << writeBaselinePath
-                      << "\n";
-            return 0;
-        }
-
-        if (!quiet) {
-            for (const Finding &f : report.fresh)
-                std::cout << findingLine(f) << "\n";
-            for (const std::string &s : report.staleBaseline)
-                std::cerr << "tproc-lint: stale baseline entry: " << s
-                          << "\n";
-            for (const std::string &f : report.fixedFiles)
-                std::cerr << "tproc-lint: fixed " << f << "\n";
-            std::cerr << "tproc-lint: " << report.filesScanned
-                      << " files, " << report.fresh.size()
-                      << " findings (" << report.baselined.size()
-                      << " baselined, " << report.suppressed
-                      << " suppressed";
-            if (!report.fixedFiles.empty())
-                std::cerr << ", " << report.fixedFiles.size()
-                          << " fixed";
-            std::cerr << ")\n";
-        }
-
-        const std::string json = reportToJson(report);
-        if (jsonStdout)
-            std::cout << json;
-        if (!jsonPath.empty()) {
-            std::ofstream out(jsonPath,
-                              std::ios::binary | std::ios::trunc);
-            out << json;
-            if (!out.flush()) {
-                std::cerr << "tproc-lint: cannot write '" << jsonPath
-                          << "'\n";
-                return 126;
-            }
-        }
-
-        return report.fresh.empty() ? 0 : 1;
+        const LintReport report = lintTree();
+        for (const Finding &f : report.findings)
+            std::cout << findingLine(f) << "\n";
+        std::cerr << "tproc-lint: " << report.filesScanned << " files, "
+                  << report.findings.size() << " findings ("
+                  << report.suppressed << " suppressed)\n";
+        return report.findings.empty() ? 0 : 1;
     } catch (const std::exception &e) {
         std::cerr << "tproc-lint: " << e.what() << "\n";
         return 126;

@@ -48,9 +48,11 @@
  * Defaults: all eight workloads, models base + FG+MLB-RET, 400000
  * instructions, seed 1, hardware-concurrency threads, progress on.
  * Exit status is the number of failed points (capped at 125); 126
- * flags a usage or artifact error, except an unwritable --json or
- * --metrics-json destination, which exits 2 before any point runs
- * (checked up front, the usage convention of docs/cli.md).
+ * flags an unknown argument, a --generate above the grid bound or an
+ * artifact error. Every other usage error exits 2 before any point
+ * runs (the usage convention of docs/cli.md): a malformed number, a
+ * zero --insts, --generate or --metrics-interval, an unknown name, an
+ * empty list, or an unwritable --json or --metrics-json destination.
  */
 
 #include <algorithm>
@@ -141,7 +143,7 @@ main(int argc, char **argv)
         std::cerr << "tproc-sweep: bad " << flag << " '" << v
                   << "' (want a decimal number)\n";
         usage(std::cerr);
-        return 126;
+        return 2;
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -151,7 +153,9 @@ main(int argc, char **argv)
         } else if (parseArg(argv[i], "--models", v)) {
             models = splitList(v);
         } else if (parseArg(argv[i], "--insts", v)) {
-            if (!cli::parseU64(v, insts))
+            // A 0-instruction run measures nothing yet passes every
+            // gate.
+            if (!cli::parseU64(v, insts) || insts == 0)
                 return badNumber("--insts", v);
         } else if (parseArg(argv[i], "--seed", v)) {
             if (!cli::parseU64(v, seed))

@@ -24,6 +24,7 @@
  * per-chunk codec/size/ratio accounting. Usage errors exit 126.
  */
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
@@ -83,9 +84,9 @@ recordMain(int argc, char **argv)
             char *end = nullptr;
             scale = std::strtod(v.c_str(), &end);
             if (v.empty() || end != v.c_str() + v.size() ||
-                scale <= 0.0) {
+                !std::isfinite(scale) || scale <= 0.0) {
                 std::cerr << "tproc-trace record: bad --scale '" << v
-                          << "' (want a positive number)\n";
+                          << "' (want a positive finite number)\n";
                 usage(std::cerr);
                 return 126;
             }
