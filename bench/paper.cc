@@ -13,7 +13,8 @@
  *
  * Exit status: 0 ok; 1 a point failed (all failures are listed, the
  * document is still written, and no table is printed); 2 usage error
- * (including --insts below 2) or an unwritable --json path.
+ * (including --insts below 2) or an unwritable --json path; 126 when
+ * the document cannot be written after the sweep.
  */
 
 #include <fstream>
@@ -95,7 +96,7 @@ main(int argc, char **argv)
         harness::writePaperJson(out, result);
         if (!out.flush()) {
             std::cerr << "bench_paper: cannot write " << json << '\n';
-            return 2;
+            return 126;
         }
         std::cerr << "bench_paper: wrote " << json << '\n';
     }

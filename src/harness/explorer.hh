@@ -16,7 +16,7 @@
  * replayed from a captured trace. The two must agree bit for bit.
  *
  * Any panic, watchdog bark, or oracle divergence is captured: a
- * verify-clean v3 `.tpt` lands in the failure directory plus a
+ * verify-clean v4 `.tpt` lands in the failure directory plus a
  * one-line repro command (`--point=I` re-runs exactly that index
  * because sampling is index-keyed) — the microreboot idea from
  * PAPERS.md, every failure leaves a cheap, precise recovery point.
@@ -215,8 +215,9 @@ struct ExploreReport
 
 /** Run the campaign. Throws UnknownWorkloadError on a bad mix (CLI
  *  front-ends surface it as usage + exit 2) and std::runtime_error
- *  when the replay store cannot be created; per-point faults never
- *  throw — they come back as failed points with captures. */
+ *  when the replay store cannot be created (exit 126); per-point
+ *  faults never throw — they come back as failed points with
+ *  captures. */
 ExploreReport runExplore(const ExploreOptions &opts);
 
 /** Serialize the deterministic `explore-report-v1` document. Two runs

@@ -96,24 +96,57 @@ readFile(const std::string &path)
     return ss.str();
 }
 
-/** `git ls-files -z` limited to C++ sources, sorted. */
-std::vector<std::string>
-gitTrackedSources()
+/** The stdout of cmd; throws naming what when it cannot run or exits
+ *  nonzero. */
+std::string
+runGit(const std::string &cmd, const char *what)
 {
-    FILE *p = popen("git ls-files -z -- '*.cc' '*.hh' '*.cpp'", "r");
+    FILE *p = popen(cmd.c_str(), "r");
     if (!p)
-        throw std::runtime_error("lint: cannot run git ls-files");
+        throw std::runtime_error(std::string("lint: cannot run ") + what);
     std::string buf;
     char chunk[4096];
     size_t n;
     while ((n = fread(chunk, 1, sizeof(chunk), p)) > 0)
         buf.append(chunk, n);
-    const int rc = pclose(p);
-    if (rc != 0) {
-        throw std::runtime_error(
-            "lint: git ls-files failed (run tproc-lint from a git "
-            "checkout)");
+    if (pclose(p) != 0) {
+        throw std::runtime_error(std::string("lint: ") + what +
+                                 " failed (run tproc-lint from a git "
+                                 "checkout)");
     }
+    return buf;
+}
+
+/** s as one single-quoted shell word. */
+std::string
+shellQuote(const std::string &s)
+{
+    std::string q = "'";
+    for (char c : s)
+        q += c == '\'' ? std::string("'\\''") : std::string(1, c);
+    return q + "'";
+}
+
+/** The top directory of the checkout holding the current directory. */
+std::string
+gitRoot()
+{
+    std::string root =
+        runGit("git rev-parse --show-toplevel", "git rev-parse");
+    while (!root.empty() && (root.back() == '\n' || root.back() == '\r'))
+        root.pop_back();
+    return root;
+}
+
+/** Every tracked C++ source of the checkout at root, as a path
+ *  relative to root, sorted. */
+std::vector<std::string>
+gitTrackedSources(const std::string &root)
+{
+    const std::string buf =
+        runGit("git -C " + shellQuote(root) +
+                   " ls-files -z -- '*.cc' '*.hh' '*.cpp'",
+               "git ls-files");
     std::vector<std::string> files;
     size_t start = 0;
     while (start < buf.size()) {
@@ -129,14 +162,15 @@ gitTrackedSources()
 
 /** Container names declared in the sibling .hh of a .cc, so members
  *  declared in the header and iterated in the implementation are
- *  caught (the rules are otherwise per-file). */
+ *  caught (the rules are otherwise per-file). path is relative to
+ *  root. */
 std::set<std::string>
-siblingUnorderedNames(const std::string &path)
+siblingUnorderedNames(const std::string &root, const std::string &path)
 {
     if (path.size() < 3 || path.compare(path.size() - 3, 3, ".cc") != 0)
         return {};
     const std::string sibling = path.substr(0, path.size() - 3) + ".hh";
-    std::ifstream in(sibling, std::ios::binary);
+    std::ifstream in(root + "/" + sibling, std::ios::binary);
     if (!in)
         return {};
     std::ostringstream ss;
@@ -183,10 +217,11 @@ lintContent(const std::string &path, std::string content,
 LintReport
 lintTree()
 {
+    const std::string root = gitRoot();
     LintReport report;
-    for (const std::string &file : gitTrackedSources()) {
-        LintReport one = lintContent(file, readFile(file),
-                                     siblingUnorderedNames(file));
+    for (const std::string &file : gitTrackedSources(root)) {
+        LintReport one = lintContent(file, readFile(root + "/" + file),
+                                     siblingUnorderedNames(root, file));
         report.filesScanned += one.filesScanned;
         report.suppressed += one.suppressed;
         std::move(one.findings.begin(), one.findings.end(),

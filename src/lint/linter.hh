@@ -41,9 +41,11 @@ struct LintReport
 LintReport lintContent(const std::string &path, std::string content,
                        const std::set<std::string> &externUnordered);
 
-/** Lint every git-tracked *.cc, *.hh and *.cpp file under the current
- *  directory. Throws std::runtime_error on environment errors (git
- *  failure, unreadable file). */
+/** Lint every git-tracked *.cc, *.hh and *.cpp file of the checkout
+ *  that holds the current directory, from any of its directories.
+ *  Findings name paths relative to the checkout's top directory.
+ *  Throws std::runtime_error on environment errors (git failure,
+ *  unreadable file). */
 LintReport lintTree();
 
 /** Human form: "file:line:col: [rule] message". */

@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "emulator/emulator.hh"
-#include "replay/codec.hh"
 
 namespace tproc::replay
 {
@@ -48,7 +47,7 @@ bitsDouble(uint64_t bits)
 constexpr uint64_t maxUpfrontReserve = uint64_t{1} << 20;
 
 /** The four chunks of a file, in order. */
-constexpr ChunkType chunkOrder[] = {ChunkType::META, ChunkType::PROGZ,
+constexpr ChunkType chunkOrder[] = {ChunkType::META, ChunkType::PROG,
                                     ChunkType::DGST, ChunkType::END};
 
 const char *
@@ -57,7 +56,7 @@ chunkName(ChunkType t)
     switch (t) {
       case ChunkType::META: return "META";
       case ChunkType::END: return "END";
-      case ChunkType::PROGZ: return "PROGZ";
+      case ChunkType::PROG: return "PROG";
       case ChunkType::DGST: return "DGST";
     }
     return "unknown";
@@ -117,8 +116,7 @@ encodeMeta(const TraceMeta &meta)
     return p;
 }
 
-/** The PROGZ payload: codec envelope around the plaintext that
- *  trace_file.hh describes. */
+/** The PROG payload that trace_file.hh describes. */
 std::string
 encodeProgram(const Program &prog)
 {
@@ -150,14 +148,7 @@ encodeProgram(const Program &prog)
     putVarint(p, addrs.size());
     p += addrs;
     p += values;
-
-    const CodecResult comp = codecCompress(p);
-    std::string payload;
-    payload.push_back(static_cast<char>(comp.codec));
-    putVarint(payload, p.size());
-    putU64(payload, fnv1a(p.data(), p.size()));
-    payload.append(comp.bytes);
-    return payload;
+    return p;
 }
 
 /** A register field read from a file: in range, or a TraceError. */
@@ -166,7 +157,7 @@ checkedReg(char byte, size_t inst, const char *field)
 {
     const auto r = static_cast<uint8_t>(byte);
     if (r >= numArchRegs) {
-        throw TraceError("PROGZ instruction " + std::to_string(inst) +
+        throw TraceError("PROG instruction " + std::to_string(inst) +
                          " names " + field + " register " +
                          std::to_string(r) + " (the ISA has " +
                          std::to_string(numArchRegs) + ")");
@@ -239,9 +230,9 @@ TraceReader::capture(const Program &program, const TraceMeta &meta,
     std::string bytes(traceMagic, sizeof(traceMagic));
     putU32(bytes, traceVersion);
     const std::string meta_payload = encodeMeta(meta);
-    const std::string progz = encodeProgram(program);
+    const std::string prog_payload = encodeProgram(program);
     appendChunk(bytes, ChunkType::META, 0, meta_payload);
-    appendChunk(bytes, ChunkType::PROGZ, 0, progz);
+    appendChunk(bytes, ChunkType::PROG, 0, prog_payload);
 
     // Read back what was encoded, and emulate that: the reader holds
     // what a parse of the file decodes, and the digests are the ones a
@@ -250,7 +241,8 @@ TraceReader::capture(const Program &program, const TraceMeta &meta,
     Execution run;
     try {
         r->decodeMeta(ByteCursor(meta_payload.data(), meta_payload.size()));
-        r->decodeProgz(ByteCursor(progz.data(), progz.size()));
+        r->decodeProgram(
+            ByteCursor(prog_payload.data(), prog_payload.size()));
         run = emulate(r->prog, meta.captureCap);
     } catch (const TraceError &e) {
         throw TraceError(path + ": " + e.what());
@@ -276,7 +268,7 @@ TraceReader::capture(const Program &program, const TraceMeta &meta,
     inf.cleanHalt = run.halted;
     inf.fileBytes = bytes.size();
     inf.digests = run.digests.size();
-    inf.chunkStats.push_back({ChunkType::DGST, 0, chain.size(), chain.size()});
+    inf.chunkStats.push_back({ChunkType::DGST, chain.size()});
     return r;
 }
 
@@ -297,42 +289,20 @@ TraceReader::decodeMeta(ByteCursor c)
 }
 
 void
-TraceReader::decodeProgz(ByteCursor z)
-{
-    const size_t stored = z.remaining();
-    const uint8_t codec = z.u8();
-    const uint64_t plain_len = z.varint();
-    const uint64_t plain_fnv = z.u64();
-    if (plain_len > maxPlainTraceBytes) {
-        throw TraceError("PROGZ claims an implausible plaintext size of " +
-                         std::to_string(plain_len) + " bytes (the budgets "
-                         "admit " + std::to_string(maxPlainTraceBytes) +
-                         ")");
-    }
-    const size_t comp_len = z.remaining();
-    const std::string plain =
-        codecDecompress(codec, z.take(comp_len), comp_len,
-                        static_cast<size_t>(plain_len));
-    if (fnv1a(plain.data(), plain.size()) != plain_fnv)
-        throw TraceError("PROGZ plaintext checksum mismatch");
-    decodeProgram(ByteCursor(plain.data(), plain.size()));
-    inf.chunkStats.push_back({ChunkType::PROGZ, codec, stored, plain.size()});
-}
-
-void
 TraceReader::decodeProgram(ByteCursor c)
 {
+    inf.chunkStats.push_back({ChunkType::PROG, c.remaining()});
     prog.entry = static_cast<Addr>(c.varint());
     prog.name = inf.meta.programName;
     const uint64_t code_size = c.varint();
     if (code_size > maxTraceCode) {
-        throw TraceError("PROGZ program of " + std::to_string(code_size) +
+        throw TraceError("PROG program of " + std::to_string(code_size) +
                          " instructions exceeds the code budget of " +
                          std::to_string(maxTraceCode) + " instructions");
     }
     // Four fixed plane bytes + >= 1 imm byte per instruction follow.
     if (code_size > c.remaining() / 5)
-        throw TraceError("PROGZ code count exceeds chunk size");
+        throw TraceError("PROG code count exceeds chunk size");
     const size_t nc = static_cast<size_t>(code_size);
     const char *ops = c.take(nc);
     const char *rd = c.take(nc);
@@ -340,7 +310,7 @@ TraceReader::decodeProgram(ByteCursor c)
     const char *rs2 = c.take(nc);
     const uint64_t imm_len = c.varint();
     if (imm_len > c.remaining())
-        throw TraceError("PROGZ imm stream exceeds chunk size");
+        throw TraceError("PROG imm stream exceeds chunk size");
     ByteCursor ic(c.take(static_cast<size_t>(imm_len)),
                   static_cast<size_t>(imm_len));
     prog.code.reserve(nc);
@@ -348,7 +318,7 @@ TraceReader::decodeProgram(ByteCursor c)
         Instruction inst;
         const auto op = static_cast<uint8_t>(ops[i]);
         if (op >= static_cast<uint8_t>(Opcode::NUM_OPCODES))
-            throw TraceError("PROGZ chunk holds an invalid opcode");
+            throw TraceError("PROG chunk holds an invalid opcode");
         inst.op = static_cast<Opcode>(op);
         // The emulator and the rename map index fixed arrays by these.
         inst.rd = checkedReg(rd[i], i, "rd");
@@ -358,19 +328,19 @@ TraceReader::decodeProgram(ByteCursor c)
         prog.code.push_back(inst);
     }
     if (!ic.atEnd())
-        throw TraceError("trailing bytes in PROGZ imm stream");
+        throw TraceError("trailing bytes in PROG imm stream");
 
     const uint64_t data_count = c.varint();
     const uint64_t addr_len = c.varint();
     if (addr_len > c.remaining())
-        throw TraceError("PROGZ address stream exceeds chunk size");
+        throw TraceError("PROG address stream exceeds chunk size");
     ByteCursor ac(c.take(static_cast<size_t>(addr_len)),
                   static_cast<size_t>(addr_len));
     // Each entry costs >= 1 address byte and >= 1 value byte.
     if (data_count > addr_len || data_count > c.remaining())
-        throw TraceError("PROGZ data count exceeds chunk size");
+        throw TraceError("PROG data count exceeds chunk size");
     if (data_count > SparseMemory::maxPages * SparseMemory::pageWords) {
-        throw TraceError("PROGZ data image of " +
+        throw TraceError("PROG data image of " +
                          std::to_string(data_count) +
                          " words exceeds the data-memory page budget");
     }
@@ -382,9 +352,9 @@ TraceReader::decodeProgram(ByteCursor c)
         prog.dataInit.emplace_back(addr, c.svarint());
     }
     if (!ac.atEnd())
-        throw TraceError("trailing bytes in PROGZ address stream");
+        throw TraceError("trailing bytes in PROG address stream");
     if (!c.atEnd())
-        throw TraceError("trailing bytes in PROGZ chunk");
+        throw TraceError("trailing bytes in PROG chunk");
     normalizeDataImage(prog.dataInit);
     inf.codeSize = prog.code.size();
     inf.dataInitSize = prog.dataInit.size();
@@ -408,10 +378,10 @@ TraceReader::TraceReader(const std::string &path)
         throw TraceError(path + ": not a trace file (bad magic)");
     }
     inf.version = ByteCursor(data.data() + 4, 4).u32();
-    if (inf.version == 1 || inf.version == 2) {
+    if (inf.version >= 1 && inf.version < traceVersion) {
         throw TraceError(path + ": trace version " +
                          std::to_string(inf.version) +
-                         " stores a step stream, which replay no longer "
+                         " is a retired layout, which replay no longer "
                          "reads; re-record it (tproc-trace record)");
     }
     if (inf.version != traceVersion) {
@@ -473,14 +443,14 @@ TraceReader::TraceReader(const std::string &path)
             throw TraceError(path + ": END clean-halt flag is not 0 or 1");
         inf.cleanHalt = halt != 0;
         if (sealed != fnv1a(data.data(), end_pos)) {
-            throw TraceError(path + ": END digest mismatch (META, PROGZ "
+            throw TraceError(path + ": END digest mismatch (META, PROG "
                              "and DGST are not the chunks it sealed)");
         }
     }
 
     try {
         decodeMeta(ByteCursor(chunks[0].payload, chunks[0].len));
-        decodeProgz(ByteCursor(chunks[1].payload, chunks[1].len));
+        decodeProgram(ByteCursor(chunks[1].payload, chunks[1].len));
     } catch (const TraceError &e) {
         throw TraceError(path + ": " + e.what());
     }
@@ -493,7 +463,7 @@ TraceReader::TraceReader(const std::string &path)
     for (uint64_t &d : digests)
         d = dc.u64();
     inf.digests = digests.size();
-    inf.chunkStats.push_back({ChunkType::DGST, 0, dg.len, dg.len});
+    inf.chunkStats.push_back({ChunkType::DGST, dg.len});
 
     // Bounded work: the chain must cover END's step count exactly, or
     // nothing is emulated. Parse time is then bounded by file size.

@@ -1,24 +1,27 @@
 /**
  * @file
- * The workload trace container: a versioned, compact, checksummed
- * binary file holding one architectural execution as the Program
- * itself plus a digest chain over the steps it executes. The emulator
- * is deterministic, so the program implies the step stream; the
- * digests pin that stream down, and a reader regenerates it by
- * re-emulation. A timing simulation runs bit-identically off the file
- * with no workload regeneration.
+ * The workload trace container: a versioned, checksummed binary file
+ * holding one architectural execution as the Program itself plus a
+ * digest chain over the steps it executes. The emulator is
+ * deterministic, so the program implies the step stream; the digests
+ * pin that stream down, and a reader regenerates it by re-emulation. A
+ * timing simulation runs bit-identically off the file with no workload
+ * regeneration.
  *
  * Layout (all integers little-endian; varints are LEB128, signed
  * values zigzag-mapped):
  *
- *   file   := "TPRC" u32(3) META PROGZ DGST END
+ *   file   := "TPRC" u32(4) META PROG DGST END
  *   chunk  := u8(type) u32(payloadLen) u32(recordCount)
  *             payload[payloadLen] u64(fnv1a of the preceding fields)
  *
  *   META   := str(workload) u64(seed) u64(scale bits) u64(captureCap)
  *             str(programName)
- *   PROGZ  := u8(codecId) varint(plainLen) u64(fnv1a of plaintext)
- *             compressed[...]
+ *   PROG   := varint(entry) varint(nCode)
+ *             op[nCode] rd[nCode] rs1[nCode] rs2[nCode]
+ *             varint(immLen) immSvarints
+ *             varint(nData) varint(addrLen)
+ *             addrDeltaVarints valueSvarints
  *   DGST   := u64(digest)[recordCount]
  *   END    := u64(totalSteps) u8(cleanHalt) u64(fnv1a of every file
  *             byte before the END chunk)
@@ -28,29 +31,21 @@
  * steps holds exactly ceil(n / stepsPerDigest) digests. Each folds
  * every StepResult field the processor's retirement check reads, a
  * 64-bit word at a time (see stepDigest in trace_file.cc). END's
- * digest binds META, PROGZ and the digest chain to one another: no
+ * digest binds META, PROG and the digest chain to one another: no
  * chunk can be swapped or resealed alone.
  *
- * The PROGZ plaintext, compressed by the codec in codec.hh:
- *
- *   plain := varint(entry) varint(nCode)
- *            op[nCode] rd[nCode] rs1[nCode] rs2[nCode]
- *            varint(immLen) immSvarints
- *            varint(nData) varint(addrLen)
- *            addrDeltaVarints valueSvarints
- *     — code fields split into per-field planes, and the data image
- *     dict-coded as address deltas plus a value stream (mostly
- *     zero/repeating pages, which the codec's RLE path collapses).
+ * PROG splits the code into per-field planes and codes the data image
+ * as address deltas plus a value stream.
  *
  * Writers emit the data image as the Program holds it: sorted by
  * address, one entry per word. Readers accept any order and repeated
  * addresses (an address delta of zero) and normalise the decoded image
  * with normalizeDataImage(), so the last entry for an address wins.
  *
- * A program holds at most maxTraceCode instructions; a PROGZ chunk
+ * A program holds at most maxTraceCode instructions; a PROG chunk
  * that claims more is refused before the decoder stores any of it.
  *
- * TraceReader::capture() is the only writer. It decodes the PROGZ it
+ * TraceReader::capture() is the only writer. It decodes the PROG it
  * encoded with the reader's own decoder and emulates the decoded
  * program through the loop a parse verifies with, so the execution it
  * records is the one a parse re-emulates. It writes a temp file and
@@ -85,13 +80,11 @@ struct TraceMeta
     std::string programName;
 };
 
-/** Per-chunk size accounting (PROGZ and DGST). */
+/** Per-chunk size accounting (PROG and DGST). */
 struct ChunkStat
 {
-    ChunkType type = ChunkType::PROGZ;
-    uint8_t codec = 0;          //!< CodecId; 0 (raw) for DGST
-    size_t storedBytes = 0;     //!< payload bytes on disk
-    size_t plainBytes = 0;      //!< decoded plaintext bytes
+    ChunkType type = ChunkType::PROG;
+    size_t plainBytes = 0;      //!< payload bytes
 };
 
 /** Everything known about a trace after parsing it. */
@@ -116,19 +109,6 @@ struct TraceInfo
 constexpr uint64_t maxTraceCode = uint64_t{1} << 20;
 
 /**
- * The longest PROGZ plaintext a program within the code budget and the
- * data-memory page budget encodes to, with every varint at its longest:
- * four plane bytes and an imm per instruction, an address delta and a
- * value per data word, and five counts (entry, code size, imm stream
- * length, data count, address stream length). About 57 MB. A PROGZ
- * chunk that claims more is refused before it is decompressed.
- */
-constexpr uint64_t maxPlainTraceBytes =
-    maxTraceCode * (4 + maxVarintBytes) +
-    SparseMemory::maxPages * SparseMemory::pageWords * 2 * maxVarintBytes +
-    5 * maxVarintBytes;
-
-/**
  * The parsed, verified, immutable form of a trace file. The
  * constructor loads the whole file and validates the container
  * (magic, version, chunk order, every chunk checksum, END's digest),
@@ -149,7 +129,7 @@ class TraceReader
     /**
      * Capture prog into a trace file at path, and return the reader a
      * parse of that file would produce. The capture is its own
-     * verification: it encodes META and PROGZ, decodes that PROGZ with
+     * verification: it encodes META and PROG, decodes that PROG with
      * the reader's decoder, emulates the decoded program for up to
      * meta.captureCap steps (or to its HALT) through the loop a parse
      * re-emulates with, and writes DGST and END to a temp file renamed
@@ -179,7 +159,6 @@ class TraceReader
     TraceReader() = default;
 
     void decodeMeta(ByteCursor cur);
-    void decodeProgz(ByteCursor cur);
     void decodeProgram(ByteCursor cur);
     void verifyExecution(const std::vector<uint64_t> &digests,
                          const std::string &path) const;

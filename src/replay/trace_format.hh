@@ -20,21 +20,21 @@ namespace tproc::replay
 constexpr char traceMagic[4] = {'T', 'P', 'R', 'C'};
 
 /**
- * Container version. Version 3 stores the program and a digest chain
- * over its execution, not the step stream (see trace_file.hh).
- * Versions 1 and 2 held the step stream itself; readers reject them
- * with a request to re-record. Bump traceVersion on any further
- * incompatible layout change.
+ * Container version. Version 4 stores the program, uncompressed, and a
+ * digest chain over its execution (see trace_file.hh). Versions 1 and
+ * 2 held the step stream itself, and version 3 compressed the program;
+ * readers reject all three with a request to re-record. Bump
+ * traceVersion on any further incompatible layout change.
  */
-constexpr uint32_t traceVersion = 3;
+constexpr uint32_t traceVersion = 4;
 
-/** Chunk type tags, in file order: META, PROGZ, DGST, END. */
+/** Chunk type tags, in file order: META, PROG, DGST, END. */
 enum class ChunkType : uint8_t
 {
     META = 1,       //!< workload identity: name, seed, scale, capture cap
     END = 4,        //!< step total, clean-halt flag, digest of the rest
-    PROGZ = 5,      //!< compressed, column-transformed Program
-    DGST = 7        //!< one execution digest per stepsPerDigest steps
+    DGST = 7,       //!< one execution digest per stepsPerDigest steps
+    PROG = 8        //!< column-transformed Program
 };
 
 /** Steps covered by each DGST digest (the verification granularity). */
@@ -83,9 +83,6 @@ putU64(std::string &out, uint64_t v)
 
 /** @name Varints (LEB128) and zigzag signed mapping. */
 /// @{
-/** The longest varint ByteCursor::varint() reads: 7 bits a byte, 64. */
-constexpr uint64_t maxVarintBytes = 10;
-
 inline void
 putVarint(std::string &out, uint64_t v)
 {

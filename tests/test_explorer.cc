@@ -300,7 +300,7 @@ TEST(Explorer, InjectedDivergenceCapturesReplayableTrace)
     ASSERT_FALSE(rep.frontier.empty());
     EXPECT_EQ(rep.frontier[0], 1u);
 
-    // The capture must be a verify-clean v3 container on disk.
+    // The capture must be a verify-clean v4 container on disk.
     ASSERT_FALSE(p->tracePath.empty());
     ASSERT_TRUE(fs::exists(p->tracePath)) << p->tracePath;
     std::string err;

@@ -1,7 +1,7 @@
 /**
  * @file
  * The golden gate in every build: replay each checked-in golden trace
- * through the timing model on both snapshot models, with telemetry
+ * through the timing model on all eight named models, with telemetry
  * sampling off and on, and require every counter to equal its
  * checked-in snapshot under tests/golden/stats. The CI golden job runs
  * the same comparison through tproc-sweep in one Release build; this
@@ -42,7 +42,9 @@ TEST(Golden, ReplayedStatsMatchSnapshots)
         // and here that must fail instead.
         const auto reader = std::make_shared<const replay::TraceReader>(
             goldenDir + "traces/" + w + "-s1-x1-i20000.tpt");
-        for (const char *model : {"base", "FG+MLB-RET"}) {
+        for (const char *model :
+             {"base", "base(ntb)", "base(fg)", "base(fg,ntb)", "RET",
+              "MLB-RET", "FG", "FG+MLB-RET"}) {
             harness::SweepPoint p;
             p.workload = w;
             p.model = model;

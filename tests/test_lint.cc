@@ -4,16 +4,21 @@
  * positive and one negative fixture per rule, and NOLINT
  * suppressions.
  *
- * Everything drives lintContent() on in-memory fixtures — no
- * filesystem, no git; ctest's `tproc-lint` entry lints the tree
- * itself. Fixture paths are laid out like the repo (src/core/...,
- * tools/...) because the path-scoped rules match directory components
- * anywhere in the path.
+ * The rule tests drive lintContent() on in-memory fixtures; ctest's
+ * `tproc-lint` entry lints the tree itself. Fixture paths are laid out
+ * like the repo (src/core/..., tools/...) because the path-scoped
+ * rules match directory components anywhere in the path. One test
+ * runs lintTree() over a scratch git checkout.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -296,6 +301,43 @@ TEST(LintSuppress, WildcardAndWrongRule)
         "src/core/x.cc",
         "panic(\"x\");  // NOLINT-tproc(no-raw-parse)\n");
     EXPECT_TRUE(hasRule(miss, "no-bare-panic"));
+}
+
+// -------------------------------------------------------------- tree
+
+TEST(LintTree, SubdirectoryRunLintsTheWholeCheckout)
+{
+    // A scratch checkout tracking one src/core/x.cc with a bare panic,
+    // a rule scoped to src/. Linted from its src/ directory, the file
+    // keeps its path from the top directory, so the rule still fires.
+    namespace fs = std::filesystem;
+    const fs::path root = fs::path(testing::TempDir()) /
+        ("lint_tree." + std::to_string(::getpid()));
+    fs::remove_all(root);
+    fs::create_directories(root / "src" / "core");
+    std::ofstream(root / "src" / "core" / "x.cc")
+        << "void f() { panic(\"x\"); }\n";
+    const std::string git = "git -C '" + root.string() + "' ";
+    ASSERT_EQ(std::system((git + "init -q").c_str()), 0);
+    ASSERT_EQ(std::system((git + "add src/core/x.cc").c_str()), 0);
+
+    const fs::path cwd = fs::current_path();
+    fs::current_path(root / "src");
+    LintReport report;
+    std::string error;
+    try {
+        report = lintTree();
+    } catch (const std::exception &e) {
+        error = e.what();
+    }
+    fs::current_path(cwd);
+    fs::remove_all(root);
+
+    ASSERT_TRUE(error.empty()) << error;
+    EXPECT_EQ(report.filesScanned, 1u);
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_EQ(report.findings[0].file, "src/core/x.cc");
+    EXPECT_EQ(report.findings[0].rule, "no-bare-panic");
 }
 
 } // anonymous namespace

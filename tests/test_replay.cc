@@ -35,7 +35,6 @@
 #include "harness/sweep.hh"
 #include "program/builder.hh"
 #include "replay/capture.hh"
-#include "replay/codec.hh"
 #include "replay/replay_source.hh"
 #include "replay/trace_store.hh"
 #include "workloads/generator.hh"
@@ -112,88 +111,6 @@ tinyProgram()
 }
 
 } // anonymous namespace
-
-// ---------------------------------------------------------------------
-// The block codec (the PROGZ chunk rides on it).
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-std::string
-codecRoundTrip(const std::string &plain)
-{
-    const replay::CodecResult r = replay::codecCompress(plain);
-    return replay::codecDecompress(static_cast<uint8_t>(r.codec),
-                                   r.bytes.data(), r.bytes.size(),
-                                   plain.size());
-}
-
-} // anonymous namespace
-
-TEST(TraceCodec, RoundTripsVariedInputs)
-{
-    // Empty, sub-minimum, runs (the RLE case), periodic patterns,
-    // text, and incompressible pseudo-random bytes (the RAW fallback).
-    std::vector<std::string> inputs = {
-        "", "a", "abc", std::string(100000, '\0'),
-        std::string(513, 'x'),
-    };
-    {
-        std::string periodic;
-        for (int i = 0; i < 5000; ++i)
-            periodic += "pattern-" + std::to_string(i % 7);
-        inputs.push_back(periodic);
-    }
-    {
-        std::string rnd;
-        uint64_t x = 0x9e3779b97f4a7c15ull;
-        for (int i = 0; i < 4096; ++i) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            rnd.push_back(static_cast<char>(x & 0xff));
-        }
-        inputs.push_back(rnd);
-    }
-    for (const auto &plain : inputs) {
-        EXPECT_EQ(codecRoundTrip(plain), plain)
-            << "input size " << plain.size();
-    }
-
-    // Highly repetitive data must actually shrink.
-    const std::string zeros(65536, '\0');
-    const replay::CodecResult z = replay::codecCompress(zeros);
-    EXPECT_EQ(z.codec, replay::CodecId::LZ);
-    EXPECT_LT(z.bytes.size(), zeros.size() / 100);
-}
-
-TEST(TraceCodec, DecompressRejectsMalformedStreams)
-{
-    using replay::TraceError;
-    // Unknown codec id.
-    EXPECT_THROW(replay::codecDecompress(99, "abcd", 4, 4), TraceError);
-    // RAW block whose length disagrees with the plaintext length.
-    EXPECT_THROW(replay::codecDecompress(0, "abcd", 4, 5), TraceError);
-
-    const std::string plain(1000, 'z');
-    const std::string comp = replay::lzCompress(plain);
-    ASSERT_LT(comp.size(), plain.size());
-    // Truncated token stream: output ends before plainLen is reached.
-    EXPECT_THROW(replay::lzDecompress(comp.data(), comp.size() - 1,
-                                      plain.size()),
-                 TraceError);
-    // Wrong plaintext length: the stream keeps going past it.
-    EXPECT_THROW(replay::lzDecompress(comp.data(), comp.size(),
-                                      plain.size() - 1),
-                 TraceError);
-    // A match distance pointing before the start of the output.
-    std::string bad;
-    replay::putVarint(bad, (uint64_t{0} << 1) | 1);     // match, len 4
-    replay::putVarint(bad, 7);                          // dist 7, empty out
-    EXPECT_THROW(replay::lzDecompress(bad.data(), bad.size(), 4),
-                 TraceError);
-}
 
 // ---------------------------------------------------------------------
 // Container round trip.
@@ -308,9 +225,6 @@ expectSameTrace(const replay::TraceReader &captured,
     ASSERT_EQ(x.chunkStats.size(), y.chunkStats.size()) << label;
     for (size_t i = 0; i < x.chunkStats.size(); ++i) {
         EXPECT_EQ(x.chunkStats[i].type, y.chunkStats[i].type) << label;
-        EXPECT_EQ(x.chunkStats[i].codec, y.chunkStats[i].codec) << label;
-        EXPECT_EQ(x.chunkStats[i].storedBytes, y.chunkStats[i].storedBytes)
-            << label;
         EXPECT_EQ(x.chunkStats[i].plainBytes, y.chunkStats[i].plainBytes)
             << label;
     }
@@ -485,33 +399,6 @@ makeValidTrace(const TempDir &dir, const std::string &name)
 
 } // anonymous namespace
 
-TEST(TraceCodec, ChunkStatsReportCompression)
-{
-    TempDir dir("replay_chunkstats");
-    const std::string path = makeValidTrace(dir, "stats.tpt");
-    replay::TraceReader reader(path);
-    const auto &stats = reader.info().chunkStats;
-    ASSERT_EQ(stats.size(), 2u);
-    EXPECT_EQ(stats[0].type, replay::ChunkType::PROGZ);
-    EXPECT_LT(stats[0].storedBytes, stats[0].plainBytes);
-    EXPECT_EQ(stats[1].type, replay::ChunkType::DGST);
-    EXPECT_EQ(stats[1].storedBytes, 8 * reader.info().digests);
-    EXPECT_EQ(stats[1].plainBytes, stats[1].storedBytes);
-
-    // The codec shrinks every analog's program at least 3x (jpeg is the
-    // lowest, at about 3.05x). PROGZ holds the program, which does not
-    // depend on how long the capture ran, so a short capture will do.
-    for (const std::string &name : workloadNames()) {
-        const auto analog = replay::captureWorkloadTrace(
-            name, 1, 1.0, 100, dir.file(name + ".tpt"));
-        const replay::ChunkStat &progz = analog->info().chunkStats.at(0);
-        ASSERT_EQ(progz.type, replay::ChunkType::PROGZ) << name;
-        EXPECT_GE(progz.plainBytes, 3 * progz.storedBytes)
-            << name << ": " << progz.plainBytes << " plaintext bytes, "
-            << progz.storedBytes << " stored";
-    }
-}
-
 TEST(ReplayNegative, TruncatedFileRejected)
 {
     TempDir dir("replay_trunc");
@@ -552,16 +439,16 @@ TEST(ReplayNegative, CorruptedBytesRejected)
     }
 }
 
-TEST(ReplayNegative, StepStreamVersionsAskForReRecord)
+TEST(ReplayNegative, OldVersionsAskForReRecord)
 {
-    // Versions 1 and 2 stored the step stream; the reader names the
-    // cure, and the store recaptures such a file like any unreadable
-    // one.
+    // Versions 1 and 2 stored the step stream and version 3 compressed
+    // the program; the reader names the cure, and the store recaptures
+    // such a file like any unreadable one.
     TempDir dir("replay_oldversion");
     replay::TraceStore store(dir.path());
     const std::string path = store.tracePath("compress", 1, 0.25, 1000);
     std::string bytes = readBytes(makeValidTrace(dir, "good.tpt"));
-    for (char version : {1, 2}) {
+    for (char version : {1, 2, 3}) {
         bytes[4] = version;
         writeBytes(path, bytes);
         try {
@@ -647,9 +534,9 @@ resealEnd(const std::string &bytes)
 
 } // anonymous namespace
 
-TEST(ReplayNegative, ProgzCorruptionsRejectedByName)
+TEST(ReplayNegative, ProgCorruptionsRejectedByName)
 {
-    TempDir dir("replay_zneg");
+    TempDir dir("replay_progneg");
     const std::string good = makeValidTrace(dir, "good.tpt");
     const std::string bytes = readBytes(good);
 
@@ -668,48 +555,27 @@ TEST(ReplayNegative, ProgzCorruptionsRejectedByName)
         }
     };
 
-    const auto progz = [&](const std::function<void(std::string &)> &f) {
-        return resealEnd(rewriteChunk(bytes, replay::ChunkType::PROGZ, f));
+    // Every seal recomputed, so only the decoder's own checks can
+    // catch these.
+    const auto prog = [&](const std::function<void(std::string &)> &f) {
+        return resealEnd(rewriteChunk(bytes, replay::ChunkType::PROG, f));
     };
-    // Unknown codec id (first byte of the codec envelope).
-    expectNamedError(progz([](std::string &p) {
-                         p[0] = static_cast<char>(99);
-                     }),
-                     "unknown codec id", "codec");
-    // Plaintext checksum mismatch: decode succeeds but the stored
-    // plaintext FNV (after codec byte + plainLen varint) is wrong.
-    expectNamedError(progz([](std::string &p) {
+    // The first opcode, after the one-byte entry and the code count.
+    expectNamedError(prog([](std::string &p) {
                          size_t i = 1;
                          while (static_cast<uint8_t>(p[i]) & 0x80)
                              ++i;
-                         ++i;
-                         p[i] = static_cast<char>(p[i] ^ 0x40);
+                         p[i + 1] = static_cast<char>(0xff);
                      }),
-                     "plaintext checksum mismatch", "fnv");
-    // Truncated compressed payload (every seal recomputed, so only the
-    // codec's own bounds checking can catch it).
-    expectNamedError(progz([](std::string &p) { p.resize(p.size() - 8); }),
+                     "PROG chunk holds an invalid opcode", "opcode");
+    expectNamedError(prog([](std::string &p) { p.push_back('\0'); }),
+                     "trailing bytes in PROG chunk", "trailing");
+    expectNamedError(prog([](std::string &p) { p.resize(p.size() - 8); }),
                      "truncated", "trunc");
-    // A plaintext claim one byte over what the budgets admit is refused
-    // before the codec runs: these tokens would not decode. At the cap
-    // itself the codec runs and finds none.
-    const auto claim = [&](uint64_t plain_len) {
-        return progz([plain_len](std::string &p) {
-            p.assign(1, static_cast<char>(replay::CodecId::LZ));
-            replay::putVarint(p, plain_len);
-            replay::putU64(p, 0);
-        });
-    };
-    expectNamedError(claim(replay::maxPlainTraceBytes + 1),
-                     "implausible plaintext size", "over the cap");
-    expectNamedError(claim(replay::maxPlainTraceBytes), "truncated",
-                     "at the cap");
     // The same edit with END left stale: END's digest rejects it before
     // any decoder runs.
-    expectNamedError(rewriteChunk(bytes, replay::ChunkType::PROGZ,
-                                  [](std::string &p) {
-                                      p[0] = static_cast<char>(99);
-                                  }),
+    expectNamedError(rewriteChunk(bytes, replay::ChunkType::PROG,
+                                  [](std::string &p) { p.push_back('\0'); }),
                      "END digest mismatch", "stale END");
 }
 
@@ -759,32 +625,6 @@ TEST(ReplayNegative, ExhaustedTraceThrowsInsteadOfReplayingShort)
 namespace
 {
 
-/** The plaintext inside a PROGZ chunk's codec envelope. */
-std::string
-openPlaintext(const std::string &payload)
-{
-    replay::ByteCursor z(payload.data(), payload.size());
-    const uint8_t codec = z.u8();
-    const uint64_t plain_len = z.varint();
-    z.u64();
-    const size_t n = z.remaining();
-    return replay::codecDecompress(codec, z.take(n), n,
-                                   static_cast<size_t>(plain_len));
-}
-
-/** A PROGZ codec envelope storing plain verbatim (the RAW codec), with
- *  its plaintext digest. */
-std::string
-sealPlaintext(const std::string &plain)
-{
-    std::string payload;
-    payload.push_back(static_cast<char>(replay::CodecId::RAW));
-    replay::putVarint(payload, plain.size());
-    replay::putU64(payload, replay::fnv1a(plain.data(), plain.size()));
-    payload.append(plain);
-    return payload;
-}
-
 bool
 sortedUnique(const DataImage &image)
 {
@@ -823,7 +663,7 @@ mutateBytes(std::string &b, Rng &rng)
 
 TEST(TraceRoundTrip, DecoderNormalisesOutOfOrderImages)
 {
-    // A hand-built PROGZ image that a map would have read with "last
+    // A hand-built PROG image that a map would have read with "last
     // write wins": the decoder must produce the sorted, unique image
     // that rule implies. The tiny program never reads these words, so
     // the trace still verifies.
@@ -835,24 +675,21 @@ TEST(TraceRoundTrip, DecoderNormalisesOutOfOrderImages)
     const std::string path = dir.file("image.tpt");
     replay::captureProgramTrace(tiny, meta, path);
 
-    // An empty image is the plaintext's last two bytes (count 0,
+    // An empty image is the payload's last two bytes (count 0,
     // address-stream length 0); replace them with address deltas
     // 5, 0, 3, 0 (addresses 5, 5, 8, 8), then reseal everything.
     writeBytes(path, resealEnd(rewriteChunk(
-        readBytes(path), replay::ChunkType::PROGZ, [](std::string &p) {
-            std::string plain = openPlaintext(p);
-            ASSERT_EQ(plain.substr(plain.size() - 2),
-                      std::string(2, '\0'));
-            plain.resize(plain.size() - 2);
+        readBytes(path), replay::ChunkType::PROG, [](std::string &p) {
+            ASSERT_EQ(p.substr(p.size() - 2), std::string(2, '\0'));
+            p.resize(p.size() - 2);
             std::string addrs, values;
             for (uint64_t d : {5, 0, 3, 0})
                 replay::putVarint(addrs, d);
             for (int64_t v : {1, 2, 3, -4})
                 replay::putSvarint(values, v);
-            replay::putVarint(plain, 4);
-            replay::putVarint(plain, addrs.size());
-            plain += addrs + values;
-            p = sealPlaintext(plain);
+            replay::putVarint(p, 4);
+            replay::putVarint(p, addrs.size());
+            p += addrs + values;
         })));
     replay::TraceReader reader(path);
     EXPECT_EQ(reader.program().dataInit, (DataImage{{5, 2}, {8, -4}}));
@@ -880,14 +717,13 @@ TEST(TraceRoundTrip, EveryImageSurvives)
 
 TEST(TraceFuzz, ResealedMutantsVerifyOrFailCleanly)
 {
-    // Each mutant edits one chunk and reseals its checksum (a PROGZ
-    // mutant edits the plaintext and reseals the codec envelope too),
-    // so it gets past the container checksums. Half of the META, PROGZ
-    // and DGST mutants leave END as it was, and END's digest must
-    // reject them. The rest, and every END mutant, are resealed
-    // through END: they reach the decoders and the re-emulation and
-    // must verify or throw TraceError. A mutant that verifies is
-    // replayed through the processor.
+    // Each mutant edits one chunk and reseals its checksum, so it gets
+    // past the container checksums. Half of the META, PROG and DGST
+    // mutants leave END as it was, and END's digest must reject them.
+    // The rest, and every END mutant, are resealed through END: they
+    // reach the decoders and the re-emulation and must verify or throw
+    // TraceError. A mutant that verifies is replayed through the
+    // processor.
     TempDir dir("replay_fuzz");
     Rng rng(20261017);
     const Workload w = makeWorkload("li", 1, 0.25);
@@ -901,30 +737,17 @@ TEST(TraceFuzz, ResealedMutantsVerifyOrFailCleanly)
     const std::string good = dir.file("good.tpt");
     replay::captureProgramTrace(w.program, meta, good);
     const std::string bytes = readBytes(good);
-    // Open the PROGZ envelope once (this rewrite only reads it).
-    std::string prog_plain;
-    rewriteChunk(bytes, replay::ChunkType::PROGZ, [&](std::string &p) {
-        prog_plain = openPlaintext(p);
-    });
 
     const replay::ChunkType targets[] = {
-        replay::ChunkType::META, replay::ChunkType::PROGZ,
+        replay::ChunkType::META, replay::ChunkType::PROG,
         replay::ChunkType::DGST, replay::ChunkType::END};
     int stale_end = 0, parsed = 0, replayed = 0;
     for (int i = 0; i < 300; ++i) {
         const replay::ChunkType type = targets[i % 4];
         const bool through_end =
             type == replay::ChunkType::END || (i / 4) % 2 == 1;
-        std::string mutant =
-            rewriteChunk(bytes, type, [&](std::string &p) {
-                if (type == replay::ChunkType::PROGZ) {
-                    std::string plain = prog_plain;
-                    mutateBytes(plain, rng);
-                    p = sealPlaintext(plain);
-                } else {
-                    mutateBytes(p, rng);
-                }
-            });
+        std::string mutant = rewriteChunk(
+            bytes, type, [&](std::string &p) { mutateBytes(p, rng); });
         if (through_end && type != replay::ChunkType::END)
             mutant = resealEnd(mutant);
         const std::string path = dir.file("mutant.tpt");
@@ -1001,7 +824,7 @@ expectRejected(const std::string &path, const std::string &needle)
 
 TEST(TraceVerify, ChangedImmediateNamesFirstDivergentChunk)
 {
-    // Splice the PROGZ chunk of a program that differs in one executed
+    // Splice the PROG chunk of a program that differs in one executed
     // immediate into a trace, and reseal END: every checksum and digest
     // of the container holds, and only re-emulation finds the change.
     TempDir dir("replay_diverge");
@@ -1019,8 +842,8 @@ TEST(TraceVerify, ChangedImmediateNamesFirstDivergentChunk)
 
     const std::string bytes = readBytes(path);
     const std::string donor = readBytes(other);
-    const size_t at = findChunk(bytes, replay::ChunkType::PROGZ);
-    const size_t donor_at = findChunk(donor, replay::ChunkType::PROGZ);
+    const size_t at = findChunk(bytes, replay::ChunkType::PROG);
+    const size_t donor_at = findChunk(donor, replay::ChunkType::PROG);
     const size_t len = findChunk(bytes, replay::ChunkType::DGST) - at;
     const size_t donor_len =
         findChunk(donor, replay::ChunkType::DGST) - donor_at;
@@ -1059,8 +882,8 @@ TEST(TraceVerify, EarlyHaltAndHaltFlagMismatchNamed)
 
     const std::string bytes = readBytes(path);
     const std::string donor = readBytes(other);
-    const size_t at = findChunk(bytes, replay::ChunkType::PROGZ);
-    const size_t donor_at = findChunk(donor, replay::ChunkType::PROGZ);
+    const size_t at = findChunk(bytes, replay::ChunkType::PROG);
+    const size_t donor_at = findChunk(donor, replay::ChunkType::PROG);
     const size_t len = findChunk(bytes, replay::ChunkType::DGST) - at;
     const size_t donor_len =
         findChunk(donor, replay::ChunkType::DGST) - donor_at;
@@ -1114,7 +937,7 @@ TEST(TraceVerify, EndClaimBeyondDigestChainRejectedBeforeEmulation)
 
 TEST(TraceVerify, OutOfRangeRegisterRejected)
 {
-    // Hand-built PROGZ plaintexts: `add r3, r0, r0; halt`, with one
+    // Hand-built PROG payloads: `add r3, r0, r0; halt`, with one
     // register field set to 100. The emulator's register file and the
     // rename map have numArchRegs entries.
     TempDir dir("replay_register");
@@ -1127,32 +950,30 @@ TEST(TraceVerify, OutOfRangeRegisterRejected)
     for (int field = 0; field < 3; ++field) {
         uint8_t regs[3] = {3, 0, 0};    // rd, rs1, rs2
         regs[field] = 100;
-        std::string plain;
-        replay::putVarint(plain, 0);    // entry
-        replay::putVarint(plain, 2);    // instructions
-        plain.push_back(static_cast<char>(Opcode::ADD));
-        plain.push_back(static_cast<char>(Opcode::HALT));
+        std::string payload;
+        replay::putVarint(payload, 0);    // entry
+        replay::putVarint(payload, 2);    // instructions
+        payload.push_back(static_cast<char>(Opcode::ADD));
+        payload.push_back(static_cast<char>(Opcode::HALT));
         for (uint8_t r : regs) {
-            plain.push_back(static_cast<char>(r));
-            plain.push_back('\0');
+            payload.push_back(static_cast<char>(r));
+            payload.push_back('\0');
         }
-        replay::putVarint(plain, 2);    // imm stream: two zeros
-        plain += std::string(2, '\0');
-        replay::putVarint(plain, 0);    // data words
-        replay::putVarint(plain, 0);    // address stream
+        replay::putVarint(payload, 2);    // imm stream: two zeros
+        payload += std::string(2, '\0');
+        replay::putVarint(payload, 0);    // data words
+        replay::putVarint(payload, 0);    // address stream
         const std::string path = dir.file("reg.tpt");
         writeBytes(path, resealEnd(rewriteChunk(
-                             bytes, replay::ChunkType::PROGZ,
-                             [&](std::string &p) {
-                                 p = sealPlaintext(plain);
-                             })));
+                             bytes, replay::ChunkType::PROG,
+                             [&](std::string &p) { p = payload; })));
         expectRejected(path, "register 100");
     }
 }
 
 TEST(TraceVerify, ImagesBeyondThePageBudgetRejected)
 {
-    // Hand-built PROGZ plaintexts: `halt` over a data image whose words
+    // Hand-built PROG payloads: `halt` over a data image whose words
     // lie on distinct pages. 20,000 words 512 apart take a few bytes
     // each in the file but 80 MB of pages to load: verification stops
     // at the page budget. An image with more words than the budget's
@@ -1173,89 +994,63 @@ TEST(TraceVerify, ImagesBeyondThePageBudgetRejected)
         {20000, SparseMemory::pageWords,
          "data memory exceeds its page budget of 4096 pages (16 MiB)"},
         {SparseMemory::maxPages * SparseMemory::pageWords + 1, 1,
-         "PROGZ data image of 2097153 words exceeds the data-memory page "
+         "PROG data image of 2097153 words exceeds the data-memory page "
          "budget"},
     };
     for (const auto &c : cases) {
-        std::string plain;
-        replay::putVarint(plain, 0);    // entry
-        replay::putVarint(plain, 1);    // instructions
-        plain.push_back(static_cast<char>(Opcode::HALT));
-        plain += std::string(3, '\0');  // rd, rs1, rs2
-        replay::putVarint(plain, 1);    // imm stream: one zero
-        plain.push_back('\0');
-        replay::putVarint(plain, c.words);
+        std::string payload;
+        replay::putVarint(payload, 0);    // entry
+        replay::putVarint(payload, 1);    // instructions
+        payload.push_back(static_cast<char>(Opcode::HALT));
+        payload += std::string(3, '\0');  // rd, rs1, rs2
+        replay::putVarint(payload, 1);    // imm stream: one zero
+        payload.push_back('\0');
+        replay::putVarint(payload, c.words);
         std::string addrs;
         for (uint64_t i = 0; i < c.words; ++i)
             replay::putVarint(addrs, c.stride);
-        replay::putVarint(plain, addrs.size());
-        plain += addrs;
+        replay::putVarint(payload, addrs.size());
+        payload += addrs;
         for (uint64_t i = 0; i < c.words; ++i)
-            replay::putSvarint(plain, 1);
+            replay::putSvarint(payload, 1);
         const std::string path = dir.file("pages.tpt");
         writeBytes(path, resealEnd(rewriteChunk(
-                             bytes, replay::ChunkType::PROGZ,
-                             [&](std::string &p) {
-                                 p = sealPlaintext(plain);
-                             })));
+                             bytes, replay::ChunkType::PROG,
+                             [&](std::string &p) { p = payload; })));
         expectRejected(path, c.needle);
     }
 }
 
 TEST(TraceVerify, CodeBeyondTheBudgetRejected)
 {
-    // A hand-built PROGZ of 4M NOPs and a halt: LZ runs (the token
-    // stream codec.hh describes) store it in a few dozen bytes, and it
-    // would decode to 64 MiB of Instruction. The decoder refuses the
-    // count before it stores any.
+    // Hand-built PROG payloads of a few bytes. One claims 4M NOPs and a
+    // halt, which would decode to 64 MiB of Instruction: the decoder
+    // refuses the count before it stores any. A count within the
+    // budget must still find five payload bytes per instruction.
     TempDir dir("replay_code");
     replay::TraceMeta meta;
     meta.programName = "tiny";
     const std::string good = dir.file("tiny.tpt");
     replay::captureProgramTrace(tinyProgram(), meta, good);
+    const std::string bytes = readBytes(good);
 
-    const uint64_t n = (uint64_t{4} << 20) + 1;
-    std::string count;
-    replay::putVarint(count, n);
-    std::string plain = '\0' + count;  // entry 0, n instructions
-    plain.append(n - 1, static_cast<char>(Opcode::NOP));
-    plain.push_back(static_cast<char>(Opcode::HALT));
-    plain.append(3 * n, '\0');          // rd, rs1, rs2
-    plain += count;                     // imm stream: n zeros
-    plain.append(n, '\0');
-    plain.append(2, '\0');              // no data words, no addresses
-    static_assert(static_cast<int>(Opcode::NOP) == 0, "runs of zeros");
-    std::string tokens;
-    auto literal = [&tokens](const std::string &bytes) {
-        replay::putVarint(tokens, uint64_t{bytes.size()} << 1);
-        tokens += bytes;
+    const auto claim = [&](uint64_t instructions) {
+        std::string payload;
+        replay::putVarint(payload, 0);              // entry
+        replay::putVarint(payload, instructions);
+        payload.append(2, '\0');    // no data words, no addresses
+        EXPECT_LT(payload.size(), 8u);
+        const std::string path = dir.file("claim.tpt");
+        writeBytes(path, resealEnd(rewriteChunk(
+                             bytes, replay::ChunkType::PROG,
+                             [&](std::string &p) { p = payload; })));
+        return path;
     };
-    auto zeros = [&tokens](uint64_t len) {   // a distance-1 match
-        replay::putVarint(tokens, (len - replay::lzMinMatch) << 1 | 1);
-        replay::putVarint(tokens, 1);
-    };
-    literal('\0' + count + '\0');
-    zeros(n - 2);
-    literal(std::string("\1\0", 2));
-    zeros(3 * n - 1);
-    literal(count + '\0');
-    zeros(n - 1);
-    literal(std::string(2, '\0'));
-    std::string payload;
-    payload.push_back(static_cast<char>(replay::CodecId::LZ));
-    replay::putVarint(payload, plain.size());
-    replay::putU64(payload, replay::fnv1a(plain.data(), plain.size()));
-    payload += tokens;
-    EXPECT_LT(payload.size(), 64u);
-
-    const std::string path = dir.file("nops.tpt");
-    writeBytes(path, resealEnd(rewriteChunk(readBytes(good),
-                                            replay::ChunkType::PROGZ,
-                                            [&](std::string &p) {
-                                                p = payload;
-                                            })));
-    expectRejected(path, "PROGZ program of 4194305 instructions exceeds "
-                         "the code budget of 1048576 instructions");
+    expectRejected(claim((uint64_t{4} << 20) + 1),
+                   "PROG program of 4194305 instructions exceeds the code "
+                   "budget of 1048576 instructions");
+    expectRejected(claim(replay::maxTraceCode),
+                   "PROG code count exceeds chunk size");
 
     // Capture decodes what it encodes, so a program over the budget
     // fails there and leaves no file.
@@ -1406,6 +1201,60 @@ TEST(TraceStoreTest, CorruptTraceIsRecaptured)
     EXPECT_TRUE(
         replay::TraceStore::validFor(path, "go", 1, 0.25, 3000, &why))
         << why;
+}
+
+namespace
+{
+
+/**
+ * The version-3 form of a version-4 trace, as a version-3 writer could
+ * have stored it: the PROG payload inside that version's
+ * compressed-program chunk (tag 5), behind an envelope of method byte
+ * 0 (stored verbatim), the payload's length and its FNV-1a; then END
+ * resealed.
+ */
+std::string
+asVersion3(const std::string &v4)
+{
+    const size_t at = findChunk(v4, replay::ChunkType::PROG);
+    const uint32_t len = replay::ByteCursor(v4.data() + at + 1, 4).u32();
+    const std::string plain = v4.substr(at + 9, len);
+    std::string progz(1, '\0');
+    replay::putVarint(progz, plain.size());
+    replay::putU64(progz, replay::fnv1a(plain.data(), plain.size()));
+    progz += plain;
+
+    std::string v3 = v4.substr(0, at);
+    v3[4] = 3;
+    v3.push_back(5);
+    replay::putU32(v3, static_cast<uint32_t>(progz.size()));
+    replay::putU32(v3, 0);
+    v3 += progz;
+    replay::putU64(v3, replay::fnv1a(v3.data() + at, v3.size() - at));
+    v3 += v4.substr(at + 9 + len + 8);
+    return resealEnd(v3);
+}
+
+} // anonymous namespace
+
+TEST(TraceStoreTest, Version3TraceIsRecaptured)
+{
+    TempDir dir("store_v3");
+    replay::TraceStore store(dir.path());
+    store.ensure("go", 1, 0.25, 3000);
+    const std::string path = store.tracePath("go", 1, 0.25, 3000);
+    const std::string v4 = readBytes(path);
+    writeBytes(path, asVersion3(v4));
+    std::string why;
+    EXPECT_FALSE(
+        replay::TraceStore::validFor(path, "go", 1, 0.25, 3000, &why));
+    EXPECT_NE(why.find("re-record"), std::string::npos) << why;
+
+    replay::TraceStore::dropCache();
+    const auto again = store.ensure("go", 1, 0.25, 3000);
+    EXPECT_TRUE(again.captured);
+    EXPECT_EQ(again.reader->info().version, replay::traceVersion);
+    EXPECT_EQ(readBytes(path), v4);
 }
 
 TEST(TraceStoreTest, AbandonedWriteLeavesNothingBehind)

@@ -21,9 +21,10 @@
  * Exit status: number of failing points (capped at 125); usage errors
  * exit 2 (the convention of docs/cli.md — every corner input,
  * including out-of-range counts, is a reported usage error up front,
- * never a downstream assert), and so
- * does a replay store that cannot be created in the temp directory.
- * An unknown --mix lists the valid pattern names.
+ * never a downstream assert), and runtime errors exit 126: a replay
+ * store that cannot be created in the temp directory, or a report
+ * that cannot be written. An unknown --mix lists the valid pattern
+ * names.
  */
 
 #include <cstring>
@@ -151,7 +152,7 @@ main(int argc, char **argv)
         // E.g. the replay oracle's temporary store could not be
         // created.
         std::cerr << "tproc-explore: " << e.what() << '\n';
-        return 2;
+        return 126;
     }
 
     if (!json_path.empty()) {
@@ -159,7 +160,7 @@ main(int argc, char **argv)
         if (!out) {
             std::cerr << "tproc-explore: cannot write " << json_path
                       << '\n';
-            return 2;
+            return 126;
         }
         harness::writeExploreReport(out, report, opts);
         if (!quiet)

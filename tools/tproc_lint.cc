@@ -4,10 +4,11 @@
  *
  *   tproc-lint [--list-rules] [--help]
  *
- * Lints every git-tracked *.cc, *.hh, and *.cpp file under the
- * current directory (run it from the repo root) and prints one
- * "file:line:col: [rule] message" line per finding. A finding is
- * silenced only by an in-line NOLINT-tproc marker that carries its
+ * Lints every git-tracked *.cc, *.hh, and *.cpp file of the checkout
+ * that holds the current directory, from any of its directories, and
+ * prints one "file:line:col: [rule] message" line per finding, the
+ * path taken from the checkout's top directory. A finding is silenced
+ * only by an in-line NOLINT-tproc marker that carries its
  * justification; docs/lint.md is the rule + policy reference.
  *
  * Exit codes (docs/cli.md): 0 = clean, 1 = findings, 2 = usage
@@ -29,7 +30,7 @@ usage(std::ostream &os)
 {
     os << "usage: tproc-lint [--list-rules] [--help]\n"
           "\n"
-          "Lints git-tracked *.cc/*.hh/*.cpp under the current directory\n"
+          "Lints git-tracked *.cc/*.hh/*.cpp of the current checkout\n"
           "against the tproc determinism + style rules; see\n"
           "docs/lint.md. Exit 0 = clean, 1 = findings, 2 = usage,\n"
           "126 = runtime error.\n";

@@ -48,11 +48,11 @@
  * Defaults: all eight workloads, models base + FG+MLB-RET, 400000
  * instructions, seed 1, hardware-concurrency threads, progress on.
  * Exit status is the number of failed points (capped at 125); 126
- * flags an unknown argument, a --generate above the grid bound or an
- * artifact error. Every other usage error exits 2 before any point
- * runs (the usage convention of docs/cli.md): a malformed number, a
- * zero --insts, --generate or --metrics-interval, an unknown name, an
- * empty list, or an unwritable --json or --metrics-json destination.
+ * flags an artifact error. Every usage error exits 2 before any point
+ * runs (the usage convention of docs/cli.md): an unknown argument, a
+ * malformed number, a zero --insts, --generate or --metrics-interval,
+ * a --generate above the grid bound, an unknown name, an empty list,
+ * or an unwritable --json or --metrics-json destination.
  */
 
 #include <algorithm>
@@ -186,7 +186,7 @@ main(int argc, char **argv)
                           << " exceeds the grid bound "
                           << cli::maxCountFlag << '\n';
                 usage(std::cerr);
-                return 126;
+                return 2;
             }
         } else if (parseArg(argv[i], "--pattern-mix", v)) {
             pattern_mix = v;
@@ -202,7 +202,7 @@ main(int argc, char **argv)
             std::cerr << "tproc-sweep: unknown argument '" << argv[i]
                       << "'\n";
             usage(std::cerr);
-            return 126;
+            return 2;
         }
     }
 

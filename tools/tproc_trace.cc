@@ -7,21 +7,20 @@
  *               [--insts=N] (--out=FILE | --dir=DIR)
  *   tproc-trace info FILE...
  *   tproc-trace verify FILE...
- *   tproc-trace stats FILE...
  *
  * `record` captures the architectural execution of a named workload
  * (the program plus the digest chain of its execution) into a trace
  * file; with --dir the file lands under the TraceStore naming scheme
  * the sweep harness's --trace-dir mode looks up. The capture is its
  * own verification (it emulates the program it decodes from the
- * file's PROGZ), so `record` emulates each workload once and never
- * parses the file it wrote. `info` prints a
- * parsed trace's metadata. `verify` checks every chunk checksum and
- * END's digest and re-emulates the program against the digest chain;
- * its exit status is the number of files that failed (capped at 125),
- * which is what the CI golden job gates on. Every reader verifies, so
- * `info` and `stats` reject what `verify` rejects. `stats` prints
- * per-chunk codec/size/ratio accounting. Usage errors exit 126.
+ * file's PROG chunk), so `record` emulates each workload once and
+ * never parses the file it wrote. `info` prints a parsed trace's
+ * metadata. `verify` checks every chunk checksum and END's digest and
+ * re-emulates the program against the digest chain; its exit status
+ * is the number of files that failed (capped at 125), which is what
+ * the CI golden job gates on. `info` verifies too, so it rejects what
+ * `verify` rejects. Usage errors exit 2, and a failed capture exits
+ * 126.
  */
 
 #include <cmath>
@@ -34,7 +33,6 @@
 
 #include "common/stats.hh"
 #include "replay/capture.hh"
-#include "replay/codec.hh"
 #include "replay/trace_store.hh"
 #include "tools/cli.hh"
 #include "workloads/workloads.hh"
@@ -52,8 +50,7 @@ usage(std::ostream &os)
           "                   [--scale=X] [--insts=N]\n"
           "                   (--out=FILE | --dir=DIR)\n"
           "       tproc-trace info FILE...\n"
-          "       tproc-trace verify FILE...\n"
-          "       tproc-trace stats FILE...\n";
+          "       tproc-trace verify FILE...\n";
 }
 
 int
@@ -78,7 +75,7 @@ recordMain(int argc, char **argv)
                 std::cerr << "tproc-trace record: bad --seed '" << v
                           << "' (want a decimal number)\n";
                 usage(std::cerr);
-                return 126;
+                return 2;
             }
         } else if (parseArg(argv[i], "--scale", v)) {
             char *end = nullptr;
@@ -88,14 +85,14 @@ recordMain(int argc, char **argv)
                 std::cerr << "tproc-trace record: bad --scale '" << v
                           << "' (want a positive finite number)\n";
                 usage(std::cerr);
-                return 126;
+                return 2;
             }
         } else if (parseArg(argv[i], "--insts", v)) {
             if (!cli::parseU64(v, insts)) {
                 std::cerr << "tproc-trace record: bad --insts '" << v
                           << "' (want a decimal number)\n";
                 usage(std::cerr);
-                return 126;
+                return 2;
             }
         } else if (parseArg(argv[i], "--out", v)) {
             out_path = v;
@@ -105,7 +102,7 @@ recordMain(int argc, char **argv)
             std::cerr << "tproc-trace record: unknown argument '"
                       << argv[i] << "'\n";
             usage(std::cerr);
-            return 126;
+            return 2;
         }
     }
     if (all == !workload.empty() || out_path.empty() == dir.empty() ||
@@ -114,7 +111,7 @@ recordMain(int argc, char **argv)
                      "or --all, and exactly one of --out (single "
                      "workload) or --dir\n";
         usage(std::cerr);
-        return 126;
+        return 2;
     }
 
     std::vector<std::string> names =
@@ -191,14 +188,14 @@ infoOrVerifyMain(int argc, char **argv, bool full_verify)
             std::cerr << "tproc-trace: unknown argument '" << argv[i]
                       << "'\n";
             usage(std::cerr);
-            return 126;
+            return 2;
         }
         files.push_back(argv[i]);
     }
     if (files.empty()) {
         std::cerr << "tproc-trace: no trace files given\n";
         usage(std::cerr);
-        return 126;
+        return 2;
     }
 
     int failed = 0;
@@ -223,74 +220,6 @@ infoOrVerifyMain(int argc, char **argv, bool full_verify)
     return failed > 125 ? 125 : failed;
 }
 
-std::string
-chunkTypeName(replay::ChunkType t)
-{
-    return t == replay::ChunkType::PROGZ ? "PROGZ" : "DGST";
-}
-
-/** Per-chunk codec/size/ratio accounting for `tproc-trace stats`. */
-int
-statsMain(int argc, char **argv)
-{
-    std::vector<std::string> files;
-    for (int i = 2; i < argc; ++i) {
-        if (argv[i][0] == '-') {
-            std::cerr << "tproc-trace stats: unknown argument '"
-                      << argv[i] << "'\n";
-            usage(std::cerr);
-            return 126;
-        }
-        files.push_back(argv[i]);
-    }
-    if (files.empty()) {
-        std::cerr << "tproc-trace stats: no trace files given\n";
-        usage(std::cerr);
-        return 126;
-    }
-
-    int failed = 0;
-    for (const auto &path : files) {
-        replay::TraceInfo info;
-        try {
-            replay::TraceReader reader(path);
-            info = reader.info();
-        } catch (const std::exception &e) {
-            std::cout << path << ": FAILED: " << e.what() << '\n';
-            ++failed;
-            continue;
-        }
-        std::cout << path << " (v" << info.version << ", "
-                  << info.fileBytes << " bytes)\n";
-        TextTable t;
-        t.header({"chunk", "codec", "stored", "plain", "ratio"});
-        size_t stored = 0;
-        size_t plain = 0;
-        for (const auto &c : info.chunkStats) {
-            stored += c.storedBytes;
-            plain += c.plainBytes;
-            t.row({chunkTypeName(c.type), replay::codecName(c.codec),
-                   std::to_string(c.storedBytes),
-                   std::to_string(c.plainBytes),
-                   c.storedBytes
-                       ? fmtDouble(static_cast<double>(c.plainBytes) /
-                                       static_cast<double>(c.storedBytes),
-                                   2) + "x"
-                       : "-"});
-        }
-        t.row({"total", "", std::to_string(stored),
-               std::to_string(plain),
-               stored ? fmtDouble(static_cast<double>(plain) /
-                                      static_cast<double>(stored),
-                                  2) + "x"
-                      : "-"});
-        t.print(std::cout);
-        if (files.size() > 1)
-            std::cout << '\n';
-    }
-    return failed > 125 ? 125 : failed;
-}
-
 } // namespace
 
 int
@@ -299,7 +228,7 @@ main(int argc, char **argv)
     if (argc < 2 || std::strcmp(argv[1], "--help") == 0 ||
         std::strcmp(argv[1], "-h") == 0) {
         usage(argc < 2 ? std::cerr : std::cout);
-        return argc < 2 ? 126 : 0;
+        return argc < 2 ? 2 : 0;
     }
     if (std::strcmp(argv[1], "record") == 0)
         return recordMain(argc, argv);
@@ -307,9 +236,7 @@ main(int argc, char **argv)
         return infoOrVerifyMain(argc, argv, /*full_verify=*/false);
     if (std::strcmp(argv[1], "verify") == 0)
         return infoOrVerifyMain(argc, argv, /*full_verify=*/true);
-    if (std::strcmp(argv[1], "stats") == 0)
-        return statsMain(argc, argv);
     std::cerr << "tproc-trace: unknown subcommand '" << argv[1] << "'\n";
     usage(std::cerr);
-    return 126;
+    return 2;
 }
